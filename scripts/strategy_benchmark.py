@@ -5,7 +5,8 @@ Runs every strategy that accepts the instance on integer-specialized
 triangle/trapezium matrices of increasing size, checks all answers agree,
 and prints a timing table.  Useful for picking guards: fraction-free
 elimination wins on everything past toy sizes, minor expansion decays with
-density, and the permanent shows the Ryser wall.
+density, and the integer permanent (the unsigned frontier expansion) tracks
+sparse minor expansion.
 
 Usage: python3 scripts/strategy_benchmark.py [--seed 0] [--max-size 25]
 """

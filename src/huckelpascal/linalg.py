@@ -9,22 +9,25 @@ Determinant strategies (all return identical values where applicable):
 
 * ``fraction-free-elimination``: one-step Bareiss with row swaps.  The
   workhorse; O(n^3) ring operations, every division exact by construction.
-* ``sparse-minor-expansion``: row-by-row Laplace expansion memoized on the
-  free-column bitmask; thrives on the very sparse adjacency matrices.
+* ``sparse-minor-expansion``: the signed frontier walk (below); thrives on
+  the very sparse adjacency matrices.
 * ``bivariate-interpolation``: for matrices whose entries involve a single
   parameter pair and whose determinant is homogeneous of known degree d,
   sample at (1, t) for t = 0..d and solve the Vandermonde system exactly.
 * ``permutation-expansion``: depth-first walk of nonzero supports tracking
-  permutation parity; it doubles as the digraph loop-covering sum and
-  powers the even-permutation census.
+  permutation parity; it doubles as the digraph loop-covering sum and is
+  the reference the other strategies are tested against.
 
-The permanent has two exact routes.  Ryser's inclusion-exclusion with
-Gray-code column toggles serves symbolic entries and integer matrices up to
-dimension 20.  Integer matrices of dimension 21-28 use the frontier
-expansion, the unsigned twin of sparse minor expansion: row by row over the
-set of free columns, visiting only each row's nonzero entries.  Its state
+The frontier walk expands row by row over the set of still-free columns,
+visiting only each row's nonzero entries and keeping one partial sum per
+set.  Signed, it is the determinant; unsigned, the permanent.  Its state
 guard bounds the number of free-column sets from the support pattern and
 raises TooLarge before any expansion when the bound exceeds a fixed budget.
+
+The permanent has two exact routes.  Integer matrices run the unsigned
+frontier walk; symbolic entries use Ryser's inclusion-exclusion with
+Gray-code column toggles, which is independent of the signed walk that
+conjecture 3 compares it with.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from math import comb
 from typing import Sequence
 
 from .cyclotomic import CycInt, GaussInt
-from .matrices import PolyMatrix
+from .matrices import PolyMatrix, _nz
 from .poly import MultiPoly, NotDivisible
 
 DET_STRATEGIES = (
@@ -51,15 +54,26 @@ class StrategyPrecondition(ValueError):
 
 
 class TooLarge(ValueError):
-    """Cost guard tripped; raise HUCKEL_MAX_SIZE to override."""
+    """Cost guard tripped (raise HUCKEL_MAX_SIZE to override a dimension
+    cap), or HUCKEL_MAX_SIZE itself is malformed."""
 
 
 class NotRankOne(ValueError):
     """rank1_factor input does not have the scaled rank-1 shape."""
 
 
+def size_limit(default: int) -> int:
+    """The larger of ``default`` and the HUCKEL_MAX_SIZE override."""
+    raw = os.environ.get("HUCKEL_MAX_SIZE", "0")
+    try:
+        override = int(raw)
+    except ValueError:
+        raise TooLarge(f"HUCKEL_MAX_SIZE must be an integer, got {raw!r}") from None
+    return max(default, override)
+
+
 def size_guard(dim: int, default_limit: int, what: str) -> None:
-    limit = max(default_limit, int(os.environ.get("HUCKEL_MAX_SIZE", "0")))
+    limit = size_limit(default_limit)
     if dim > limit:
         raise TooLarge(
             f"{what} guard: dimension {dim} exceeds {limit} "
@@ -122,10 +136,6 @@ def _exact_div(a, b, kind: str):
     return a.exact_div(b)
 
 
-def _nz(e) -> bool:
-    return not (e == 0)
-
-
 # -- determinants ----------------------------------------------------------------
 
 
@@ -136,7 +146,7 @@ def det(M: PolyMatrix, strategy: str = "fraction-free-elimination", degree: int 
     if strategy == "fraction-free-elimination":
         return _det_bareiss(_lift_rows(M, kind), kind)
     if strategy == "sparse-minor-expansion":
-        return _det_minor(_lift_rows(M, kind), kind)
+        return _frontier_walk(_lift_rows(M, kind), kind, signed=True)
     if strategy == "bivariate-interpolation":
         return _det_interpolation(M, degree)
     if strategy == "permutation-expansion":
@@ -170,35 +180,6 @@ def _det_bareiss(a: list[list], kind: str):
     return last if sign > 0 else -last
 
 
-def _det_minor(rows: list[list], kind: str):
-    n = len(rows)
-    if n == 0:
-        return _lift(1, kind)
-    memo: dict[int, object] = {}
-
-    def rec(r: int, mask: int):
-        if r == n:
-            return _lift(1, kind)
-        if mask in memo:
-            return memo[mask]
-        total = _lift(0, kind)
-        pos = 0
-        for j in range(n):
-            if not (mask >> j) & 1:
-                continue
-            e = rows[r][j]
-            if _nz(e):
-                sub = rec(r + 1, mask & ~(1 << j))
-                if _nz(sub):
-                    term = e * sub
-                    total = total + term if pos % 2 == 0 else total - term
-            pos += 1
-        memo[mask] = total
-        return total
-
-    return rec(0, (1 << n) - 1)
-
-
 def _det_permutation(rows: list[list], kind: str):
     n = len(rows)
     total = _lift(0, kind)
@@ -227,28 +208,14 @@ def permutation_parity_census(M: PolyMatrix) -> tuple[int, int]:
 
     Over symbolic entries "nonzero support" means no structurally zero
     factor, so (even, odd) counts the loop coverings of the underlying graph
-    by contribution sign.
+    by contribution sign.  On the 0/1 support matrix S every such
+    permutation contributes exactly +-1, so perm S = even + odd (frontier
+    walk) and det S = even - odd (fraction-free elimination).
     """
-    n = M.dim
-    rows = M.rows
-    even = odd = 0
-    full = (1 << n) - 1
-
-    def rec(r: int, free: int, inv: int):
-        nonlocal even, odd
-        if r == n:
-            if inv % 2 == 0:
-                even += 1
-            else:
-                odd += 1
-            return
-        used = full & ~free
-        for j in range(n):
-            if (free >> j) & 1 and _nz(rows[r][j]):
-                rec(r + 1, free & ~(1 << j), inv + (used >> (j + 1)).bit_count())
-
-    rec(0, full, 0)
-    return even, odd
+    support = M.map_entries(lambda e: 1 if _nz(e) else 0)
+    total = _frontier_walk(support.rows, "int", signed=False)
+    signed = det(support)
+    return (total + signed) // 2, (total - signed) // 2
 
 
 def _det_interpolation(M: PolyMatrix, degree: int | None):
@@ -322,19 +289,82 @@ def _solve_vandermonde(values: Sequence[int]) -> list[int]:
     return out
 
 
-# -- permanents ------------------------------------------------------------------
+# -- frontier walk ------------------------------------------------------------
 
-_SYMBOLIC_PERM_LIMIT = 16
-_EXACT_INT_PERM_LIMIT = 20
-_INT_PERM_LIMIT = 28
-# bound on the frontier expansion's partial sums, checked before it starts
+# bound on the frontier walk's partial sums, checked before it starts
 _FRONTIER_STATE_BUDGET = 2_000_000
 
 
+def _frontier_walk(rows: Sequence[Sequence], kind: str, signed: bool):
+    """Sum over the permutations with nonzero support of the products of
+    their entries, signed by parity (the determinant) or not (the permanent).
+
+    After row r the walk holds, for each set of columns still free, the sum
+    of the products of the entries chosen in rows 0..r.  Choosing column j
+    flips the sign once for each free column left of j, which is the parity
+    of a Laplace expansion along the row.  A column with no nonzero entry
+    below row r must be taken by then, so sets that leave one free are
+    dropped, as are sets whose partial sum cancels to zero.
+    """
+    n = len(rows)
+    zero = _lift(0, kind)
+    support = [[(j, e) for j, e in enumerate(row) if _nz(e)] for row in rows]
+    last = [-1] * n
+    for r, entries in enumerate(support):
+        for j, _ in entries:
+            last[j] = r
+    if not all(support) or -1 in last:
+        return zero  # a zero row or column
+    # closed[r]: the columns whose last nonzero entry is in row r or above
+    closed = [0] * n
+    for j, r in enumerate(last):
+        closed[r] |= 1 << j
+    for r in range(1, n):
+        closed[r] |= closed[r - 1]
+    # After row r the taken columns are r + 1 of those rows 0..r reach, and
+    # include closed[r]; summing the choices bounds the states kept.
+    states = 0
+    reach = 0
+    for r, entries in enumerate(support):
+        for j, _ in entries:
+            reach |= 1 << j
+        fixed = closed[r].bit_count()
+        if fixed <= r + 1:
+            states += comb(reach.bit_count() - fixed, r + 1 - fixed)
+        if states > _FRONTIER_STATE_BUDGET:
+            raise TooLarge(
+                f"frontier expansion guard: the {n}x{n} walk may keep more "
+                f"than {_FRONTIER_STATE_BUDGET} states"
+            )
+    layer = {(1 << n) - 1: _lift(1, kind)}
+    for r, entries in enumerate(support):
+        steps = [(1 << j, (1 << j) - 1, e, -e) for j, e in entries]
+        dead = closed[r]
+        nxt: dict = {}
+        get = nxt.get
+        for free, value in layer.items():
+            for bit, below, e, neg in steps:
+                key = free ^ bit
+                if free & bit and not key & dead:
+                    odd = signed and (free & below).bit_count() & 1
+                    term = value * (neg if odd else e)
+                    old = get(key)
+                    nxt[key] = term if old is None else old + term
+        layer = {free: v for free, v in nxt.items() if v}
+        if not layer:
+            return zero
+    return layer[0]
+
+
+# -- permanents ------------------------------------------------------------------
+
+_SYMBOLIC_PERM_LIMIT = 16
+
+
 def permanent_route(M: PolyMatrix) -> str:
-    """Name of the route ``permanent`` takes for M: "frontier expansion" or
-    "gray-code inclusion-exclusion"."""
-    if ring_kind(M) == "int" and M.dim > _EXACT_INT_PERM_LIMIT:
+    """Name of the route ``permanent`` takes for M: "frontier expansion" for
+    integer entries, "gray-code inclusion-exclusion" otherwise."""
+    if ring_kind(M) == "int":
         return "frontier expansion"
     return "gray-code inclusion-exclusion"
 
@@ -342,23 +372,19 @@ def permanent_route(M: PolyMatrix) -> str:
 def permanent(M: PolyMatrix):
     """Exact permanent by one of two routes.
 
-    Symbolic entries, and integer matrices up to dimension 20, use Ryser's
-    inclusion-exclusion with Gray-code column toggles.  Integer matrices of
-    dimension 21-28 use the frontier expansion: row by row over the set of
-    still-free columns, visiting only each row's nonzero entries.  Its cost
-    is the number of free-column sets it keeps, which is bounded from the
-    support pattern alone; a matrix whose bound exceeds the state budget
-    raises TooLarge before any expansion, as does any dimension over the
-    caps (16 symbolic, 28 integer; HUCKEL_MAX_SIZE raises those).
+    Integer matrices run the unsigned frontier walk: row by row over the
+    set of still-free columns, visiting only each row's nonzero entries.
+    Its cost is the number of free-column sets it keeps, which is bounded
+    from the support pattern alone; a matrix whose bound exceeds the state
+    budget raises TooLarge before any expansion.  That budget is fixed:
+    HUCKEL_MAX_SIZE does not raise it.  Symbolic entries use Ryser's
+    inclusion-exclusion with Gray-code column toggles, capped at dimension
+    16 (HUCKEL_MAX_SIZE raises that cap).
     """
-    n = M.dim
     kind = ring_kind(M)
     if kind == "int":
-        size_guard(n, _INT_PERM_LIMIT, "integer permanent")
-    else:
-        size_guard(n, _SYMBOLIC_PERM_LIMIT, "symbolic permanent")
-    if permanent_route(M) == "frontier expansion":
-        return _frontier_permanent(M.rows)
+        return _frontier_walk(M.rows, kind, signed=False)
+    size_guard(M.dim, _SYMBOLIC_PERM_LIMIT, "symbolic permanent")
     return _ryser_exact(_lift_rows(M, kind), kind)
 
 
@@ -393,58 +419,6 @@ def _ryser_exact(rows: list[list], kind: str):
                 prod = prod * s
             total = total + prod if (n - pop) % 2 == 0 else total - prod
     return total
-
-
-def _frontier_permanent(rows: Sequence[Sequence[int]]) -> int:
-    """Integer permanent by row-by-row expansion over free-column sets.
-
-    After row r the expansion holds, for each set of columns still free,
-    the sum of the products of the entries chosen in rows 0..r.  A column
-    with no nonzero entry below row r must be taken by then, so sets that
-    leave one free are dropped.  This is ``_det_minor`` without the sign,
-    run forwards one row at a time.
-    """
-    n = len(rows)
-    support = [[(j, e) for j, e in enumerate(row) if e] for row in rows]
-    last = [-1] * n
-    for r, entries in enumerate(support):
-        for j, _ in entries:
-            last[j] = r
-    if not all(support) or -1 in last:
-        return 0  # a zero row or column
-    # closed[r]: the columns whose last nonzero entry is in row r or above
-    closed = [0] * n
-    for j, r in enumerate(last):
-        closed[r] |= 1 << j
-    for r in range(1, n):
-        closed[r] |= closed[r - 1]
-    # After row r the taken columns are r + 1 of those rows 0..r reach, and
-    # include closed[r]; summing the choices bounds the states kept.
-    states = 0
-    reach = 0
-    for r, entries in enumerate(support):
-        for j, _ in entries:
-            reach |= 1 << j
-        fixed = closed[r].bit_count()
-        if fixed <= r + 1:
-            states += comb(reach.bit_count() - fixed, r + 1 - fixed)
-    if states > _FRONTIER_STATE_BUDGET:
-        raise TooLarge(
-            f"integer permanent guard: frontier expansion may keep {states} "
-            f"states, over the budget of {_FRONTIER_STATE_BUDGET}"
-        )
-    layer = {(1 << n) - 1: 1}
-    for r, entries in enumerate(support):
-        nxt: dict[int, int] = {}
-        for free, value in layer.items():
-            for j, e in entries:
-                key = free & ~(1 << j)
-                if key != free and not key & closed[r]:
-                    nxt[key] = nxt.get(key, 0) + value * e
-        layer = {free: v for free, v in nxt.items() if v}
-        if not layer:
-            return 0
-    return layer.get(0, 0)
 
 
 # -- characteristic polynomial ------------------------------------------------------

@@ -22,15 +22,13 @@ a triangle matrix of size (n+1)^2 to size n+1 and a trapezium of size
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CycInt, GaussInt
-from .linalg import det
+from .linalg import _exact_div, _lift, det, ring_kind, size_limit
 from .matrices import BadRange, PolyMatrix, _weight, build_huckel, build_T
-from .poly import MultiPoly, NotDivisible, svar
+from .poly import MultiPoly
 
 
 class BlockMismatch(ValueError):
@@ -39,10 +37,6 @@ class BlockMismatch(ValueError):
 
 class CostGuard(ValueError):
     """Symbolic condensation size guard; HUCKEL_MAX_SIZE overrides."""
-
-
-def _limit(default: int) -> int:
-    return max(default, int(os.environ.get("HUCKEL_MAX_SIZE", "0")))
 
 
 # -- closed-form block inverse ---------------------------------------------------
@@ -125,23 +119,6 @@ def _is_negative(e) -> bool:
     return False
 
 
-def _ediv(num, den):
-    if isinstance(num, MultiPoly) or isinstance(den, MultiPoly):
-        if isinstance(num, int):
-            num = MultiPoly.const(num)
-        return num.exact_div(den)
-    if isinstance(num, (CycInt, GaussInt)):
-        return num.exact_div(den)
-    if isinstance(den, (CycInt, GaussInt)):
-        return type(den)(num).exact_div(den)
-    if isinstance(num, Fraction) or isinstance(den, Fraction):
-        return num / den
-    q, r = divmod(num, den)
-    if r:
-        raise NotDivisible(f"{num} not divisible by {den}")
-    return q
-
-
 # -- one elimination step ------------------------------------------------------
 
 
@@ -183,11 +160,15 @@ def schur_det_step(M: PolyMatrix, m: int, params=None):
     if lead is not None and _is_negative(lead):
         v = [-e for e in v]
         w = [-e for e in w]
+    kind = ring_kind(tail)  # the ring of s
     reduced = [[s] + list(w)]
     for i in range(a):
         row = [v[i]]
         for j in range(a):
-            p_ij = _ediv(Y[i, j] - v[i] * w[j], s)
+            num = Y[i, j] - v[i] * w[j]
+            if isinstance(num, int):
+                num = _lift(num, kind)
+            p_ij = _exact_div(num, s, kind)
             row.append(A[i, j] - p_ij)
         reduced.append(row)
     return 1, PolyMatrix(reduced)
@@ -214,7 +195,7 @@ def condense(n: int, params=None) -> CondensationTrace:
     per step, keeping the determinant exactly equal throughout."""
     if n < 1:
         raise CostGuard(f"condense needs n >= 1, got {n}")
-    if (n + 1) ** 2 > _limit(36):
+    if (n + 1) ** 2 > size_limit(36):
         raise CostGuard(
             f"symbolic condensation capped at 36 vertices, got {(n + 1) ** 2} "
             "(set HUCKEL_MAX_SIZE to override)"
@@ -233,7 +214,7 @@ def condensation_det(k: int, n: int, params=None):
     Laplace/elimination pass on the big matrix)."""
     size = (n + 1) ** 2 - k * k
     default = 64 if params is None else 144
-    if size > _limit(default):
+    if size > size_limit(default):
         raise CostGuard(
             f"condensation capped at {default} vertices, got {size} "
             "(set HUCKEL_MAX_SIZE to override)"

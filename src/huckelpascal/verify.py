@@ -12,7 +12,6 @@ to be exact.  Reruns with the same seed are bit-identical.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ from .linalg import (
     permanent,
     permanent_route,
     permutation_parity_census,
+    size_limit,
 )
 from .matrices import (
     PolyMatrix,
@@ -71,10 +71,6 @@ class VerifyReport:
         }
 
 
-def _limit(default: int) -> int:
-    return max(default, int(os.environ.get("HUCKEL_MAX_SIZE", "0")))
-
-
 def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
@@ -91,6 +87,22 @@ def _draw_params(rng: random.Random, k: int, n: int, lo: int, hi: int) -> dict:
         params[f"x{m}"] = xv
         params[f"y{m}"] = yv
     return params
+
+
+def _degree_bound(*matrices: PolyMatrix) -> int:
+    """A bound on the total degree of the determinant and the permanent of
+    each symbolic matrix: the sum over rows of the largest total degree of
+    that row's entries, taken over the matrices compared."""
+    return max(
+        sum(
+            max(
+                [0]
+                + [e.total_degree() for e in row if isinstance(e, MultiPoly)]
+            )
+            for row in M.rows
+        )
+        for M in matrices
+    )
 
 
 def _sz_bound(degree: int, domain: int, points: int) -> str:
@@ -110,7 +122,7 @@ def verify_conjecture1(n: int, mode: str = "symbolic", seed: int | None = 0) -> 
     t0 = time.perf_counter()
     size = (n + 1) ** 2
     if mode == "symbolic":
-        if size > _limit(25):
+        if size > size_limit(25):
             raise CostGuard(
                 f"symbolic triangle comparison capped at 25 vertices, got {size}"
             )
@@ -144,7 +156,7 @@ def verify_conjecture1(n: int, mode: str = "symbolic", seed: int | None = 0) -> 
         return report
     if mode != "specialized":
         raise ValueError(f"unknown mode {mode!r}")
-    if size > _limit(81):
+    if size > size_limit(81):
         raise CostGuard(
             f"specialized triangle comparison capped at 81 vertices, got {size}"
         )
@@ -173,7 +185,11 @@ def verify_conjecture1(n: int, mode: str = "symbolic", seed: int | None = 0) -> 
         seed=seed,
         details={
             "samples": samples,
-            "probability": _sz_bound(n + 1, 2 * 10**6 + 1, 5),
+            "probability": _sz_bound(
+                _degree_bound(build_huckel(0, n), build_reduced(0, n)),
+                2 * 10**6 + 1,
+                5,
+            ),
             "unit_y_corollary": corr,
         },
     )
@@ -210,7 +226,7 @@ def verify_conjecture2(
     t0 = time.perf_counter()
     size = (n + 1) ** 2 - k * k
     if mode == "symbolic":
-        if size > _limit(64):
+        if size > size_limit(64):
             raise CostGuard(
                 f"symbolic trapezium comparison capped at 64 vertices, got {size}"
             )
@@ -243,7 +259,7 @@ def verify_conjecture2(
         return report
     if mode != "specialized":
         raise ValueError(f"unknown mode {mode!r}")
-    if size > _limit(144):
+    if size > size_limit(144):
         raise CostGuard(
             f"specialized trapezium comparison capped at 144 vertices, got {size}"
         )
@@ -270,7 +286,11 @@ def verify_conjecture2(
         seed=seed,
         details={
             "samples": samples,
-            "probability": _sz_bound(n + 1 - k, 2 * 10**6 + 1, 5),
+            "probability": _sz_bound(
+                _degree_bound(build_huckel(k, n), build_reduced(k, n)),
+                2 * 10**6 + 1,
+                5,
+            ),
         },
     )
     report.elapsed_s = time.perf_counter() - t0
@@ -294,7 +314,7 @@ def verify_conjecture3(
             "all_contributions_even": odd == 0,
         }
     if mode == "symbolic":
-        if size > _limit(16):
+        if size > size_limit(16):
             raise CostGuard(
                 f"symbolic permanent comparison capped at 16 vertices, got {size}"
             )
@@ -318,7 +338,7 @@ def verify_conjecture3(
         return report
     if mode != "specialized":
         raise ValueError(f"unknown mode {mode!r}")
-    if size > _limit(28):
+    if size > size_limit(28):
         raise CostGuard(
             f"specialized permanent comparison capped at 28 vertices, got {size}"
         )
@@ -335,7 +355,7 @@ def verify_conjecture3(
     if "parity_census" in details:
         ok = ok and details["parity_census"]["all_contributions_even"]
     details["samples"] = samples
-    details["probability"] = _sz_bound(n + 1 - k, 1999, 3)
+    details["probability"] = _sz_bound(_degree_bound(build_huckel(k, n)), 1999, 3)
     report = VerifyReport(
         conjecture="conj3",
         instance={"k": k, "n": n},

@@ -179,6 +179,14 @@ class TestVerify:
         assert code == 2
         assert "capped" in out.err
 
+    def test_malformed_size_override_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("HUCKEL_MAX_SIZE", "abc")
+        code, out = run(capsys, "verify", "conj1", "--n", "2")
+        assert code == 2
+        assert out.err.strip().splitlines() == [
+            "error: HUCKEL_MAX_SIZE must be an integer, got 'abc'"
+        ]
+
     def test_k_without_n_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "conj2", "--k", "6"])

@@ -12,7 +12,6 @@ from huckelpascal.linalg import (
     NotRankOne,
     StrategyPrecondition,
     TooLarge,
-    _frontier_permanent,
     charpoly,
     coefficient_list,
     det,
@@ -80,6 +79,33 @@ class TestDeterminantStrategies:
     def test_pascal_product_det(self):
         p = build_pascal("lower", 4)
         assert det(p * p.transpose()) == 1
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_minor_matches_reference_strategies(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=7))
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])
+        rows = data.draw(
+            st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+        zeroed_row = [list(r) for r in rows]
+        zeroed_row[data.draw(st.integers(0, n - 1))] = [0] * n
+        col = data.draw(st.integers(0, n - 1))
+        zeroed_col = [[0 if j == col else e for j, e in enumerate(r)] for r in rows]
+        for case in (rows, zeroed_row, zeroed_col):
+            m = PolyMatrix(case)
+            assert (
+                det(m, "sparse-minor-expansion")
+                == det(m)
+                == det(m, "permutation-expansion")
+            )
+
+    def test_sparse_minor_state_guard_refuses_dense(self):
+        rows = [[1] * 24 for _ in range(24)]
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match="states"):
+            det(PolyMatrix(rows), "sparse-minor-expansion")
+        assert time.perf_counter() - t0 < 0.5
 
     def test_zero_column_short_circuits(self):
         m = PolyMatrix([[1, 0, 2], [3, 0, 4], [5, 0, 6]])
@@ -218,7 +244,8 @@ class TestPermanent:
         while len(fib) < 24:
             fib.append(fib[-1] + fib[-2])
         assert permanent(tridiag(8)) == fib[8]
-        # dimension 21 exceeds the Ryser cutoff and runs the frontier expansion
+        # at dimension 21 the tridiagonal support keeps the frontier walk
+        # to a few free-column sets per row
         assert permanent(tridiag(21)) == fib[21]
 
     def test_modular_path_negative_entries(self):
@@ -249,13 +276,13 @@ class TestPermanent:
         rows = data.draw(
             st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
         )
-        assert _frontier_permanent(rows) == _brute_perm(rows)
+        assert permanent(PolyMatrix(rows)) == _brute_perm(rows)
         rows[data.draw(st.integers(0, n - 1))] = [0] * n
-        assert _frontier_permanent(rows) == 0
+        assert permanent(PolyMatrix(rows)) == 0
 
     def test_frontier_zero_column(self):
         rows = [[1, 0, 2], [-1, 0, 3], [4, 0, 5]]
-        assert _frontier_permanent(rows) == _brute_perm(rows) == 0
+        assert permanent(PolyMatrix(rows)) == _brute_perm(rows) == 0
 
 
 def _brute_perm(rows):
