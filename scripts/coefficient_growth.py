@@ -14,16 +14,10 @@ Usage: python3 scripts/coefficient_growth.py [--max-n 8] [--audit-max-n 3]
 import argparse
 import time
 
-from huckelpascal import det, square_coefficient_audit, xvar, yvar
-from huckelpascal.matrices import bivariate_params, build_huckel
+from huckelpascal import square_coefficient_audit
 from huckelpascal.oracle import audit_passes
 from huckelpascal.schur import condensation_det
-
-
-def bivariate_row(n: int) -> list[int]:
-    m = build_huckel(0, n, bivariate_params(0, n, xvar(0), yvar(0)))
-    p = det(m, "bivariate-interpolation", degree=n + 1) if n else det(m)
-    return [p.coefficient({"x0": n + 1 - j, "y0": j}) for j in range(n + 2)]
+from huckelpascal.verify import bivariate_row
 
 
 def main() -> None:
@@ -35,7 +29,7 @@ def main() -> None:
     previous_center = None
     for n in range(args.max_n + 1):
         t0 = time.perf_counter()
-        row = bivariate_row(n)
+        _, row = bivariate_row(n)
         center = max(row)
         ratio = "" if previous_center is None else f"  x{center / previous_center:6.2f}"
         previous_center = center

@@ -19,20 +19,10 @@ from huckelpascal import DET_STRATEGIES, det, permanent
 from huckelpascal.linalg import TooLarge
 from huckelpascal.matrices import build_huckel
 from huckelpascal.schur import condensation_det
+from huckelpascal.verify import _draw_params
 
 INSTANCES = [(1, 1), (0, 1), (2, 2), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3),
              (2, 4), (1, 4), (0, 4)]
-
-
-def draw_params(rng: random.Random, k: int, n: int) -> dict:
-    out = {}
-    for m in range(k, n + 1):
-        while True:
-            xv, yv = rng.randint(-99, 99), rng.randint(-99, 99)
-            if xv + yv:
-                break
-        out[f"x{m}"], out[f"y{m}"] = xv, yv
-    return out
 
 
 def main() -> None:
@@ -51,7 +41,7 @@ def main() -> None:
         size = (n + 1) ** 2 - k * k
         if size > args.max_size:
             continue
-        params = draw_params(rng, k, n)
+        params = _draw_params(rng, k, n, -99, 99)
         matrix = build_huckel(k, n, params)
         values, cells = [], []
         for s in strategies:

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 from .formulas import (
     BadParity,
@@ -43,8 +42,9 @@ from .matrices import (
 )
 from .oracle import audit_passes, count_plane_partitions, square_coefficient_audit
 from .poly import MultiPoly, NotDivisible, xvar, yvar
-from .schur import CostGuard, condensation_det, condense
+from .schur import condensation_det, condense
 from .verify import (
+    bivariate_row,
     verify_conjecture1,
     verify_conjecture2,
     verify_conjecture3,
@@ -55,28 +55,11 @@ _DOMAIN_ERRORS = (
     BadRange,
     BadParity,
     CaseMismatch,
-    CostGuard,
     TooLarge,
     StrategyPrecondition,
     NotRankOne,
     NotDivisible,
 )
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: one subcommand plus its knobs."""
-
-    subcommand: str
-    n: int | None = None
-    k: int | None = None
-    mode: str = "symbolic"
-    seed: int = 0
-    strategy: str = "fraction-free-elimination"
-    output: str | None = None
-    verbosity: int = 0
-    jobs: int = 1
-    options: dict = field(default_factory=dict)
 
 
 # -- parser ------------------------------------------------------------------------
@@ -200,44 +183,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_config(ns: argparse.Namespace) -> RunConfig:
-    get = lambda name, default=None: getattr(ns, name, default)
-    return RunConfig(
-        subcommand=ns.subcommand,
-        n=get("n"),
-        k=get("k"),
-        mode=get("mode", "symbolic"),
-        seed=get("seed", 0) or 0,
-        strategy=get("strategy", "fraction-free-elimination"),
-        output=get("json"),
-        verbosity=get("verbose", 0),
-        jobs=get("jobs", 1) or 1,
-        options={
-            key: get(key)
-            for key in ("huckel", "reduced", "pascal", "x", "y", "trace", "table",
-                        "max_n", "action", "a", "b", "c", "conjecture")
-            if get(key) is not None
-        },
-    )
-
-
-def _validate(config: RunConfig, parser: argparse.ArgumentParser) -> None:
-    opts = config.options
-    if config.subcommand in ("det", "perm"):
-        if ("x" in opts) != ("y" in opts):
-            parser.error("--x and --y must be given together")
-        if "pascal" in opts and "x" in opts:
+def _validate(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    x, y = getattr(ns, "x", None), getattr(ns, "y", None)
+    if (x is None) != (y is None):
+        parser.error("--x and --y must be given together")
+    pascal = getattr(ns, "pascal", None)
+    if pascal is not None:
+        if x is not None:
             parser.error("--x/--y only apply to --huckel/--reduced")
-    if config.subcommand == "condense":
-        if opts.get("trace") and config.k:
-            parser.error("--trace records full-triangle runs; drop --k")
-    if config.subcommand == "verify":
-        if config.k is not None and config.n is None:
+        kind, n = pascal
+        try:
+            ns.pascal = (kind, int(n))
+        except ValueError:
+            parser.error(f"--pascal N must be an integer, got {n!r}")
+    if getattr(ns, "trace", False) and ns.k:
+        parser.error("--trace records full-triangle runs; drop --k")
+    if ns.subcommand == "verify":
+        if ns.k is not None and ns.n is None:
             parser.error("--k requires --n")
-        if config.jobs < 1:
+        if ns.jobs < 1:
             parser.error("--jobs must be >= 1")
     for name in ("n", "k"):
-        value = getattr(config, name)
+        value = getattr(ns, name, None)
         if value is not None and value < 0:
             parser.error(f"--{name} must be >= 0")
 
@@ -252,49 +219,48 @@ def _poly_payload(value) -> dict:
     return out
 
 
-def _uniform_params(k: int, n: int, opts: dict):
-    if "x" in opts:
-        return bivariate_params(k, n, opts["x"], opts["y"])
+def _uniform_params(k: int, n: int, ns: argparse.Namespace):
+    if ns.x is not None:
+        return bivariate_params(k, n, ns.x, ns.y)
     return None
 
 
-def _source_matrix(config: RunConfig):
-    opts = config.options
-    if "huckel" in opts:
-        k, n = opts["huckel"]
-        return build_huckel(k, n, _uniform_params(k, n, opts)), ("huckel", k, n)
-    if "reduced" in opts:
-        k, n = opts["reduced"]
+def _source_matrix(ns: argparse.Namespace):
+    if ns.huckel is not None:
+        k, n = ns.huckel
+        return build_huckel(k, n, _uniform_params(k, n, ns)), ("huckel", k, n)
+    if ns.reduced is not None:
+        k, n = ns.reduced
         m = build_reduced(k, n)
-        params = _uniform_params(k, n, opts)
+        params = _uniform_params(k, n, ns)
         if params is not None:
             m = evaluate_matrix(m, params)
         return m, ("reduced", k, n)
-    kind, n = opts["pascal"]
-    return build_pascal(kind, int(n)), ("pascal", kind, int(n))
+    kind, n = ns.pascal
+    return build_pascal(kind, n), ("pascal", kind, n)
 
 
-def _cmd_det(config: RunConfig):
-    matrix, (kind, k, n) = _source_matrix(config)
+def _cmd_det(ns: argparse.Namespace):
+    matrix, (kind, k, n) = _source_matrix(ns)
     degree = None
-    if config.strategy == "bivariate-interpolation" and "x" not in config.options:
+    if ns.strategy == "bivariate-interpolation" and ns.x is None:
         # interpolation works on a single weight pair: collapse first
         matrix = evaluate_matrix(
-            matrix, bivariate_params(0, int(n), xvar(0), yvar(0))
+            matrix, bivariate_params(0, n, xvar(0), yvar(0))
         ) if kind != "pascal" else matrix
-        degree = int(n) + 1 - (k if isinstance(k, int) else 0)
-    value = det(matrix, config.strategy, degree=degree)
+        degree = n + 1 - (k if isinstance(k, int) else 0)
+    value = det(matrix, ns.strategy, degree=degree)
     print(value)
-    if config.verbosity:
+    if ns.verbose:
         print(matrix.to_grid(), file=sys.stderr)
-    payload = {"matrix": {"kind": kind, "k": k, "n": n}, "strategy": config.strategy}
+    payload = {"matrix": {"kind": kind, "k": k, "n": n}, "strategy": ns.strategy}
     payload.update(_poly_payload(value))
     return 0, payload
 
 
-def _cmd_perm(config: RunConfig):
-    k, n = config.options["huckel"]
-    matrix = build_huckel(k, n, _uniform_params(k, n, config.options))
+def _cmd_perm(ns: argparse.Namespace):
+    k, n = ns.huckel
+    matrix = build_huckel(k, n, _uniform_params(k, n, ns))
     value = permanent(matrix)
     print(value)
     payload = {"matrix": {"kind": "huckel", "k": k, "n": n}}
@@ -302,9 +268,8 @@ def _cmd_perm(config: RunConfig):
     return 0, payload
 
 
-def _cmd_charpoly(config: RunConfig):
-    kind, n = config.options["pascal"]
-    n = int(n)
+def _cmd_charpoly(ns: argparse.Namespace):
+    kind, n = ns.pascal
     p = charpoly(build_pascal(kind, n))
     print(p)
     payload = {
@@ -315,9 +280,9 @@ def _cmd_charpoly(config: RunConfig):
     return 0, payload
 
 
-def _cmd_condense(config: RunConfig):
-    if config.options.get("trace"):
-        trace = condense(config.n)
+def _cmd_condense(ns: argparse.Namespace):
+    if ns.trace:
+        trace = condense(ns.n)
         for step in trace.steps:
             print(f"eliminated block m={step.m}: corner {step.border}, size {step.size}")
         print(trace.final.to_grid())
@@ -328,9 +293,9 @@ def _cmd_condense(config: RunConfig):
             "final": trace.final.to_json(),
         }
         return 0, payload
-    value = condensation_det(config.k or 0, config.n)
+    value = condensation_det(ns.k, ns.n)
     print(value)
-    payload = {"instance": {"k": config.k or 0, "n": config.n}}
+    payload = {"instance": {"k": ns.k, "n": ns.n}}
     payload.update(_poly_payload(value))
     return 0, payload
 
@@ -366,16 +331,15 @@ def _print_formula_table(rows: list[dict]) -> None:
         print("  ".join(c.rjust(w) for c, w in zip(row, widths)))
 
 
-def _cmd_formulas(config: RunConfig):
-    rows = [_formula_row(n) for n in range(2, config.options["max_n"] + 1)]
+def _cmd_formulas(ns: argparse.Namespace):
+    rows = [_formula_row(n) for n in range(2, ns.max_n + 1)]
     _print_formula_table(rows)
     return 0, {"rows": rows}
 
 
-def _cmd_oracle(config: RunConfig):
-    opts = config.options
-    if opts["action"] == "partitions":
-        a, b, c = opts["a"], opts["b"], opts["c"]
+def _cmd_oracle(ns: argparse.Namespace):
+    if ns.action == "partitions":
+        a, b, c = ns.a, ns.b, ns.c
         counted = count_plane_partitions(a, b, c)
         predicted = formula_macmahon(a, b, c)
         ok = counted == predicted
@@ -385,14 +349,14 @@ def _cmd_oracle(config: RunConfig):
         payload = {"box": [a, b, c], "enumerated": counted,
                    "formula": predicted, "match": ok}
         return (0 if ok else 1), payload
-    p = condensation_det(0, config.n)
+    p = condensation_det(0, ns.n)
     entries = square_coefficient_audit(p)
     for e in entries:
         print(f"{e.monomial}: {e.coefficient} = {e.root}^2")
     ok = audit_passes(entries)
     print(f"all coefficients are perfect squares: {ok}")
     payload = {
-        "n": config.n,
+        "n": ns.n,
         "entries": [
             {"monomial": e.monomial, "coefficient": e.coefficient, "root": e.root}
             for e in entries
@@ -428,29 +392,29 @@ def _verify_task(task: tuple):
     return verify_props(**kwargs)
 
 
-def _verify_instances(config: RunConfig) -> list[tuple]:
-    name = config.options["conjecture"]
-    if config.n is None:
-        instances = _DEFAULT_INSTANCES[(name, config.mode)]
+def _verify_instances(ns: argparse.Namespace) -> list[tuple]:
+    name = ns.conjecture
+    if ns.n is None:
+        instances = _DEFAULT_INSTANCES[(name, ns.mode)]
     elif name in ("conj2", "conj3"):
-        instances = [{"k": config.k or 0, "n": config.n}]
+        instances = [{"k": ns.k or 0, "n": ns.n}]
     else:
-        instances = [{"n": config.n}]
+        instances = [{"n": ns.n}]
     tasks = []
     for inst in instances:
         kwargs = dict(inst)
         if name != "props":
-            kwargs["mode"] = config.mode
-            if config.mode == "specialized":
-                kwargs["seed"] = config.seed
+            kwargs["mode"] = ns.mode
+            if ns.mode == "specialized":
+                kwargs["seed"] = ns.seed
         tasks.append((name, kwargs))
     return tasks
 
 
-def _cmd_verify(config: RunConfig):
-    tasks = _verify_instances(config)
-    if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+def _cmd_verify(ns: argparse.Namespace):
+    tasks = _verify_instances(ns)
+    if ns.jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
             reports = list(pool.map(_verify_task, tasks))
     else:
         reports = [_verify_task(t) for t in tasks]
@@ -458,26 +422,18 @@ def _cmd_verify(config: RunConfig):
     for r in reports:
         inst = ",".join(f"{k}={v}" for k, v in sorted(r.instance.items()))
         print(f"{r.conjecture}[{inst}] {r.mode}: {r.verdict}")
-        if config.verbosity:
+        if ns.verbose:
             print(f"  {r.method} ({r.elapsed_s:.2f}s)", file=sys.stderr)
     all_pass = all(r.passed() for r in reports)
     payload = {"reports": [r.to_json() for r in reports], "all_pass": all_pass}
     return (0 if all_pass else 1), payload
 
 
-def _bivariate_row(n: int) -> list[int]:
-    collapse = bivariate_params(0, n, xvar(0), yvar(0))
-    matrix = build_huckel(0, n, collapse)
-    p = det(matrix, "bivariate-interpolation", degree=n + 1) if n else det(matrix)
-    return [p.coefficient({"x0": n + 1 - j, "y0": j}) for j in range(n + 2)]
-
-
-def _cmd_tables(config: RunConfig):
-    max_n = config.options["max_n"]
-    rows = [_bivariate_row(n) for n in range(max_n + 1)]
+def _cmd_tables(ns: argparse.Namespace):
+    rows = [bivariate_row(n)[1] for n in range(ns.max_n + 1)]
     for n, row in enumerate(rows):
         print(f"n={n}: {row}")
-    formula_rows = [_formula_row(n) for n in range(2, max_n + 1)]
+    formula_rows = [_formula_row(n) for n in range(2, ns.max_n + 1)]
     _print_formula_table(formula_rows)
     return 0, {"determinant_rows": rows, "angle_table": formula_rows}
 
@@ -504,19 +460,18 @@ def _write_json(path: str, payload: dict) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    config = _to_config(ns)
-    _validate(config, parser)
+    _validate(ns, parser)
     try:
-        code, payload = _HANDLERS[config.subcommand](config)
+        code, payload = _HANDLERS[ns.subcommand](ns)
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.output is not None:
-        payload["subcommand"] = config.subcommand
+    if ns.json is not None:
+        payload["subcommand"] = ns.subcommand
         try:
-            _write_json(config.output, payload)
+            _write_json(ns.json, payload)
         except OSError as exc:
-            print(f"error: cannot write {config.output}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {ns.json}: {exc}", file=sys.stderr)
             return 2
     return code
 

@@ -16,7 +16,13 @@ Determinant strategies (all return identical values where applicable):
   sample at (1, t) for t = 0..d and solve the Vandermonde system exactly.
 * ``permutation-expansion``: depth-first walk of nonzero supports tracking
   permutation parity; it doubles as the digraph loop-covering sum and is
-  the reference the other strategies are tested against.
+  the reference the other strategies are tested against.  Its nodes are
+  counted by column set before the walk starts, and a walk over a fixed
+  budget raises TooLarge.
+
+Elimination over MultiPoly entries refuses more than 25 rows (a cap
+HUCKEL_MAX_SIZE raises) and more than a fixed number of distinct variables,
+so ``det``, ``charpoly`` and the final step of condensation share one guard.
 
 The frontier walk expands row by row over the set of still-free columns,
 visiting only each row's nonzero entries and keeping one partial sum per
@@ -54,8 +60,11 @@ class StrategyPrecondition(ValueError):
 
 
 class TooLarge(ValueError):
-    """Cost guard tripped (raise HUCKEL_MAX_SIZE to override a dimension
-    cap), or HUCKEL_MAX_SIZE itself is malformed."""
+    """A cost guard tripped before the work started, or HUCKEL_MAX_SIZE is
+    malformed.  Every size cap raises it through ``size_guard`` (and
+    HUCKEL_MAX_SIZE raises those caps); the fixed budgets on frontier
+    states, permutation-expansion nodes and elimination variables raise it
+    directly."""
 
 
 class NotRankOne(ValueError):
@@ -72,12 +81,14 @@ def size_limit(default: int) -> int:
     return max(default, override)
 
 
-def size_guard(dim: int, default_limit: int, what: str) -> None:
-    limit = size_limit(default_limit)
-    if dim > limit:
+def size_guard(size: int, default: int, what: str) -> None:
+    """Raise TooLarge when ``size`` exceeds the cap ``default``, or the
+    HUCKEL_MAX_SIZE override when that is larger."""
+    limit = size_limit(default)
+    if size > limit:
         raise TooLarge(
-            f"{what} guard: dimension {dim} exceeds {limit} "
-            "(set HUCKEL_MAX_SIZE to override)"
+            f"{what} capped at {limit}, got {size} "
+            "(set HUCKEL_MAX_SIZE to raise the cap)"
         )
 
 
@@ -154,8 +165,21 @@ def det(M: PolyMatrix, strategy: str = "fraction-free-elimination", degree: int 
     raise StrategyPrecondition(f"unknown strategy {strategy!r}")
 
 
+# distinct variables a symbolic elimination may carry: 12 at 6 rows takes
+# about 3 s, 14 at 7 rows runs past 30 s
+_ELIMINATION_VARIABLE_LIMIT = 12
+
+
 def _det_bareiss(a: list[list], kind: str):
     n = len(a)
+    if kind == "poly":
+        size_guard(n, 25, "symbolic elimination rows")
+        names = set().union(*(e.used_variables() for row in a for e in row))
+        if len(names) > _ELIMINATION_VARIABLE_LIMIT:
+            raise TooLarge(
+                f"symbolic elimination capped at {_ELIMINATION_VARIABLE_LIMIT} "
+                f"distinct variables, got {len(names)}"
+            )
     if n == 0:
         return _lift(1, kind)
     sign = 1
@@ -180,8 +204,30 @@ def _det_bareiss(a: list[list], kind: str):
     return last if sign > 0 else -last
 
 
+# bound on the nodes of the permutation-expansion walk (H_{0,4} has 316 504)
+_PERMUTATION_NODE_BUDGET = 500_000
+
+
 def _det_permutation(rows: list[list], kind: str):
     n = len(rows)
+    # Count the walk's nodes before it starts: paths to depth r, grouped by
+    # the set of columns they use, cost one integer add per node at most.
+    nodes = 1
+    layer = {0: 1}
+    for row in rows:
+        bits = [1 << j for j, e in enumerate(row) if _nz(e)]
+        nxt: dict[int, int] = {}
+        for used, paths in layer.items():
+            for bit in bits:
+                if not used & bit:
+                    nodes += paths
+                    if nodes > _PERMUTATION_NODE_BUDGET:
+                        raise TooLarge(
+                            f"permutation expansion guard: the {n}x{n} walk "
+                            f"visits more than {_PERMUTATION_NODE_BUDGET} nodes"
+                        )
+                    nxt[used | bit] = nxt.get(used | bit, 0) + paths
+        layer = nxt
     total = _lift(0, kind)
     full = (1 << n) - 1
 

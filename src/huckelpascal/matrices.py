@@ -409,7 +409,7 @@ def build_pascal(kind: str, n: int) -> PolyMatrix:
     elif kind == "symmetric":
         f = lambda i, j: comb(i + j, j)
     else:
-        raise ValueError(f"unknown Pascal kind {kind!r}")
+        raise BadRange(f"unknown Pascal kind {kind!r}")
     return PolyMatrix([[f(i, j) for j in range(n + 1)] for i in range(n + 1)])
 
 

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .linalg import TooLarge, size_guard
+from .linalg import size_guard
 from .matrices import BadRange
 from .poly import MultiPoly
 
@@ -65,8 +65,7 @@ def partition_weight(array: Sequence[Sequence[int]]) -> int:
 def count_matchings(n_vertices: int, edges: Iterable[tuple[int, int]]) -> int:
     """Perfect matchings of the graph, by always matching the lowest
     unmatched vertex.  Odd vertex counts fall out as 0."""
-    if n_vertices > 32:
-        raise TooLarge(f"matching enumeration capped at 32 vertices, got {n_vertices}")
+    size_guard(n_vertices, 32, "matching enumeration vertex count")
     adj = [0] * n_vertices
     for u, v in edges:
         if not (0 <= u < n_vertices and 0 <= v < n_vertices) or u == v:

@@ -26,17 +26,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import _exact_div, _lift, det, ring_kind, size_limit
+from .linalg import _exact_div, _lift, det, ring_kind, size_guard
 from .matrices import BadRange, PolyMatrix, _weight, build_huckel, build_T
 from .poly import MultiPoly
 
 
 class BlockMismatch(ValueError):
     """The trailing block of the matrix is not the stated T_m."""
-
-
-class CostGuard(ValueError):
-    """Symbolic condensation size guard; HUCKEL_MAX_SIZE overrides."""
 
 
 # -- closed-form block inverse ---------------------------------------------------
@@ -194,12 +190,8 @@ def condense(n: int, params=None) -> CondensationTrace:
     """Shrink the size-(n+1)^2 triangle matrix to size n+1, one block
     per step, keeping the determinant exactly equal throughout."""
     if n < 1:
-        raise CostGuard(f"condense needs n >= 1, got {n}")
-    if (n + 1) ** 2 > size_limit(36):
-        raise CostGuard(
-            f"symbolic condensation capped at 36 vertices, got {(n + 1) ** 2} "
-            "(set HUCKEL_MAX_SIZE to override)"
-        )
+        raise BadRange(f"condense needs n >= 1, got {n}")
+    size_guard((n + 1) ** 2, 36, "condensation trace vertex count")
     trace = CondensationTrace()
     M = build_huckel(0, n, params)
     for m in range(n, 0, -1):
@@ -212,13 +204,8 @@ def condense(n: int, params=None) -> CondensationTrace:
 def condensation_det(k: int, n: int, params=None):
     """det H_{k,n} through iterated condensation (never through a full
     Laplace/elimination pass on the big matrix)."""
-    size = (n + 1) ** 2 - k * k
     default = 64 if params is None else 144
-    if size > size_limit(default):
-        raise CostGuard(
-            f"condensation capped at {default} vertices, got {size} "
-            "(set HUCKEL_MAX_SIZE to override)"
-        )
+    size_guard((n + 1) ** 2 - k * k, default, "condensation vertex count")
     M = build_huckel(k, n, params)
     stop = 0 if k == 0 else k - 1
     for m in range(n, stop, -1):

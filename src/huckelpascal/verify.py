@@ -24,9 +24,10 @@ from .linalg import (
     permanent,
     permanent_route,
     permutation_parity_census,
-    size_limit,
+    size_guard,
 )
 from .matrices import (
+    BadRange,
     PolyMatrix,
     TriangleGraph,
     bivariate_params,
@@ -36,7 +37,7 @@ from .matrices import (
     evaluate_matrix,
 )
 from .poly import MultiPoly, poly_properties, svar, xvar, yvar, zvar
-from .schur import CostGuard, condensation_det
+from .schur import condensation_det
 
 
 @dataclass
@@ -122,10 +123,7 @@ def verify_conjecture1(n: int, mode: str = "symbolic", seed: int | None = 0) -> 
     t0 = time.perf_counter()
     size = (n + 1) ** 2
     if mode == "symbolic":
-        if size > size_limit(25):
-            raise CostGuard(
-                f"symbolic triangle comparison capped at 25 vertices, got {size}"
-            )
+        size_guard(size, 25, "symbolic conj1 vertex count")
         if n <= 3:
             lhs = det(build_huckel(0, n), "sparse-minor-expansion")
             rhs = det(build_reduced(0, n), "fraction-free-elimination")
@@ -152,32 +150,39 @@ def verify_conjecture1(n: int, mode: str = "symbolic", seed: int | None = 0) -> 
             verdict=_verdict(lhs == rhs),
             details=details,
         )
-        report.elapsed_s = time.perf_counter() - t0
-        return report
-    if mode != "specialized":
+    elif mode == "specialized":
+        size_guard(size, 81, "specialized conj1 vertex count")
+        rng = random.Random(seed)
+        report = _specialized_reduction("conj1", 0, n, rng, seed)
+        corr = _unit_y_corollary(rng, n)
+        report.verdict = _verdict(report.passed() and corr["pass"])
+        report.details["unit_y_corollary"] = corr
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if size > size_limit(81):
-        raise CostGuard(
-            f"specialized triangle comparison capped at 81 vertices, got {size}"
-        )
-    rng = random.Random(seed)
+    report.elapsed_s = time.perf_counter() - t0
+    return report
+
+
+def _specialized_reduction(
+    conjecture: str, k: int, n: int, rng: random.Random, seed: int | None
+) -> VerifyReport:
+    """det H_{k,n} against its reduced matrix at five points drawn from rng,
+    each side computed by two strategies."""
     samples = []
     ok = True
     for _ in range(5):
-        params = _draw_params(rng, 0, n, -(10**6), 10**6)
-        reduced = evaluate_matrix(build_reduced(0, n), params)
-        lhs = det(build_huckel(0, n, params))
-        lhs2 = condensation_det(0, n, params)
+        params = _draw_params(rng, k, n, -(10**6), 10**6)
+        reduced = evaluate_matrix(build_reduced(k, n), params)
+        lhs = det(build_huckel(k, n, params))
+        lhs2 = condensation_det(k, n, params)
         rhs = det(reduced)
         rhs2 = det(reduced, "sparse-minor-expansion")
         ok = ok and lhs == lhs2 == rhs == rhs2
         samples.append({"point": params, "lhs": str(lhs), "rhs": str(rhs)})
-    corr = _unit_y_corollary(rng, n)
-    ok = ok and corr["pass"]
-    report = VerifyReport(
-        conjecture="conj1",
-        instance={"k": 0, "n": n},
-        mode=mode,
+    return VerifyReport(
+        conjecture=conjecture,
+        instance={"k": k, "n": n},
+        mode="specialized",
         method="direct elimination + condensation vs reduced matrix (two strategies)",
         lhs=str([s["lhs"] for s in samples]),
         rhs=str([s["rhs"] for s in samples]),
@@ -186,15 +191,12 @@ def verify_conjecture1(n: int, mode: str = "symbolic", seed: int | None = 0) -> 
         details={
             "samples": samples,
             "probability": _sz_bound(
-                _degree_bound(build_huckel(0, n), build_reduced(0, n)),
+                _degree_bound(build_huckel(k, n), build_reduced(k, n)),
                 2 * 10**6 + 1,
                 5,
             ),
-            "unit_y_corollary": corr,
         },
     )
-    report.elapsed_s = time.perf_counter() - t0
-    return report
 
 
 def _unit_y_corollary(rng: random.Random, n: int) -> dict:
@@ -224,12 +226,8 @@ def verify_conjecture2(
     k: int, n: int, mode: str = "symbolic", seed: int | None = 0
 ) -> VerifyReport:
     t0 = time.perf_counter()
-    size = (n + 1) ** 2 - k * k
     if mode == "symbolic":
-        if size > size_limit(64):
-            raise CostGuard(
-                f"symbolic trapezium comparison capped at 64 vertices, got {size}"
-            )
+        # condensation_det carries the symbolic size cap
         lhs = condensation_det(k, n)
         rhs = det(build_reduced(k, n), "sparse-minor-expansion")
         rng = random.Random(20260815 + 100 * k + n)
@@ -255,44 +253,11 @@ def verify_conjecture2(
                 }
             },
         )
-        report.elapsed_s = time.perf_counter() - t0
-        return report
-    if mode != "specialized":
+    elif mode == "specialized":
+        size_guard((n + 1) ** 2 - k * k, 144, "specialized conj2 vertex count")
+        report = _specialized_reduction("conj2", k, n, random.Random(seed), seed)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if size > size_limit(144):
-        raise CostGuard(
-            f"specialized trapezium comparison capped at 144 vertices, got {size}"
-        )
-    rng = random.Random(seed)
-    samples = []
-    ok = True
-    for _ in range(5):
-        params = _draw_params(rng, k, n, -(10**6), 10**6)
-        reduced = evaluate_matrix(build_reduced(k, n), params)
-        lhs = det(build_huckel(k, n, params))
-        lhs2 = condensation_det(k, n, params)
-        rhs = det(reduced)
-        rhs2 = det(reduced, "sparse-minor-expansion")
-        ok = ok and lhs == lhs2 == rhs == rhs2
-        samples.append({"point": params, "lhs": str(lhs), "rhs": str(rhs)})
-    report = VerifyReport(
-        conjecture="conj2",
-        instance={"k": k, "n": n},
-        mode=mode,
-        method="direct elimination + condensation vs reduced matrix (two strategies)",
-        lhs=str([s["lhs"] for s in samples]),
-        rhs=str([s["rhs"] for s in samples]),
-        verdict=_verdict(ok),
-        seed=seed,
-        details={
-            "samples": samples,
-            "probability": _sz_bound(
-                _degree_bound(build_huckel(k, n), build_reduced(k, n)),
-                2 * 10**6 + 1,
-                5,
-            ),
-        },
-    )
     report.elapsed_s = time.perf_counter() - t0
     return report
 
@@ -314,10 +279,7 @@ def verify_conjecture3(
             "all_contributions_even": odd == 0,
         }
     if mode == "symbolic":
-        if size > size_limit(16):
-            raise CostGuard(
-                f"symbolic permanent comparison capped at 16 vertices, got {size}"
-            )
+        # the symbolic permanent carries the size cap
         h = build_huckel(k, n)
         lhs = permanent(h)
         rhs = det(h, "sparse-minor-expansion")
@@ -338,10 +300,7 @@ def verify_conjecture3(
         return report
     if mode != "specialized":
         raise ValueError(f"unknown mode {mode!r}")
-    if size > size_limit(28):
-        raise CostGuard(
-            f"specialized permanent comparison capped at 28 vertices, got {size}"
-        )
+    size_guard(size, 28, "specialized conj3 vertex count")
     rng = random.Random(seed)
     samples = []
     ok = True
@@ -385,17 +344,16 @@ def verify_props(n: int) -> VerifyReport:
     two-vertex deletion recursion on three trapezium instances.
     """
     t0 = time.perf_counter()
-    if not 0 <= n <= 6:
-        raise CostGuard(f"props verification covers n <= 6, got {n}")
+    if n < 0:
+        raise BadRange(f"props verification needs n >= 0, got {n}")
+    size_guard((n + 1) ** 2, 49, "props vertex count")
     checks: dict = {}
 
-    biv = build_huckel(0, n, bivariate_params(0, n, xvar(0), yvar(0)))
-    p = det(biv, "bivariate-interpolation", degree=n + 1) if n >= 1 else det(biv)
+    p, row = bivariate_row(n)
     props = poly_properties(p, n + 1)
     checks["bivariate_shape"] = props
 
     cs = coefficient_list(charpoly(build_pascal("symmetric", n)), "z", n + 1)
-    row = [p.coefficient({"x0": n + 1 - j, "y0": j}) for j in range(n + 2)]
     checks["charpoly_homogenization"] = {
         "charpoly": cs,
         "det_row": row,
@@ -440,6 +398,14 @@ def verify_props(n: int) -> VerifyReport:
     )
     report.elapsed_s = time.perf_counter() - t0
     return report
+
+
+def bivariate_row(n: int) -> tuple[MultiPoly, list[int]]:
+    """det H_n with every weight pair collapsed to (x0, y0), and its
+    coefficients from x0^(n+1) down to y0^(n+1): row n of the golden table."""
+    matrix = build_huckel(0, n, bivariate_params(0, n, xvar(0), yvar(0)))
+    p = det(matrix, "bivariate-interpolation", degree=n + 1) if n else det(matrix)
+    return p, [p.coefficient({"x0": n + 1 - j, "y0": j}) for j in range(n + 2)]
 
 
 def _deletion_recursion(k: int, n: int) -> dict:

@@ -1,11 +1,15 @@
 """CLI behavior: exit codes, stdout goldens, JSON artifacts."""
 
 import json
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import huckelpascal.cli as cli
 from huckelpascal.cli import main
+from huckelpascal.linalg import DET_STRATEGIES
 from huckelpascal.verify import VerifyReport
 
 
@@ -214,3 +218,99 @@ class TestUsageErrors:
                         "--json", "/nonexistent-dir/x.json")
         assert code == 2
         assert "cannot write" in out.err
+
+    def test_zero_jobs_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "conj1", "--n", "2", "--jobs", "0"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["det", "--pascal", "foo", "3"],
+        ["det", "--pascal", "symmetric", "x"],
+        ["charpoly", "--pascal", "foo", "2"],
+    ])
+    def test_bad_pascal_input_is_usage_error(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+class TestGuards:
+    @pytest.mark.parametrize("argv", [
+        ["det", "--huckel", "0", "9"],
+        ["det", "--reduced", "0", "7"],
+        ["charpoly", "--pascal", "symmetric", "60"],
+        ["det", "--pascal", "symmetric", "12", "--strategy", "permutation-expansion"],
+        ["det", "--huckel", "0", "5", "--strategy", "permutation-expansion"],
+    ])
+    def test_expensive_input_is_refused_before_work(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out.err.startswith("error:")
+        assert time.perf_counter() - t0 < 5
+
+
+_small = st.integers(-2, 4).map(str)
+_PASCAL = st.tuples(st.sampled_from(["foo", "symmetric", "lower", "inverse-lower"]),
+                    st.one_of(_small, st.just("x")))
+# the values each option expects
+_OPTIONS = {
+    "det": {"--huckel": st.tuples(_small, _small), "--reduced": st.tuples(_small, _small),
+            "--pascal": _PASCAL, "--x": st.tuples(_small), "--y": st.tuples(_small),
+            "--strategy": st.tuples(st.sampled_from(DET_STRATEGIES))},
+    "perm": {"--huckel": st.tuples(_small, _small), "--x": st.tuples(_small),
+             "--y": st.tuples(_small)},
+    "charpoly": {"--pascal": _PASCAL},
+    "condense": {"--n": st.tuples(_small), "--k": st.tuples(_small),
+                 "--trace": st.just(())},
+    "formulas": {"--table": st.just(()), "--max-n": st.tuples(_small)},
+    "oracle": {"--n": st.tuples(_small)},
+    "verify": {"--n": st.tuples(_small), "--k": st.tuples(_small),
+               "--mode": st.tuples(st.sampled_from(["symbolic", "specialized"])),
+               "--seed": st.tuples(_small), "--jobs": st.tuples(_small)},
+    "tables": {"--max-n": st.tuples(_small)},
+}
+_HEADS = (
+    [["det"], ["perm"], ["charpoly"], ["condense"], ["formulas"], ["tables"],
+     ["oracle", "partitions"], ["oracle", "audit-squares"], ["frobnicate"], []]
+    + [["verify", c] for c in ("conj1", "conj2", "conj3", "props", "conj9")]
+)
+_JUNK = st.sampled_from(["", "x", "-", "--", "1.5", "1e3", "--bogus", "-v",
+                         "--json", "nonexistent-dir/out.json", "lower", "symbolic"])
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand and its positionals, then up to four of its options or
+    --json, each followed by the values it expects or by zero to three
+    small integers and junk tokens."""
+    argv = list(draw(st.sampled_from(_HEADS)))
+    if argv[1:] == ["partitions"]:
+        argv += draw(st.lists(_small, max_size=4))
+    options = {"--json": st.just(("out.json",)), **_OPTIONS.get(argv[0] if argv else "", {})}
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(sorted(options)))
+        argv.append(flag)
+        argv += draw(st.one_of(options[flag], options[flag], options[flag],
+                               st.lists(st.one_of(_small, _JUNK), max_size=3)))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_fuzzed_argv_exits_zero_one_or_two(argv, monkeypatch, tmp_path):
+    # every argv ends in an answer (0), a failed check (1) or a usage or
+    # domain error (2); any other exception escapes and fails the test
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from huckelpascal.linalg import TooLarge
 from huckelpascal.poly import svar, xvar, yvar
-from huckelpascal.schur import CostGuard
 from huckelpascal.verify import (
     VerifyReport,
     _draw_params,
@@ -76,11 +76,11 @@ class TestConjecture1:
         assert a.details["samples"] != b.details["samples"]
 
     def test_symbolic_guard(self):
-        with pytest.raises(CostGuard):
+        with pytest.raises(TooLarge):
             verify_conjecture1(5, "symbolic")
 
     def test_specialized_guard(self):
-        with pytest.raises(CostGuard):
+        with pytest.raises(TooLarge):
             verify_conjecture1(9, "specialized")
 
     def test_unknown_mode(self):
@@ -134,11 +134,11 @@ class TestConjecture2:
         assert len(r.details["samples"]) == 5
 
     def test_symbolic_guard(self):
-        with pytest.raises(CostGuard):
+        with pytest.raises(TooLarge):
             verify_conjecture2(0, 9, "symbolic")
 
     def test_specialized_guard(self):
-        with pytest.raises(CostGuard):
+        with pytest.raises(TooLarge):
             verify_conjecture2(0, 12, "specialized")
 
 
@@ -172,11 +172,11 @@ class TestConjecture3:
             assert s["perm"] == s["det"]
 
     def test_symbolic_guard(self):
-        with pytest.raises(CostGuard):
+        with pytest.raises(TooLarge):
             verify_conjecture3(0, 4, "symbolic")
 
     def test_specialized_guard(self):
-        with pytest.raises(CostGuard):
+        with pytest.raises(TooLarge):
             verify_conjecture3(0, 6, "specialized")
 
     def test_specialized_method_names_the_permanent_route(self):
@@ -228,7 +228,7 @@ class TestProps:
         assert "t_scaling" not in r.details
 
     def test_guard(self):
-        with pytest.raises(CostGuard):
+        with pytest.raises(TooLarge):
             verify_props(7)
 
 
