@@ -430,7 +430,8 @@ def _cmd_verify(ns: argparse.Namespace):
 
 
 def _cmd_tables(ns: argparse.Namespace):
-    rows = [bivariate_row(n)[1] for n in range(ns.max_n + 1)]
+    # the largest row first, so its elimination guard trips before any work
+    rows = [bivariate_row(n)[1] for n in range(ns.max_n, -1, -1)][::-1]
     for n, row in enumerate(rows):
         print(f"n={n}: {row}")
     formula_rows = [_formula_row(n) for n in range(2, ns.max_n + 1)]

@@ -20,20 +20,18 @@ Determinant strategies (all return identical values where applicable):
   counted by column set before the walk starts, and a walk over a fixed
   budget raises TooLarge.
 
-Elimination over MultiPoly entries refuses more than 25 rows (a cap
-HUCKEL_MAX_SIZE raises) and more than a fixed number of distinct variables,
-so ``det``, ``charpoly`` and the final step of condensation share one guard.
+Fraction-free elimination refuses more than 144 rows over integer,
+cyclotomic and rational entries, and over MultiPoly entries more than 25 rows
+or more than a fixed number of distinct variables.  HUCKEL_MAX_SIZE raises
+both row caps.  So ``det``, ``charpoly``, the interpolation samples and the
+final step of condensation share one guard.
 
 The frontier walk expands row by row over the set of still-free columns,
 visiting only each row's nonzero entries and keeping one partial sum per
-set.  Signed, it is the determinant; unsigned, the permanent.  Its state
-guard bounds the number of free-column sets from the support pattern and
-raises TooLarge before any expansion when the bound exceeds a fixed budget.
-
-The permanent has two exact routes.  Integer matrices run the unsigned
-frontier walk; symbolic entries use Ryser's inclusion-exclusion with
-Gray-code column toggles, which is independent of the signed walk that
-conjecture 3 compares it with.
+set.  Signed, it is the determinant; unsigned, the permanent, over every
+ring.  Its state guard bounds the number of free-column sets from the
+support pattern and raises TooLarge before any expansion when the bound
+exceeds a fixed budget.
 """
 
 from __future__ import annotations
@@ -172,8 +170,9 @@ _ELIMINATION_VARIABLE_LIMIT = 12
 
 def _det_bareiss(a: list[list], kind: str):
     n = len(a)
+    cap, what = (25, "symbolic") if kind == "poly" else (144, "numeric")
+    size_guard(n, cap, f"{what} elimination rows")
     if kind == "poly":
-        size_guard(n, 25, "symbolic elimination rows")
         names = set().union(*(e.used_variables() for row in a for e in row))
         if len(names) > _ELIMINATION_VARIABLE_LIMIT:
             raise TooLarge(
@@ -404,67 +403,22 @@ def _frontier_walk(rows: Sequence[Sequence], kind: str, signed: bool):
 
 # -- permanents ------------------------------------------------------------------
 
-_SYMBOLIC_PERM_LIMIT = 16
-
-
-def permanent_route(M: PolyMatrix) -> str:
-    """Name of the route ``permanent`` takes for M: "frontier expansion" for
-    integer entries, "gray-code inclusion-exclusion" otherwise."""
-    if ring_kind(M) == "int":
-        return "frontier expansion"
-    return "gray-code inclusion-exclusion"
-
 
 def permanent(M: PolyMatrix):
-    """Exact permanent by one of two routes.
+    """Exact permanent: the unsigned frontier walk, over any ring.
 
-    Integer matrices run the unsigned frontier walk: row by row over the
-    set of still-free columns, visiting only each row's nonzero entries.
-    Its cost is the number of free-column sets it keeps, which is bounded
-    from the support pattern alone; a matrix whose bound exceeds the state
-    budget raises TooLarge before any expansion.  That budget is fixed:
-    HUCKEL_MAX_SIZE does not raise it.  Symbolic entries use Ryser's
-    inclusion-exclusion with Gray-code column toggles, capped at dimension
-    16 (HUCKEL_MAX_SIZE raises that cap).
+    The walk goes row by row over the set of still-free columns, visiting
+    only each row's nonzero entries.  Its cost is the number of free-column
+    sets it keeps, which is bounded from the support pattern alone; a matrix
+    whose bound exceeds the state budget raises TooLarge before any
+    expansion.  That budget is fixed: HUCKEL_MAX_SIZE does not raise it.
+    It counts states, not polynomial terms, so non-integer entries are also
+    capped at dimension 16 (HUCKEL_MAX_SIZE raises that cap).
     """
     kind = ring_kind(M)
-    if kind == "int":
-        return _frontier_walk(M.rows, kind, signed=False)
-    size_guard(M.dim, _SYMBOLIC_PERM_LIMIT, "symbolic permanent")
-    return _ryser_exact(_lift_rows(M, kind), kind)
-
-
-def _ryser_exact(rows: list[list], kind: str):
-    n = len(rows)
-    if n == 0:
-        return _lift(1, kind)
-    zero = _lift(0, kind)
-    cols = [
-        [(i, rows[i][j]) for i in range(n) if _nz(rows[i][j])] for j in range(n)
-    ]
-    sums = [zero] * n
-    zero_count = n
-    total = zero
-    gray = 0
-    pop = 0
-    for g in range(1, 1 << n):
-        new = g ^ (g >> 1)
-        diff = new ^ gray
-        j = diff.bit_length() - 1
-        adding = bool(new & diff)
-        pop += 1 if adding else -1
-        for i, e in cols[j]:
-            before = _nz(sums[i])
-            sums[i] = sums[i] + e if adding else sums[i] - e
-            after = _nz(sums[i])
-            zero_count += (not after) - (not before)
-        gray = new
-        if zero_count == 0:
-            prod = _lift(1, kind)
-            for s in sums:
-                prod = prod * s
-            total = total + prod if (n - pop) % 2 == 0 else total - prod
-    return total
+    if kind != "int":
+        size_guard(M.dim, 16, "non-integer permanent dimension")
+    return _frontier_walk(_lift_rows(M, kind), kind, signed=False)
 
 
 # -- characteristic polynomial ------------------------------------------------------

@@ -85,10 +85,6 @@ class PolyMatrix:
             [[one if i == j else zero for j in range(d)] for i in range(d)]
         )
 
-    @staticmethod
-    def zeros(nr: int, nc: int) -> "PolyMatrix":
-        return PolyMatrix([[0] * nc for _ in range(nr)])
-
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(list(zip(*self.rows))) if self.rows else self
 
@@ -142,14 +138,6 @@ class PolyMatrix:
             [i for i in range(self.nrows) if i not in rset],
             [j for j in range(self.ncols) if j not in cset],
         )
-
-    @staticmethod
-    def from_blocks(blocks: Sequence[Sequence["PolyMatrix"]]) -> "PolyMatrix":
-        out = []
-        for brow in blocks:
-            for i in range(brow[0].nrows):
-                out.append([e for blk in brow for e in blk.rows[i]])
-        return PolyMatrix(out)
 
     def permuted(self, order: Sequence[int]) -> "PolyMatrix":
         """Conjugate by a permutation: entry (a,b) <- (order[a], order[b])."""

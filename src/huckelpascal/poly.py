@@ -12,7 +12,7 @@ The canonical term order is graded lexicographic with variable precedence
 
     x_{v-1} > ... > x_0 > y_{v-1} > ... > y_0 > z
 
-which is what printing, hashing and leading-term division use.  Polynomials
+which is what printing and leading-term division use.  Polynomials
 of different varcounts combine freely: the smaller operand is promoted, so
 ``x_1 * y_0`` works without ceremony.
 
@@ -170,12 +170,19 @@ class MultiPoly:
         return bool(self.terms)
 
     def __hash__(self):
+        # Equal polynomials hash equal whatever their varcount: a constant
+        # hashes as the integer it equals, and every other monomial is keyed
+        # by its x, y and z exponents with trailing zero exponents dropped.
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            key = tuple(
-                (exp, c) for exp, c in self.sorted_terms()
-            )
-            h = hash((self.varcount, key))
+            if not any(map(any, self.terms)):
+                h = hash(sum(self.terms.values()))
+            else:
+                v = self.varcount
+                h = hash(frozenset(
+                    (_trimmed(exp[:v]), _trimmed(exp[v : 2 * v]), exp[-1], c)
+                    for exp, c in self.terms.items()
+                ))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -378,6 +385,13 @@ class MultiPoly:
 # -- variable helpers -------------------------------------------------------
 
 _VAR_RE = re.compile(r"^(x|y)(\d+)$|^z$")
+
+
+def _trimmed(exps: tuple) -> tuple:
+    end = len(exps)
+    while end and not exps[end - 1]:
+        end -= 1
+    return exps[:end]
 
 
 def _var_slot(name: str, varcount: int) -> int:

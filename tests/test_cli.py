@@ -247,12 +247,15 @@ class TestGuards:
         ["charpoly", "--pascal", "symmetric", "60"],
         ["det", "--pascal", "symmetric", "12", "--strategy", "permutation-expansion"],
         ["det", "--huckel", "0", "5", "--strategy", "permutation-expansion"],
+        ["det", "--huckel", "0", "25", "--x", "1", "--y", "1"],
+        ["tables", "--max-n", "14"],
     ])
     def test_expensive_input_is_refused_before_work(self, capsys, argv):
         t0 = time.perf_counter()
         code, out = run(capsys, *argv)
         assert code == 2
         assert out.err.startswith("error:")
+        assert len(out.err.strip().splitlines()) == 1
         assert time.perf_counter() - t0 < 5
 
 

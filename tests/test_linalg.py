@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from huckelpascal.cyclotomic import CycInt
+from huckelpascal.cyclotomic import CycInt, GaussInt
 from huckelpascal.linalg import (
     DET_STRATEGIES,
     NotRankOne,
@@ -272,7 +272,13 @@ class TestPermanent:
     @settings(max_examples=60, deadline=None)
     def test_frontier_matches_brute_force(self, data):
         n = data.draw(st.integers(min_value=1, max_value=7))
-        entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5])
+        nonzero = data.draw(st.sampled_from([
+            [1, -1, 2, -3, 5],
+            [1, -1, xvar(0), yvar(1) - 2, xvar(0) * yvar(0) + 3],
+            [CycInt(1), CycInt.zeta(1), -CycInt.zeta(5), CycInt.sqrt3() + 2, CycInt(-3)],
+            [GaussInt(1), GaussInt(0, 1), GaussInt(2, -1), GaussInt(-3), GaussInt(1, 1)],
+        ]))
+        entry = st.sampled_from([0, 0, 0] + nonzero)
         rows = data.draw(
             st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
         )

@@ -238,3 +238,8 @@ def test_hash_consistency():
     b = yvar(0) + xvar(0)
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_equal_polynomials_hash_equal_across_varcounts():
+    assert len({xvar(0), xvar(0).promoted(3)}) == 1
+    assert len({MultiPoly.const(5), 5}) == 1

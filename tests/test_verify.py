@@ -185,7 +185,7 @@ class TestConjecture3:
         symbolic = verify_conjecture3(2, 3, "symbolic")
         assert small.method.startswith("frontier expansion vs ")
         assert large.method.startswith("frontier expansion vs ")
-        assert symbolic.method.startswith("gray-code inclusion-exclusion vs ")
+        assert symbolic.method == "frontier expansion vs fraction-free elimination"
         assert large.passed()
 
     @pytest.mark.slow
