@@ -20,7 +20,7 @@ from .formulas import (
     formula_A,
     formula_AHT,
     formula_macmahon,
-    theta_table_row,
+    theta_table,
 )
 from .linalg import (
     DET_STRATEGIES,
@@ -300,8 +300,8 @@ def _cmd_condense(ns: argparse.Namespace):
     return 0, payload
 
 
-def _formula_row(n: int) -> dict:
-    row = theta_table_row(n)
+def _formula_row(row: dict) -> dict:
+    n = row["n"]
     return {
         "n": n,
         "A": formula_A(n),
@@ -332,7 +332,7 @@ def _print_formula_table(rows: list[dict]) -> None:
 
 
 def _cmd_formulas(ns: argparse.Namespace):
-    rows = [_formula_row(n) for n in range(2, ns.max_n + 1)]
+    rows = [_formula_row(row) for row in theta_table(ns.max_n)]
     _print_formula_table(rows)
     return 0, {"rows": rows}
 
@@ -434,7 +434,7 @@ def _cmd_tables(ns: argparse.Namespace):
     rows = [bivariate_row(n)[1] for n in range(ns.max_n, -1, -1)][::-1]
     for n, row in enumerate(rows):
         print(f"n={n}: {row}")
-    formula_rows = [_formula_row(n) for n in range(2, ns.max_n + 1)]
+    formula_rows = [_formula_row(row) for row in theta_table(ns.max_n)]
     _print_formula_table(formula_rows)
     return 0, {"determinant_rows": rows, "angle_table": formula_rows}
 

@@ -261,4 +261,6 @@ def theta_table_row(n: int) -> dict:
 
 
 def theta_table(max_n: int) -> list[dict]:
-    return [theta_table_row(n) for n in range(2, max_n + 1)]
+    """Rows n = 2..max_n in ascending order, computed largest first so that
+    the elimination guard trips before any smaller row is computed."""
+    return [theta_table_row(n) for n in range(max_n, 1, -1)][::-1]

@@ -14,11 +14,6 @@ Determinant strategies (all return identical values where applicable):
 * ``bivariate-interpolation``: for matrices whose entries involve a single
   parameter pair and whose determinant is homogeneous of known degree d,
   sample at (1, t) for t = 0..d and solve the Vandermonde system exactly.
-* ``permutation-expansion``: depth-first walk of nonzero supports tracking
-  permutation parity; it doubles as the digraph loop-covering sum and is
-  the reference the other strategies are tested against.  Its nodes are
-  counted by column set before the walk starts, and a walk over a fixed
-  budget raises TooLarge.
 
 Fraction-free elimination refuses more than 144 rows over integer,
 cyclotomic and rational entries, and over MultiPoly entries more than 25 rows
@@ -31,7 +26,9 @@ visiting only each row's nonzero entries and keeping one partial sum per
 set.  Signed, it is the determinant; unsigned, the permanent, over every
 ring.  Its state guard bounds the number of free-column sets from the
 support pattern and raises TooLarge before any expansion when the bound
-exceeds a fixed budget.
+exceeds a fixed budget.  That budget counts states, not polynomial terms,
+so over non-integer entries the walk is also capped at dimension 16
+(HUCKEL_MAX_SIZE raises that cap).
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ DET_STRATEGIES = (
     "fraction-free-elimination",
     "sparse-minor-expansion",
     "bivariate-interpolation",
-    "permutation-expansion",
 )
 
 
@@ -61,8 +57,7 @@ class TooLarge(ValueError):
     """A cost guard tripped before the work started, or HUCKEL_MAX_SIZE is
     malformed.  Every size cap raises it through ``size_guard`` (and
     HUCKEL_MAX_SIZE raises those caps); the fixed budgets on frontier
-    states, permutation-expansion nodes and elimination variables raise it
-    directly."""
+    states and elimination variables raise it directly."""
 
 
 class NotRankOne(ValueError):
@@ -150,16 +145,14 @@ def _exact_div(a, b, kind: str):
 
 def det(M: PolyMatrix, strategy: str = "fraction-free-elimination", degree: int | None = None):
     """Exact determinant of a square matrix via the chosen strategy."""
-    n = M.dim
+    M.dim  # raises on a non-square matrix
     kind = ring_kind(M)
     if strategy == "fraction-free-elimination":
         return _det_bareiss(_lift_rows(M, kind), kind)
     if strategy == "sparse-minor-expansion":
-        return _frontier_walk(_lift_rows(M, kind), kind, signed=True)
+        return _frontier_walk(M.rows, kind, signed=True)
     if strategy == "bivariate-interpolation":
         return _det_interpolation(M, degree)
-    if strategy == "permutation-expansion":
-        return _det_permutation(_lift_rows(M, kind), kind)
     raise StrategyPrecondition(f"unknown strategy {strategy!r}")
 
 
@@ -201,51 +194,6 @@ def _det_bareiss(a: list[list], kind: str):
         prev = pc
     last = a[n - 1][n - 1]
     return last if sign > 0 else -last
-
-
-# bound on the nodes of the permutation-expansion walk (H_{0,4} has 316 504)
-_PERMUTATION_NODE_BUDGET = 500_000
-
-
-def _det_permutation(rows: list[list], kind: str):
-    n = len(rows)
-    # Count the walk's nodes before it starts: paths to depth r, grouped by
-    # the set of columns they use, cost one integer add per node at most.
-    nodes = 1
-    layer = {0: 1}
-    for row in rows:
-        bits = [1 << j for j, e in enumerate(row) if _nz(e)]
-        nxt: dict[int, int] = {}
-        for used, paths in layer.items():
-            for bit in bits:
-                if not used & bit:
-                    nodes += paths
-                    if nodes > _PERMUTATION_NODE_BUDGET:
-                        raise TooLarge(
-                            f"permutation expansion guard: the {n}x{n} walk "
-                            f"visits more than {_PERMUTATION_NODE_BUDGET} nodes"
-                        )
-                    nxt[used | bit] = nxt.get(used | bit, 0) + paths
-        layer = nxt
-    total = _lift(0, kind)
-    full = (1 << n) - 1
-
-    def rec(r: int, free: int, inv: int, prod):
-        nonlocal total
-        if r == n:
-            total = total + prod if inv % 2 == 0 else total - prod
-            return
-        used = full & ~free
-        for j in range(n):
-            if not (free >> j) & 1:
-                continue
-            e = rows[r][j]
-            if _nz(e):
-                crossings = (used >> (j + 1)).bit_count()
-                rec(r + 1, free & ~(1 << j), inv + crossings, prod * e)
-
-    rec(0, full, 0, _lift(1, kind))
-    return total
 
 
 def permutation_parity_census(M: PolyMatrix) -> tuple[int, int]:
@@ -349,9 +297,12 @@ def _frontier_walk(rows: Sequence[Sequence], kind: str, signed: bool):
     flips the sign once for each free column left of j, which is the parity
     of a Laplace expansion along the row.  A column with no nonzero entry
     below row r must be taken by then, so sets that leave one free are
-    dropped, as are sets whose partial sum cancels to zero.
+    dropped, as are sets whose partial sum cancels to zero.  Plain integer
+    entries may stand in for ring elements; the sums start from the ring's one.
     """
     n = len(rows)
+    if kind != "int":
+        size_guard(n, 16, "non-integer frontier walk dimension")
     zero = _lift(0, kind)
     support = [[(j, e) for j, e in enumerate(row) if _nz(e)] for row in rows]
     last = [-1] * n
@@ -412,13 +363,11 @@ def permanent(M: PolyMatrix):
     sets it keeps, which is bounded from the support pattern alone; a matrix
     whose bound exceeds the state budget raises TooLarge before any
     expansion.  That budget is fixed: HUCKEL_MAX_SIZE does not raise it.
-    It counts states, not polynomial terms, so non-integer entries are also
-    capped at dimension 16 (HUCKEL_MAX_SIZE raises that cap).
+    Over non-integer entries the walk is also capped at dimension 16, which
+    HUCKEL_MAX_SIZE raises; the signed walk shares both guards.
     """
-    kind = ring_kind(M)
-    if kind != "int":
-        size_guard(M.dim, 16, "non-integer permanent dimension")
-    return _frontier_walk(_lift_rows(M, kind), kind, signed=False)
+    M.dim  # raises on a non-square matrix
+    return _frontier_walk(M.rows, ring_kind(M), signed=False)
 
 
 # -- characteristic polynomial ------------------------------------------------------

@@ -212,38 +212,3 @@ def condensation_det(k: int, n: int, params=None):
         _, M = schur_det_step(M, m, params)
     return det(M)
 
-
-def compare_with_reduced(final: PolyMatrix, reduced: PolyMatrix) -> dict:
-    """Informative diagnostic: does the condensed matrix match the
-    direct Pascal-style reduction entrywise after aligning diagonals and
-    resigning rows/columns?  Determinant equality is the real contract;
-    this reports how close the two presentations are on top of it."""
-    report = {"det_equal": det(final) == det(reduced), "entrywise": False}
-    d = final.dim
-    if d != reduced.dim:
-        return report
-    diag_f = [final[i, i] for i in range(d)]
-    diag_r = [reduced[i, i] for i in range(d)]
-    perm = []
-    for e in diag_r:
-        hits = [i for i, f in enumerate(diag_f) if f == e]
-        if len(hits) != 1:
-            return report
-        perm.append(hits[0])
-    aligned = final.permuted(perm)
-    signs = [1] * d
-    for j in range(1, d):
-        if aligned[0, j] == reduced[0, j]:
-            signs[j] = 1
-        elif aligned[0, j] == -reduced[0, j]:
-            signs[j] = -1
-        else:
-            return report
-    resigned = PolyMatrix(
-        [
-            [signs[i] * signs[j] * aligned[i, j] for j in range(d)]
-            for i in range(d)
-        ]
-    )
-    report["entrywise"] = resigned == reduced
-    return report

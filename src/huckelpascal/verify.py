@@ -269,7 +269,9 @@ def verify_conjecture3(
 ) -> VerifyReport:
     """perm H_{k,n} = det H_{k,n}, the permanent by the unsigned frontier
     walk and the determinant by fraction-free elimination: once on the
-    symbolic matrix, or at three seeded integer points."""
+    symbolic matrix, or at three seeded integer points.  The guards of
+    those two routines bound the size: the walk's state budget (and, over
+    symbolic entries, its dimension cap) and the elimination row cap."""
     t0 = time.perf_counter()
     size = (n + 1) ** 2 - k * k
     details: dict = {}
@@ -281,10 +283,8 @@ def verify_conjecture3(
             "all_contributions_even": odd == 0,
         }
     if mode == "symbolic":
-        # the non-integer permanent carries the size cap
         points = [None]
     elif mode == "specialized":
-        size_guard(size, 28, "specialized conj3 vertex count")
         rng = random.Random(seed)
         points = [_draw_params(rng, k, n, -999, 999) for _ in range(3)]
     else:
@@ -400,11 +400,12 @@ def bivariate_row(n: int) -> tuple[MultiPoly, list[int]]:
 
 def _deletion_recursion(k: int, n: int) -> dict:
     """det H_{k,n} = S_n det H_{k,n-1} - x_n y_n det H'_{k,n}, where H'
-    removes the two rows and columns carrying the weights x_n, y_n."""
+    removes the two rows and columns carrying the weights x_n, y_n.  The
+    left side runs condensation, the right side the signed frontier walk."""
     g = TriangleGraph(k, n)
     h = build_huckel(k, n)
     ends = [g.index(n, 0), g.index(n, 2 * n)]
-    lhs = det(h, "sparse-minor-expansion")
+    lhs = condensation_det(k, n)
     inner = det(build_huckel(k, n - 1), "sparse-minor-expansion")
     pruned = det(h.deleting(ends, ends), "sparse-minor-expansion")
     rhs = svar(n) * inner - xvar(n) * yvar(n) * pruned

@@ -245,10 +245,11 @@ class TestGuards:
         ["det", "--huckel", "0", "9"],
         ["det", "--reduced", "0", "7"],
         ["charpoly", "--pascal", "symmetric", "60"],
-        ["det", "--pascal", "symmetric", "12", "--strategy", "permutation-expansion"],
-        ["det", "--huckel", "0", "5", "--strategy", "permutation-expansion"],
+        ["det", "--huckel", "0", "7", "--strategy", "sparse-minor-expansion"],
+        ["verify", "conj3", "--mode", "specialized", "--n", "9"],
         ["det", "--huckel", "0", "25", "--x", "1", "--y", "1"],
         ["tables", "--max-n", "14"],
+        ["formulas", "--table", "--max-n", "150"],
     ])
     def test_expensive_input_is_refused_before_work(self, capsys, argv):
         t0 = time.perf_counter()

@@ -56,19 +56,19 @@ class TestDeterminantStrategies:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_all_strategies_agree_on_triangles(self, n):
         m = biv_huckel(n)
-        results = {
-            s: det(m, s, degree=n + 1 if s == "bivariate-interpolation" else None)
+        vals = [
+            det(m, s, degree=n + 1 if s == "bivariate-interpolation" else None)
             for s in DET_STRATEGIES
-        }
-        vals = list(results.values())
-        assert all(v == vals[0] for v in vals)
+        ]
+        reference = _brute_det(m.rows)
+        assert all(v == reference for v in vals)
 
     def test_strategy_agreement_on_trapezium(self):
         # (1, 2) has 8 vertices and two parameter pairs, so no interpolation
         m = build_huckel(1, 2)
         a = det(m, "fraction-free-elimination")
         b = det(m, "sparse-minor-expansion")
-        c = det(m, "permutation-expansion")
+        c = _brute_det(m.rows)
         assert a == b == c
 
     def test_pascal_determinants_are_one(self):
@@ -94,11 +94,7 @@ class TestDeterminantStrategies:
         zeroed_col = [[0 if j == col else e for j, e in enumerate(r)] for r in rows]
         for case in (rows, zeroed_row, zeroed_col):
             m = PolyMatrix(case)
-            assert (
-                det(m, "sparse-minor-expansion")
-                == det(m)
-                == det(m, "permutation-expansion")
-            )
+            assert det(m, "sparse-minor-expansion") == det(m) == _brute_det(case)
 
     def test_sparse_minor_state_guard_refuses_dense(self):
         rows = [[1] * 24 for _ in range(24)]
@@ -306,6 +302,25 @@ def _brute_perm(rows):
     return total
 
 
+def _brute_det(rows):
+    """Signed sum over the permutations with nonzero support, depth first;
+    skipping zero entries keeps the 9x9 triangle to its few coverings."""
+    n = len(rows)
+
+    def walk(r, used, sign, prod):
+        if r == n:
+            return sign * prod
+        total = 0
+        for j, e in enumerate(rows[r]):
+            if not used & (1 << j) and e != 0:
+                # every used column right of j is one more inversion
+                flips = (used >> (j + 1)).bit_count()
+                total = total + walk(r + 1, used | 1 << j, sign * (-1) ** flips, prod * e)
+        return total
+
+    return walk(0, 0, 1, 1)
+
+
 class TestCharpoly:
     @pytest.mark.parametrize(
         "n,coeffs",
@@ -410,7 +425,7 @@ class TestAlgebraicInvariants:
         m = PolyMatrix(rows)
         a = det(m, "fraction-free-elimination")
         b = det(m, "sparse-minor-expansion")
-        c = det(m, "permutation-expansion")
+        c = _brute_det(rows)
         assert a == b == c
 
     @given(square_matrices(4))

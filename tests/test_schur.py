@@ -19,7 +19,6 @@ from huckelpascal.matrices import (
 from huckelpascal.poly import svar, xvar, yvar
 from huckelpascal.schur import (
     BlockMismatch,
-    compare_with_reduced,
     condensation_det,
     condense,
     invert_T,
@@ -167,12 +166,6 @@ class TestCondense:
             condense(0)
         with pytest.raises(TooLarge):
             condense(6)
-
-    def test_comparison_report(self):
-        trace = condense(2)
-        report = compare_with_reduced(trace.final, build_reduced(0, 2))
-        assert report["det_equal"] is True
-        assert "entrywise" in report  # informative, not contractual
 
     def test_specialized_matches_direct(self):
         params = bivariate_params(0, 3, 5, 7)
