@@ -7,8 +7,14 @@ divmod-with-check and the custom rings via their ``exact_div``.
 
 Determinant strategies (all return identical values where applicable):
 
-* ``fraction-free-elimination``: one-step Bareiss with row swaps.  The
-  workhorse; O(n^3) ring operations, every division exact by construction.
+* ``fraction-free-elimination``: one-step Bareiss over sparse rows, every
+  division exact by construction.  Each row keeps only its nonzero entries,
+  and a step updates only the rows holding the pivot column, never forming
+  a product with a zero operand.  A row skipped by a step would only have
+  been scaled by pivot / previous pivot, so that scaling is deferred and
+  applied once, as a ratio of two pivots, when the row is next used.  Fill
+  stays inside the band, so a matrix of bandwidth b costs about N*b^2 ring
+  operations instead of N^3.
 * ``sparse-minor-expansion``: the signed frontier walk (below); thrives on
   the very sparse adjacency matrices.
 * ``bivariate-interpolation``: for matrices whose entries involve a single
@@ -39,7 +45,7 @@ from math import comb
 from typing import Sequence
 
 from .cyclotomic import CycInt, GaussInt
-from .matrices import PolyMatrix, _nz
+from .matrices import PolyMatrix, _nz, permutation_sign
 from .poly import MultiPoly, NotDivisible
 
 DET_STRATEGIES = (
@@ -122,13 +128,6 @@ def _lift(c: int, kind: str):
     return _LIFTS[kind](c)
 
 
-def _lift_rows(M: PolyMatrix, kind: str) -> list[list]:
-    lift = _LIFTS[kind]
-    return [
-        [lift(e) if isinstance(e, int) else e for e in row] for row in M.rows
-    ]
-
-
 def _exact_div(a, b, kind: str):
     if kind == "int":
         q, r = divmod(a, b)
@@ -148,7 +147,7 @@ def det(M: PolyMatrix, strategy: str = "fraction-free-elimination", degree: int 
     M.dim  # raises on a non-square matrix
     kind = ring_kind(M)
     if strategy == "fraction-free-elimination":
-        return _det_bareiss(_lift_rows(M, kind), kind)
+        return _det_bareiss(M.rows, kind)
     if strategy == "sparse-minor-expansion":
         return _frontier_walk(M.rows, kind, signed=True)
     if strategy == "bivariate-interpolation":
@@ -156,44 +155,91 @@ def det(M: PolyMatrix, strategy: str = "fraction-free-elimination", degree: int 
     raise StrategyPrecondition(f"unknown strategy {strategy!r}")
 
 
+# row cap of fraction-free elimination over integer, rational and cyclotomic
+# entries, and dimension cap of the frontier walk over non-integer entries;
+# callers that would build a large matrix for them check these first
+NUMERIC_ELIMINATION_ROWS = 144
+NON_INTEGER_WALK_DIM = 16
+
 # distinct variables a symbolic elimination may carry: 12 at 6 rows takes
 # about 3 s, 14 at 7 rows runs past 30 s
 _ELIMINATION_VARIABLE_LIMIT = 12
 
 
-def _det_bareiss(a: list[list], kind: str):
-    n = len(a)
-    cap, what = (25, "symbolic") if kind == "poly" else (144, "numeric")
-    size_guard(n, cap, f"{what} elimination rows")
+def _det_bareiss(rows: Sequence[Sequence], kind: str):
+    """One-step Bareiss over sparse rows with lazy row scaling.
+
+    Each row is a dict of its nonzero entries.  The pivot of step c is the
+    lowest-index live row holding column c.  Only the rows holding column c
+    are updated, (pc*r - r[c]*p) / prev over the union of the two supports;
+    a row with a zero there would just be multiplied by pc / prev, so it is
+    left alone and, when next used, caught up by pivots[c] / pivots[t] from
+    the step t it was last current at (exact: the true entries are minors).
+    """
+    n = len(rows)
     if kind == "poly":
-        names = set().union(*(e.used_variables() for row in a for e in row))
+        size_guard(n, 25, "symbolic elimination rows")
+    else:
+        size_guard(n, NUMERIC_ELIMINATION_ROWS, "numeric elimination rows")
+    lift = _LIFTS[kind]
+    a = [
+        {j: lift(e) if isinstance(e, int) else e
+         for j, e in enumerate(row) if _nz(e)}
+        for row in rows
+    ]
+    if kind == "poly":
+        names = set().union(*(e.used_variables() for r in a for e in r.values()))
         if len(names) > _ELIMINATION_VARIABLE_LIMIT:
             raise TooLarge(
                 f"symbolic elimination capped at {_ELIMINATION_VARIABLE_LIMIT} "
                 f"distinct variables, got {len(names)}"
             )
-    if n == 0:
-        return _lift(1, kind)
-    sign = 1
-    prev = _lift(1, kind)
-    for c in range(n - 1):
-        piv = next((r for r in range(c, n) if _nz(a[r][c])), None)
-        if piv is None:
-            # the trailing block has a zero column
-            return _lift(0, kind)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        pc = a[c][c]
-        for i in range(c + 1, n):
-            ric = a[i][c]
-            row_i, row_c = a[i], a[c]
-            for j in range(c + 1, n):
-                row_i[j] = _exact_div(pc * row_i[j] - ric * row_c[j], prev, kind)
-            row_i[c] = _lift(0, kind)
-        prev = pc
-    last = a[n - 1][n - 1]
-    return last if sign > 0 else -last
+    # pivots[t] is the divisor after t steps; a row at level t is current
+    # through step t - 1
+    pivots = [lift(1)]
+    level = [0] * n
+    live = list(range(n))
+    order = []
+
+    def current(i: int, c: int) -> dict:
+        row, t = a[i], level[i]
+        if t != c:
+            up, down = pivots[c], pivots[t]
+            for j, e in row.items():
+                row[j] = _exact_div(e * up, down, kind)
+            level[i] = c
+        return row
+
+    for c in range(n):
+        users = [i for i in live if c in a[i]]
+        if not users:
+            return lift(0)
+        p = users[0]
+        live.remove(p)
+        order.append(p)
+        prow = current(p, c)
+        pc = prow.pop(c)
+        prev = pivots[c]
+        for i in users[1:]:
+            row = current(i, c)  # r[c] is stale until the row is caught up
+            ric = row.pop(c)
+            cancelled = []
+            for j, e in row.items():
+                pe = prow.get(j)
+                v = pc * e if pe is None else pc * e - ric * pe
+                if v:
+                    row[j] = _exact_div(v, prev, kind)
+                else:
+                    cancelled.append(j)
+            for j, pe in prow.items():
+                if j not in row:  # fill: a product of two nonzeros
+                    row[j] = _exact_div(-(ric * pe), prev, kind)
+            for j in cancelled:
+                del row[j]
+            level[i] = c + 1
+        pivots.append(pc)
+    last = pivots[n]
+    return last if permutation_sign(order) > 0 else -last
 
 
 def permutation_parity_census(M: PolyMatrix) -> tuple[int, int]:
@@ -302,7 +348,7 @@ def _frontier_walk(rows: Sequence[Sequence], kind: str, signed: bool):
     """
     n = len(rows)
     if kind != "int":
-        size_guard(n, 16, "non-integer frontier walk dimension")
+        size_guard(n, NON_INTEGER_WALK_DIM, "non-integer frontier walk dimension")
     zero = _lift(0, kind)
     support = [[(j, e) for j, e in enumerate(row) if _nz(e)] for row in rows]
     last = [-1] * n
@@ -379,14 +425,11 @@ def charpoly(M: PolyMatrix) -> MultiPoly:
     whose eigenvalues come in reciprocal pairs)."""
     if ring_kind(M) != "int":
         raise StrategyPrecondition("charpoly expects an integer matrix")
-    n = M.dim
+    M.dim  # raises on a non-square matrix
     z = MultiPoly({(1,): 1}, 0)
     rows = [
-        [
-            MultiPoly.const(M[i, j]) + (z if i == j else 0)
-            for j in range(n)
-        ]
-        for i in range(n)
+        [e + z if i == j else e for j, e in enumerate(row)]
+        for i, row in enumerate(M.rows)
     ]
     return _det_bareiss(rows, "poly")
 

@@ -111,17 +111,16 @@ class PolyMatrix:
         if isinstance(other, PolyMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            cols = other.transpose().rows
+            # each column's nonzero (index, entry) pairs, in index order
+            cols = [
+                [(i, b) for i, b in enumerate(col) if _nz(b)]
+                for col in other.transpose().rows
+            ]
             out = []
             for row in self.rows:
+                nz = [_nz(a) for a in row]
                 out.append(
-                    [
-                        sum(
-                            (a * b for a, b in zip(row, col) if _nz(a) and _nz(b)),
-                            0,
-                        )
-                        for col in cols
-                    ]
+                    [sum((row[i] * b for i, b in col if nz[i]), 0) for col in cols]
                 )
             return PolyMatrix(out)
         return self.map_entries(lambda e: e * other if _nz(e) else e * 0)

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import (
+    NON_INTEGER_WALK_DIM,
+    NUMERIC_ELIMINATION_ROWS,
     charpoly,
     coefficient_list,
     det,
@@ -274,6 +276,11 @@ def verify_conjecture3(
     symbolic entries, its dimension cap) and the elimination row cap."""
     t0 = time.perf_counter()
     size = (n + 1) ** 2 - k * k
+    # the cap either routine would hit, checked before the matrix is built
+    if mode == "symbolic":
+        size_guard(size, NON_INTEGER_WALK_DIM, "symbolic conj3 vertex count")
+    elif mode == "specialized":
+        size_guard(size, NUMERIC_ELIMINATION_ROWS, "specialized conj3 vertex count")
     details: dict = {}
     if size <= 9:
         even, odd = permutation_parity_census(build_huckel(k, n))

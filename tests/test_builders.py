@@ -1,6 +1,7 @@
 """Matrix builders against hand-transcribed golden displays."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from huckelpascal.matrices import (
     BadRange,
@@ -391,3 +392,24 @@ def test_matrix_algebra_basics():
     assert a.scaled(2) == M([[2, 4], [6, 8]])
     with pytest.raises(ValueError):
         M([[1, 2], [3]])
+
+
+_sparse_entries = {
+    "int": st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
+    "poly": st.sampled_from([0, 0, 0, 2, X(0), -Y(1), X(1) + Y(0)]),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(_sparse_entries))
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_product_matches_triple_loop(ring, data):
+    m, k, p = (data.draw(st.integers(1, 4)) for _ in range(3))
+    entry = _sparse_entries[ring]
+    a = [data.draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(m)]
+    b = [data.draw(st.lists(entry, min_size=p, max_size=p)) for _ in range(k)]
+    naive = [
+        [sum((a[i][t] * b[t][j] for t in range(k)), 0) for j in range(p)]
+        for i in range(m)
+    ]
+    assert [list(row) for row in (M(a) * M(b)).rows] == naive

@@ -134,6 +134,50 @@ class TestDeterminantStrategies:
             det(m)
 
 
+# nonzero ring elements from a nonzero integer pair (a, b)
+RING_ELEMENTS = {
+    "int": lambda a, b: a,
+    "fraction": lambda a, b: Fraction(a, 1 + abs(b)),
+    "cyc": lambda a, b: CycInt(a, 0, b, 0),
+    "gauss": lambda a, b: GaussInt(a, b),
+    "poly": lambda a, b: a * xvar(0) + b * yvar(1),
+}
+
+
+class TestSparseElimination:
+    @pytest.mark.parametrize("ring", sorted(RING_ELEMENTS))
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force_on_sparse_matrices(self, ring, data):
+        n = data.draw(st.integers(min_value=1, max_value=7))
+        make = RING_ELEMENTS[ring]
+        nonzero = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+            lambda ab: ab[0] != 0
+        ).map(lambda ab: make(*ab))
+        entry = st.one_of(st.just(0), st.just(0), nonzero)
+        # a planted permutation keeps most determinants nonzero
+        planted = data.draw(st.permutations(range(n)))
+        zero_diagonal = data.draw(st.booleans())  # forces row swaps
+        rows = []
+        for i in range(n):
+            # leading zeros leave a row out of several steps before it is used
+            start = data.draw(st.integers(0, n - 1))
+            row = [0] * start + data.draw(
+                st.lists(entry, min_size=n - start, max_size=n - start)
+            )
+            row[planted[i]] = data.draw(nonzero)
+            if zero_diagonal:
+                row[i] = 0
+            rows.append(row)
+        assert det(PolyMatrix(rows)) == _brute_det(rows)
+
+    def test_pivot_entry_is_read_after_catch_up(self):
+        # rows 1 and 2 miss step 0; at step 1 row 1 pivots and row 2, still
+        # unscaled, is updated: its column-1 entry must be scaled by 2 first
+        rows = [[2, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1]]
+        assert det(PolyMatrix(rows)) == _brute_det(rows) == -3
+
+
 class TestInterpolationGuards:
     def test_degree_required(self):
         with pytest.raises(StrategyPrecondition):

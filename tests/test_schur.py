@@ -207,6 +207,17 @@ class TestCondensationDet:
                 build_huckel(0, 3, params)
             )
 
+    def test_400_rows_match_elimination(self, monkeypatch):
+        import random
+
+        monkeypatch.setenv("HUCKEL_MAX_SIZE", "400")
+        rng = random.Random(20261018)
+        params = {}
+        for i in range(20):
+            params[f"x{i}"] = rng.randint(1, 99)
+            params[f"y{i}"] = rng.randint(1, 99)
+        assert condensation_det(0, 19, params) == det(build_huckel(0, 19, params))
+
     def test_symbolic_guard(self):
         with pytest.raises(TooLarge):
             condensation_det(0, 8)  # 81 vertices symbolic

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from huckelpascal import verify
 from huckelpascal.linalg import TooLarge
 from huckelpascal.poly import svar, xvar, yvar
 from huckelpascal.verify import (
@@ -179,6 +180,15 @@ class TestConjecture3:
         # 100 vertices: the frontier walk's state budget refuses it
         with pytest.raises(TooLarge, match="states"):
             verify_conjecture3(0, 9, "specialized")
+
+    @pytest.mark.parametrize("mode", ["symbolic", "specialized"])
+    def test_guard_trips_before_the_matrix_is_built(self, mode, monkeypatch):
+        def build_huckel(*args):
+            raise AssertionError("build_huckel ran before the guard")
+
+        monkeypatch.setattr(verify, "build_huckel", build_huckel)
+        with pytest.raises(TooLarge, match="conj3 vertex count"):
+            verify_conjecture3(500, 501, mode)
 
     def test_specialized_at_49_vertices(self):
         assert verify_conjecture3(0, 6, "specialized").passed()
