@@ -24,6 +24,9 @@ from .formulas import (
 )
 from .linalg import (
     DET_STRATEGIES,
+    NON_INTEGER_WALK_DIM,
+    NUMERIC_ELIMINATION_ROWS,
+    SYMBOLIC_ELIMINATION_ROWS,
     NotRankOne,
     StrategyPrecondition,
     TooLarge,
@@ -31,6 +34,7 @@ from .linalg import (
     coefficient_list,
     det,
     permanent,
+    size_guard,
 )
 from .matrices import (
     BadRange,
@@ -225,9 +229,27 @@ def _uniform_params(k: int, n: int, ns: argparse.Namespace):
     return None
 
 
+def _huckel_guard(k: int, n: int, cap: int | None, route: str) -> None:
+    """Refuse H_{k,n} before building it when its vertex count is over the
+    cap of the route it goes to (None: the route has no size cap)."""
+    if cap is not None:
+        size_guard((n + 1) ** 2 - k * k, cap, f"{route} vertex count")
+
+
+def _det_route_cap(ns: argparse.Namespace) -> int | None:
+    symbolic = ns.x is None
+    if ns.strategy == "sparse-minor-expansion":
+        # the integer walk has only its state budget
+        return NON_INTEGER_WALK_DIM if symbolic else None
+    if ns.strategy == "bivariate-interpolation" or not symbolic:
+        return NUMERIC_ELIMINATION_ROWS
+    return SYMBOLIC_ELIMINATION_ROWS
+
+
 def _source_matrix(ns: argparse.Namespace):
     if ns.huckel is not None:
         k, n = ns.huckel
+        _huckel_guard(k, n, _det_route_cap(ns), ns.strategy)
         return build_huckel(k, n, _uniform_params(k, n, ns)), ("huckel", k, n)
     if ns.reduced is not None:
         k, n = ns.reduced
@@ -260,6 +282,8 @@ def _cmd_det(ns: argparse.Namespace):
 
 def _cmd_perm(ns: argparse.Namespace):
     k, n = ns.huckel
+    # the integer walk has only its state budget
+    _huckel_guard(k, n, NON_INTEGER_WALK_DIM if ns.x is None else None, "permanent")
     matrix = build_huckel(k, n, _uniform_params(k, n, ns))
     value = permanent(matrix)
     print(value)

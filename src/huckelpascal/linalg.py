@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from typing import Sequence
 
@@ -94,22 +95,27 @@ def size_guard(size: int, default: int, what: str) -> None:
 # -- ring plumbing -----------------------------------------------------------
 
 
+# entry types by ring, tried in order; plain ints fit every ring
+_RING_TYPES = (
+    (MultiPoly, "poly"),
+    (CycInt, "cyc"),
+    (GaussInt, "gauss"),
+    (Fraction, "fraction"),
+    (int, None),
+)
+
+
 def ring_kind(M: PolyMatrix) -> str:
     kinds = set()
-    for row in M.rows:
-        for e in row:
-            if isinstance(e, MultiPoly):
-                kinds.add("poly")
-            elif isinstance(e, CycInt):
-                kinds.add("cyc")
-            elif isinstance(e, GaussInt):
-                kinds.add("gauss")
-            elif isinstance(e, Fraction):
-                kinds.add("fraction")
-            elif isinstance(e, int):
-                pass
-            else:
-                raise TypeError(f"unsupported entry type {type(e).__name__}")
+    # the distinct entry types, in the order they first appear
+    for t in dict.fromkeys(map(type, chain.from_iterable(M.rows))):
+        for base, kind in _RING_TYPES:
+            if issubclass(t, base):
+                if kind is not None:
+                    kinds.add(kind)
+                break
+        else:
+            raise TypeError(f"unsupported entry type {t.__name__}")
     if len(kinds) > 1:
         raise TypeError(f"mixed entry rings {sorted(kinds)}")
     return kinds.pop() if kinds else "int"
@@ -155,10 +161,12 @@ def det(M: PolyMatrix, strategy: str = "fraction-free-elimination", degree: int 
     raise StrategyPrecondition(f"unknown strategy {strategy!r}")
 
 
-# row cap of fraction-free elimination over integer, rational and cyclotomic
-# entries, and dimension cap of the frontier walk over non-integer entries;
-# callers that would build a large matrix for them check these first
+# row caps of fraction-free elimination over integer, rational and
+# cyclotomic entries and over MultiPoly entries, and dimension cap of the
+# frontier walk over non-integer entries; callers that would build a large
+# matrix for them check these first
 NUMERIC_ELIMINATION_ROWS = 144
+SYMBOLIC_ELIMINATION_ROWS = 25
 NON_INTEGER_WALK_DIM = 16
 
 # distinct variables a symbolic elimination may carry: 12 at 6 rows takes
@@ -178,7 +186,7 @@ def _det_bareiss(rows: Sequence[Sequence], kind: str):
     """
     n = len(rows)
     if kind == "poly":
-        size_guard(n, 25, "symbolic elimination rows")
+        size_guard(n, SYMBOLIC_ELIMINATION_ROWS, "symbolic elimination rows")
     else:
         size_guard(n, NUMERIC_ELIMINATION_ROWS, "numeric elimination rows")
     lift = _LIFTS[kind]

@@ -250,6 +250,7 @@ class TestGuards:
         ["det", "--huckel", "0", "25", "--x", "1", "--y", "1"],
         ["tables", "--max-n", "14"],
         ["formulas", "--table", "--max-n", "150"],
+        ["det", "--huckel", "500", "501", "--x", "1", "--y", "1"],
     ])
     def test_expensive_input_is_refused_before_work(self, capsys, argv):
         t0 = time.perf_counter()
@@ -258,6 +259,22 @@ class TestGuards:
         assert out.err.startswith("error:")
         assert len(out.err.strip().splitlines()) == 1
         assert time.perf_counter() - t0 < 5
+
+    @pytest.mark.parametrize("argv", [
+        ["det", "--huckel", "500", "501", "--x", "1", "--y", "1"],
+        ["det", "--huckel", "0", "9"],
+        ["det", "--huckel", "500", "501", "--strategy", "bivariate-interpolation"],
+        ["det", "--huckel", "0", "7", "--strategy", "sparse-minor-expansion"],
+        ["perm", "--huckel", "500", "501"],
+    ])
+    def test_huckel_guard_trips_before_the_matrix_is_built(self, capsys, monkeypatch, argv):
+        def build_huckel(*args):
+            raise AssertionError("build_huckel ran before the guard")
+
+        monkeypatch.setattr(cli, "build_huckel", build_huckel)
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert "vertex count capped" in out.err
 
 
 _small = st.integers(-2, 4).map(str)

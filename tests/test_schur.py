@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from huckelpascal.linalg import TooLarge, det, rank1_factor
+import huckelpascal.schur as schur
+from huckelpascal.cyclotomic import theta_point
+from huckelpascal.linalg import TooLarge, _exact_div, _lift, det, rank1_factor, ring_kind
 from huckelpascal.matrices import (
     BadRange,
     PolyMatrix,
+    _weight,
     alternating_unit_vector,
     build_bordered,
     build_huckel,
@@ -19,11 +22,60 @@ from huckelpascal.matrices import (
 from huckelpascal.poly import svar, xvar, yvar
 from huckelpascal.schur import (
     BlockMismatch,
+    _is_negative,
+    _null_pair,
     condensation_det,
     condense,
     invert_T,
     schur_det_step,
 )
+
+
+def _dense_step(M, m, params=None):
+    """Reference Schur step: A - (B W C - v w^T) / S_m on every entry."""
+    n = 2 * m + 1
+    d = M.dim
+    a = d - n
+    s = _weight(f"x{m}", params) + _weight(f"y{m}", params)
+    if a == 0:
+        return PolyMatrix([[s]])
+    kind = ring_kind(M.submatrix(range(a, d), range(a, d)))
+    W = invert_T(m, params)
+    r, left = _null_pair(m, params)
+    v = [W[0, 0] * sum(M[i, a + t] * r[t] for t in range(n)) for i in range(a)]
+    w = [sum(M[a + t, j] * left[t] for t in range(n)) for j in range(a)]
+    lead = next((e for e in v if e != 0), None)
+    if lead is not None and _is_negative(lead):
+        v = [-e for e in v]
+        w = [-e for e in w]
+    rows = [[s] + w]
+    for i in range(a):
+        bw = [sum(M[i, a + t] * W[t, u] for t in range(n)) for u in range(n)]
+        row = [v[i]]
+        for j in range(a):
+            num = sum(bw[u] * M[a + u, j] for u in range(n)) - v[i] * w[j]
+            if isinstance(num, int):
+                num = _lift(num, kind)
+            row.append(M[i, j] - _exact_div(num, s, kind))
+        rows.append(row)
+    return PolyMatrix(rows)
+
+
+def _seeded_params(seed, k, n):
+    """Signed integer weights with every x_m + y_m nonzero."""
+    import random
+
+    rng = random.Random(seed)
+    params = {}
+    for i in range(k, n + 1):
+        x, y = rng.randint(-40, 40), rng.randint(-40, 40)
+        params[f"x{i}"], params[f"y{i}"] = x, y if x + y else y + 1
+    return params
+
+
+def _theta_params(k, n):
+    x, y = theta_point(1)  # theta = pi/6, so x_m + y_m = sqrt(3)
+    return {f"{c}{i}": e for i in range(k, n + 1) for c, e in (("x", x), ("y", y))}
 
 
 class TestInvertT:
@@ -135,6 +187,43 @@ class TestSchurStep:
         assert det(mid) == target
         _, final = schur_det_step(mid, 1)
         assert det(final) == target
+
+
+class TestSparseStep:
+    """The coupled-rows step against the dense formula at every step."""
+
+    @pytest.mark.parametrize("k,n,params", [
+        (0, 3, None),
+        (1, 3, None),
+        (2, 4, None),
+        (0, 6, _seeded_params(1, 0, 6)),
+        (0, 7, _seeded_params(2, 0, 7)),
+        (2, 6, _seeded_params(3, 2, 6)),
+        (4, 7, _seeded_params(4, 4, 7)),
+        (0, 4, _theta_params(0, 4)),
+        (2, 5, _theta_params(2, 5)),
+    ])
+    def test_matches_dense_step_along_the_chain(self, k, n, params):
+        M = build_huckel(k, n, params)
+        stop = 0 if k == 0 else k - 1
+        for m in range(n, stop, -1):
+            _, reduced = schur_det_step(M, m, params)
+            assert reduced == _dense_step(M, m, params), f"step m={m}"
+            M = reduced
+
+    def test_divisions_only_on_coupled_pairs(self, monkeypatch):
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _exact_div(*args)
+
+        monkeypatch.setattr(schur, "_exact_div", counted)
+        params = _seeded_params(6, 0, 11)
+        assert condensation_det(0, 11, params) == det(build_huckel(0, 11, params))
+        # the dense step divides on every kept entry: 42 779 times here
+        assert calls <= 2000
 
 
 class TestCondense:
