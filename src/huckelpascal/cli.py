@@ -25,8 +25,9 @@ from .formulas import (
 from .linalg import (
     DET_STRATEGIES,
     NON_INTEGER_WALK_DIM,
+    NUMERIC_DIVISION_FREE_ROWS,
     NUMERIC_ELIMINATION_ROWS,
-    SYMBOLIC_ELIMINATION_ROWS,
+    SYMBOLIC_DIVISION_FREE_ROWS,
     NotRankOne,
     StrategyPrecondition,
     TooLarge,
@@ -94,7 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--pascal", nargs=2, metavar=("KIND", "N"))
     p.add_argument("--x", type=int, help="uniform value for every x weight")
     p.add_argument("--y", type=int, help="uniform value for every y weight")
-    p.add_argument("--strategy", choices=DET_STRATEGIES, default="fraction-free-elimination")
+    p.add_argument(
+        "--strategy",
+        choices=DET_STRATEGIES,
+        help="default: fraction-free-elimination on numeric matrices, "
+        "division-free on symbolic --reduced, sparse-minor-expansion on "
+        "symbolic --huckel",
+    )
     add_json(p)
 
     p = sub.add_parser(
@@ -236,14 +243,27 @@ def _huckel_guard(k: int, n: int, cap: int | None, route: str) -> None:
         size_guard((n + 1) ** 2 - k * k, cap, f"{route} vertex count")
 
 
+def _det_route(ns: argparse.Namespace) -> str:
+    """The strategy given, or else the fast route for the matrix: the signed
+    walk on the sparse symbolic H_{k,n}, division-free on the small dense
+    symbolic reduced matrix, and elimination on every numeric matrix."""
+    if ns.strategy is not None:
+        return ns.strategy
+    if ns.x is not None or ns.pascal is not None:
+        return "fraction-free-elimination"
+    return "sparse-minor-expansion" if ns.huckel is not None else "division-free"
+
+
 def _det_route_cap(ns: argparse.Namespace) -> int | None:
     symbolic = ns.x is None
     if ns.strategy == "sparse-minor-expansion":
         # the integer walk has only its state budget
         return NON_INTEGER_WALK_DIM if symbolic else None
-    if ns.strategy == "bivariate-interpolation" or not symbolic:
-        return NUMERIC_ELIMINATION_ROWS
-    return SYMBOLIC_ELIMINATION_ROWS
+    if ns.strategy == "division-free":
+        return SYMBOLIC_DIVISION_FREE_ROWS if symbolic else NUMERIC_DIVISION_FREE_ROWS
+    # elimination, or the samples of interpolation; elimination refuses
+    # symbolic entries outright
+    return NUMERIC_ELIMINATION_ROWS
 
 
 def _source_matrix(ns: argparse.Namespace):
@@ -263,6 +283,7 @@ def _source_matrix(ns: argparse.Namespace):
 
 
 def _cmd_det(ns: argparse.Namespace):
+    ns.strategy = _det_route(ns)
     matrix, (kind, k, n) = _source_matrix(ns)
     degree = None
     if ns.strategy == "bivariate-interpolation" and ns.x is None:

@@ -3,7 +3,8 @@
 All algorithms work over whichever exact ring the matrix entries live in
 (plain integers, Fraction, MultiPoly, CycInt, GaussInt); the only operation
 a ring must provide beyond +,-,* is exact division, which integers do by
-divmod-with-check and the custom rings via their ``exact_div``.
+divmod-with-check and the custom rings via their ``exact_div``, and which
+the division-free algorithm does without.
 
 Determinant strategies (all return identical values where applicable):
 
@@ -20,12 +21,18 @@ Determinant strategies (all return identical values where applicable):
 * ``bivariate-interpolation``: for matrices whose entries involve a single
   parameter pair and whose determinant is homogeneous of known degree d,
   sample at (1, t) for t = 0..d and solve the Vandermonde system exactly.
+* ``division-free``: Berkowitz's algorithm, O(n^4) ring products and no
+  division, which also yields the whole characteristic polynomial; for the
+  small dense matrices (the reduced matrices, the last step of symbolic
+  condensation, ``charpoly``).
 
-Fraction-free elimination refuses more than 144 rows over integer,
-cyclotomic and rational entries, and over MultiPoly entries more than 25 rows
-or more than a fixed number of distinct variables.  HUCKEL_MAX_SIZE raises
-both row caps.  So ``det``, ``charpoly``, the interpolation samples and the
-final step of condensation share one guard.
+Fraction-free elimination refuses MultiPoly entries (StrategyPrecondition),
+and more than 144 rows over integer, cyclotomic and rational entries.  The
+division-free algorithm refuses more than 16 rows or more than 14 distinct
+variables over MultiPoly entries, and more than 49 rows over every other
+ring.  HUCKEL_MAX_SIZE raises the row caps, not the variable cap.  Without a
+strategy, ``det`` runs division-free over MultiPoly entries and elimination
+over every other ring.
 
 The frontier walk expands row by row over the set of still-free columns,
 visiting only each row's nonzero entries and keeping one partial sum per
@@ -53,6 +60,7 @@ DET_STRATEGIES = (
     "fraction-free-elimination",
     "sparse-minor-expansion",
     "bivariate-interpolation",
+    "division-free",
 )
 
 
@@ -64,7 +72,7 @@ class TooLarge(ValueError):
     """A cost guard tripped before the work started, or HUCKEL_MAX_SIZE is
     malformed.  Every size cap raises it through ``size_guard`` (and
     HUCKEL_MAX_SIZE raises those caps); the fixed budgets on frontier
-    states and elimination variables raise it directly."""
+    states and division-free variables raise it directly."""
 
 
 class NotRankOne(ValueError):
@@ -148,30 +156,43 @@ def _exact_div(a, b, kind: str):
 # -- determinants ----------------------------------------------------------------
 
 
-def det(M: PolyMatrix, strategy: str = "fraction-free-elimination", degree: int | None = None):
-    """Exact determinant of a square matrix via the chosen strategy."""
+def det(M: PolyMatrix, strategy: str | None = None, degree: int | None = None):
+    """Exact determinant of a square matrix via the chosen strategy; without
+    one, division-free over MultiPoly entries and fraction-free elimination
+    over every other ring."""
     M.dim  # raises on a non-square matrix
     kind = ring_kind(M)
+    if strategy is None:
+        strategy = "division-free" if kind == "poly" else "fraction-free-elimination"
     if strategy == "fraction-free-elimination":
+        if kind == "poly":
+            raise StrategyPrecondition(
+                "fraction-free elimination does not take polynomial entries; "
+                "use division-free"
+            )
         return _det_bareiss(M.rows, kind)
     if strategy == "sparse-minor-expansion":
         return _frontier_walk(M.rows, kind, signed=True)
     if strategy == "bivariate-interpolation":
         return _det_interpolation(M, degree)
+    if strategy == "division-free":
+        c = _berkowitz(M.rows, kind)[-1]
+        return c if M.dim % 2 == 0 else -c
     raise StrategyPrecondition(f"unknown strategy {strategy!r}")
 
 
-# row caps of fraction-free elimination over integer, rational and
-# cyclotomic entries and over MultiPoly entries, and dimension cap of the
-# frontier walk over non-integer entries; callers that would build a large
-# matrix for them check these first
+# row cap of fraction-free elimination (integer, rational and cyclotomic
+# entries), row caps of the division-free algorithm over MultiPoly and over
+# every other ring, and dimension cap of the frontier walk over non-integer
+# entries; callers that would build a large matrix for them check these first
 NUMERIC_ELIMINATION_ROWS = 144
-SYMBOLIC_ELIMINATION_ROWS = 25
+SYMBOLIC_DIVISION_FREE_ROWS = 16
+NUMERIC_DIVISION_FREE_ROWS = 49
 NON_INTEGER_WALK_DIM = 16
 
-# distinct variables a symbolic elimination may carry: 12 at 6 rows takes
-# about 3 s, 14 at 7 rows runs past 30 s
-_ELIMINATION_VARIABLE_LIMIT = 12
+# distinct variables a symbolic division-free determinant may carry: 14 at
+# 7 rows takes about 1.5 s, 16 at 8 rows about 15 s
+_DIVISION_FREE_VARIABLE_LIMIT = 14
 
 
 def _det_bareiss(rows: Sequence[Sequence], kind: str):
@@ -185,23 +206,13 @@ def _det_bareiss(rows: Sequence[Sequence], kind: str):
     the step t it was last current at (exact: the true entries are minors).
     """
     n = len(rows)
-    if kind == "poly":
-        size_guard(n, SYMBOLIC_ELIMINATION_ROWS, "symbolic elimination rows")
-    else:
-        size_guard(n, NUMERIC_ELIMINATION_ROWS, "numeric elimination rows")
+    size_guard(n, NUMERIC_ELIMINATION_ROWS, "numeric elimination rows")
     lift = _LIFTS[kind]
     a = [
         {j: lift(e) if isinstance(e, int) else e
          for j, e in enumerate(row) if _nz(e)}
         for row in rows
     ]
-    if kind == "poly":
-        names = set().union(*(e.used_variables() for r in a for e in r.values()))
-        if len(names) > _ELIMINATION_VARIABLE_LIMIT:
-            raise TooLarge(
-                f"symbolic elimination capped at {_ELIMINATION_VARIABLE_LIMIT} "
-                f"distinct variables, got {len(names)}"
-            )
     # pivots[t] is the divisor after t steps; a row at level t is current
     # through step t - 1
     pivots = [lift(1)]
@@ -248,6 +259,71 @@ def _det_bareiss(rows: Sequence[Sequence], kind: str):
         pivots.append(pc)
     last = pivots[n]
     return last if permutation_sign(order) > 0 else -last
+
+
+def _berkowitz(rows: Sequence[Sequence], kind: str) -> list:
+    """Coefficients [c_0 = 1, c_1, ..., c_n] of det(zI - A) = sum c_i z^(n-i),
+    by Berkowitz's division-free algorithm.
+
+    Split the leading (r+1)-square block as [[A_r, C], [R, a_rr]].  Its
+    coefficient vector is the lower-triangular Toeplitz matrix with first
+    column [1, -a_rr, -R C, -R A_r C, ..., -R A_r^(r-1) C] times that of
+    A_r.  Only ring +, - and * run, never on a zero operand: O(n^4) products
+    for a dense matrix, and no division.
+    """
+    n = len(rows)
+    if kind == "poly":
+        size_guard(n, SYMBOLIC_DIVISION_FREE_ROWS, "symbolic division-free rows")
+        polys = [e for row in rows for e in row if isinstance(e, MultiPoly)]
+        names = set().union(*(e.used_variables() for e in polys))
+        if len(names) > _DIVISION_FREE_VARIABLE_LIMIT:
+            raise TooLarge(
+                f"symbolic division-free determinant capped at "
+                f"{_DIVISION_FREE_VARIABLE_LIMIT} distinct variables, got {len(names)}"
+            )
+        # one varcount for every entry, so no product pays for a promotion
+        vc = max(e.varcount for e in polys)
+        lift = lambda e: e.promoted(vc) if isinstance(e, MultiPoly) else MultiPoly.const(e, vc)
+    else:
+        size_guard(n, NUMERIC_DIVISION_FREE_ROWS, "division-free rows")
+        lift = lambda e: _lift(e, kind) if isinstance(e, int) else e
+    a = [{j: lift(e) for j, e in enumerate(row) if _nz(e)} for row in rows]
+    one = lift(1)
+    coeffs = [one]  # None stands for a zero coefficient
+    for r in range(n):
+        # the rows of A_r and R, as (column, entry) pairs
+        block = [[(j, e) for j, e in a[i].items() if j < r] for i in range(r + 1)]
+        col = {i: a[i][r] for i in range(r) if r in a[i]}  # C
+        # s = a_rr, R C, R A_r C, ...: the Toeplitz column, negated
+        s = [a[r].get(r)]
+        for k in range(r):
+            s.append(_dot(block[r], col))
+            if k + 1 < r:
+                col = {i: v for i in range(r) if (v := _dot(block[i], col)) is not None}
+        new = []
+        for i in range(r + 2):
+            acc = coeffs[i] if i <= r else None
+            for k in range(max(1, i - r), i + 1):
+                sk, c = s[k - 1], coeffs[i - k]
+                if sk is None or c is None:
+                    continue
+                p = sk if c is one else sk * c
+                acc = -p if acc is None else acc - p
+            new.append(acc if acc is not None and _nz(acc) else None)
+        coeffs = new
+    zero = lift(0)
+    return [zero if c is None else c for c in coeffs]
+
+
+def _dot(entries, vec: dict):
+    """sum e * vec[j] over (j, e) in entries, skipping zeros; None if empty
+    or zero."""
+    acc = None
+    for j, e in entries:
+        v = vec.get(j)
+        if v is not None:
+            acc = e * v if acc is None else acc + e * v
+    return acc if acc is not None and _nz(acc) else None
 
 
 def permutation_parity_census(M: PolyMatrix) -> tuple[int, int]:
@@ -433,13 +509,10 @@ def charpoly(M: PolyMatrix) -> MultiPoly:
     whose eigenvalues come in reciprocal pairs)."""
     if ring_kind(M) != "int":
         raise StrategyPrecondition("charpoly expects an integer matrix")
-    M.dim  # raises on a non-square matrix
-    z = MultiPoly({(1,): 1}, 0)
-    rows = [
-        [e + z if i == j else e for j, e in enumerate(row)]
-        for i, row in enumerate(M.rows)
-    ]
-    return _det_bareiss(rows, "poly")
+    n = M.dim  # raises on a non-square matrix
+    # det(zI + M) = det(zI - (-M)), whose coefficients Berkowitz returns
+    coeffs = _berkowitz([[-e for e in row] for row in M.rows], "int")
+    return MultiPoly({(n - i,): c for i, c in enumerate(coeffs) if c}, 0)
 
 
 def coefficient_list(p: MultiPoly, var: str, degree: int) -> list[int]:

@@ -243,14 +243,16 @@ def condense(n: int, params=None) -> CondensationTrace:
 
 def condensation_det(k: int, n: int, params=None):
     """det H_{k,n} through iterated condensation (never through a full
-    Laplace/elimination pass on the big matrix)."""
+    Laplace/elimination pass on the big matrix).  The final size-(n+1-k)
+    matrix goes to the division-free algorithm over MultiPoly entries and
+    to fraction-free elimination over numbers."""
     default = 64 if params is None else 144
     size_guard((n + 1) ** 2 - k * k, default, "condensation vertex count")
     M = _huckel(k, n, params)
     stop = 0 if k == 0 else k - 1
     for m in range(n, stop, -1):
         _, M = schur_det_step(M, m, params)
-    return det(M)
+    return det(M, "division-free") if ring_kind(M) == "poly" else det(M)
 
 
 def _huckel(k: int, n: int, params) -> PolyMatrix:

@@ -127,19 +127,16 @@ def verify_conjecture1(n: int, mode: str = "symbolic", seed: int | None = 0) -> 
         size_guard(size, 25, "symbolic conj1 vertex count")
         if n <= 3:
             lhs = det(build_huckel(0, n), "sparse-minor-expansion")
-            rhs = det(build_reduced(0, n), "fraction-free-elimination")
-            method = "sparse minor expansion vs fraction-free elimination"
+            rhs = det(build_reduced(0, n), "division-free")
+            method = "sparse minor expansion vs division-free"
             details = {"parameters": "fully distinct"}
         else:
             collapse = bivariate_params(0, n, xvar(0), yvar(0))
             lhs = det(
                 build_huckel(0, n, collapse), "bivariate-interpolation", degree=n + 1
             )
-            rhs = det(
-                evaluate_matrix(build_reduced(0, n), collapse),
-                "fraction-free-elimination",
-            )
-            method = "bivariate interpolation vs fraction-free elimination"
+            rhs = det(evaluate_matrix(build_reduced(0, n), collapse), "division-free")
+            method = "bivariate interpolation vs division-free"
             details = {"parameters": "collapsed to one (x, y) pair"}
         report = VerifyReport(
             conjecture="conj1",
@@ -270,10 +267,10 @@ def verify_conjecture3(
     k: int, n: int, mode: str = "symbolic", seed: int | None = 0
 ) -> VerifyReport:
     """perm H_{k,n} = det H_{k,n}, the permanent by the unsigned frontier
-    walk and the determinant by fraction-free elimination: once on the
-    symbolic matrix, or at three seeded integer points.  The guards of
-    those two routines bound the size: the walk's state budget (and, over
-    symbolic entries, its dimension cap) and the elimination row cap."""
+    walk and the determinant by block condensation on the symbolic matrix,
+    or by fraction-free elimination at three seeded integer points.  The
+    guards of those routines bound the size: the walk's state budget (and,
+    over symbolic entries, its dimension cap) and the elimination row cap."""
     t0 = time.perf_counter()
     size = (n + 1) ** 2 - k * k
     # the cap either routine would hit, checked before the matrix is built
@@ -300,12 +297,14 @@ def verify_conjecture3(
     for params in points:
         h = build_huckel(k, n, params)
         perms.append(permanent(h))
-        dets.append(det(h))
+        dets.append(det(h) if params is not None else condensation_det(k, n))
     census = details.get("parity_census")
     ok = perms == dets and (census is None or census["all_contributions_even"])
     if mode == "symbolic":
         lhs, rhs, seed = str(perms[0]), str(dets[0]), None
+        method = "frontier expansion vs block condensation"
     else:
+        method = "frontier expansion vs fraction-free elimination"
         details["samples"] = [
             {"point": p, "perm": str(a), "det": str(b)}
             for p, a, b in zip(points, perms, dets)
@@ -316,7 +315,7 @@ def verify_conjecture3(
         conjecture="conj3",
         instance={"k": k, "n": n},
         mode=mode,
-        method="frontier expansion vs fraction-free elimination",
+        method=method,
         lhs=lhs,
         rhs=rhs,
         verdict=_verdict(ok),
@@ -401,7 +400,10 @@ def bivariate_row(n: int) -> tuple[MultiPoly, list[int]]:
     """det H_n with every weight pair collapsed to (x0, y0), and its
     coefficients from x0^(n+1) down to y0^(n+1): row n of the golden table."""
     matrix = build_huckel(0, n, bivariate_params(0, n, xvar(0), yvar(0)))
-    p = det(matrix, "bivariate-interpolation", degree=n + 1) if n else det(matrix)
+    if n:
+        p = det(matrix, "bivariate-interpolation", degree=n + 1)
+    else:
+        p = det(matrix, "division-free")
     return p, [p.coefficient({"x0": n + 1 - j, "y0": j}) for j in range(n + 2)]
 
 

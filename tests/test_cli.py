@@ -56,6 +56,26 @@ class TestDet:
         assert blob["value"] == "x1^1 + y1^1"
         assert len(blob["terms"]) == 2
 
+    @pytest.mark.parametrize("argv, route", [
+        (["--huckel", "1", "2"], "sparse-minor-expansion"),
+        (["--reduced", "0", "3"], "division-free"),
+        (["--huckel", "1", "2", "--x", "2", "--y", "3"], "fraction-free-elimination"),
+        (["--reduced", "0", "3", "--x", "2", "--y", "3"], "fraction-free-elimination"),
+        (["--pascal", "symmetric", "4"], "fraction-free-elimination"),
+        (["--huckel", "1", "2", "--strategy", "division-free"], "division-free"),
+    ])
+    def test_json_names_the_route_that_ran(self, capsys, tmp_path, argv, route):
+        path = tmp_path / "det.json"
+        code, _ = run(capsys, "det", *argv, "--json", str(path))
+        assert code == 0
+        assert json.loads(path.read_text())["strategy"] == route
+
+    def test_elimination_refuses_symbolic_entries(self, capsys):
+        code, out = run(capsys, "det", "--huckel", "1", "2",
+                        "--strategy", "fraction-free-elimination")
+        assert code == 2
+        assert "polynomial entries" in out.err
+
     def test_verbose_prints_grid_to_stderr(self, capsys):
         _, out = run(capsys, "-v", "det", "--huckel", "1", "1")
         assert "x1" in out.err
@@ -263,6 +283,8 @@ class TestGuards:
     @pytest.mark.parametrize("argv", [
         ["det", "--huckel", "500", "501", "--x", "1", "--y", "1"],
         ["det", "--huckel", "0", "9"],
+        ["det", "--huckel", "0", "4"],
+        ["det", "--huckel", "0", "4", "--strategy", "division-free"],
         ["det", "--huckel", "500", "501", "--strategy", "bivariate-interpolation"],
         ["det", "--huckel", "0", "7", "--strategy", "sparse-minor-expansion"],
         ["perm", "--huckel", "500", "501"],

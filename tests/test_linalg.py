@@ -24,8 +24,9 @@ from huckelpascal.matrices import (
     bivariate_params,
     build_huckel,
     build_pascal,
+    build_reduced,
 )
-from huckelpascal.poly import MultiPoly, svar, xvar, yvar
+from huckelpascal.poly import MultiPoly, svar, xvar, yvar, zvar
 
 # coefficient rows of det H_n(x, y) in x^(n+1-k) y^k, k = 0..n+1
 BIVARIATE_DET_ROWS = {
@@ -55,18 +56,25 @@ class TestDeterminantStrategies:
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_all_strategies_agree_on_triangles(self, n):
+        # fraction-free elimination refuses polynomial entries, so it runs
+        # on the triangle at a point
         m = biv_huckel(n)
         vals = [
             det(m, s, degree=n + 1 if s == "bivariate-interpolation" else None)
             for s in DET_STRATEGIES
+            if s != "fraction-free-elimination"
         ]
         reference = _brute_det(m.rows)
         assert all(v == reference for v in vals)
+        at_point = build_huckel(0, n, bivariate_params(0, n, 2, 3))
+        assert det(at_point, "fraction-free-elimination") == reference.evaluate(
+            {"x0": 2, "y0": 3}
+        )
 
     def test_strategy_agreement_on_trapezium(self):
         # (1, 2) has 8 vertices and two parameter pairs, so no interpolation
         m = build_huckel(1, 2)
-        a = det(m, "fraction-free-elimination")
+        a = det(m, "division-free")
         b = det(m, "sparse-minor-expansion")
         c = _brute_det(m.rows)
         assert a == b == c
@@ -176,6 +184,65 @@ class TestSparseElimination:
         # unscaled, is updated: its column-1 entry must be scaled by 2 first
         rows = [[2, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1]]
         assert det(PolyMatrix(rows)) == _brute_det(rows) == -3
+
+
+class TestDivisionFree:
+    @pytest.mark.parametrize("ring", sorted(RING_ELEMENTS))
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_brute_force(self, ring, data):
+        n = data.draw(st.integers(min_value=0, max_value=6))
+        make = RING_ELEMENTS[ring]
+        nonzero = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+            lambda ab: ab[0] != 0
+        ).map(lambda ab: make(*ab))
+        entry = st.one_of(st.just(0), nonzero)
+        rows = data.draw(
+            st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+        assert det(PolyMatrix(rows), "division-free") == _brute_det(rows)
+        if n:
+            zero_row = [list(r) for r in rows]
+            zero_row[data.draw(st.integers(0, n - 1))] = [0] * n
+            col = data.draw(st.integers(0, n - 1))
+            zero_col = [[0 if j == col else e for j, e in enumerate(r)] for r in rows]
+            for case in (zero_row, zero_col):
+                assert det(PolyMatrix(case), "division-free") == 0
+
+    @pytest.mark.parametrize("ring", sorted(RING_ELEMENTS))
+    def test_empty_and_single(self, ring):
+        e = RING_ELEMENTS[ring](2, -1)
+        assert det(PolyMatrix([]), "division-free") == 1
+        assert det(PolyMatrix([[e]]), "division-free") == e
+        assert det(PolyMatrix([[0]]), "division-free") == 0
+
+    def test_is_the_default_over_polynomials_only(self):
+        m = build_huckel(1, 2)
+        assert det(m) == det(m, "division-free") == _brute_det(m.rows)
+        with pytest.raises(StrategyPrecondition, match="polynomial"):
+            det(m, "fraction-free-elimination")
+        with pytest.raises(StrategyPrecondition):
+            det(PolyMatrix([[xvar(0)]]), "fraction-free-elimination")
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_charpoly_matches_the_signed_walk(self, n):
+        q = build_pascal("symmetric", n)
+        shifted = PolyMatrix([
+            [e + zvar() if i == j else e for j, e in enumerate(row)]
+            for i, row in enumerate(q.rows)
+        ])
+        assert charpoly(q) == det(shifted, "sparse-minor-expansion")
+
+    @pytest.mark.parametrize("build", [
+        lambda: det(build_reduced(0, 7), "division-free"),  # 16 variables
+        lambda: det(build_huckel(0, 4), "division-free"),  # 25 symbolic rows
+        lambda: charpoly(build_pascal("symmetric", 60)),  # 61 integer rows
+    ])
+    def test_over_cap_input_is_refused_before_work(self, build):
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge):
+            build()
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestInterpolationGuards:

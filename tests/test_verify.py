@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from huckelpascal import verify
+from huckelpascal import schur, verify
 from huckelpascal.linalg import TooLarge
 from huckelpascal.poly import svar, xvar, yvar
 from huckelpascal.verify import (
@@ -199,7 +199,7 @@ class TestConjecture3:
         symbolic = verify_conjecture3(2, 3, "symbolic")
         assert small.method.startswith("frontier expansion vs ")
         assert large.method.startswith("frontier expansion vs ")
-        assert symbolic.method == "frontier expansion vs fraction-free elimination"
+        assert symbolic.method == "frontier expansion vs block condensation"
         assert large.passed()
 
     @pytest.mark.slow
@@ -212,6 +212,53 @@ class TestConjecture3:
         # 28 vertices, well inside the walk's state budget
         r = verify_conjecture3(6, 7, "specialized", seed=1)
         assert r.passed()
+
+
+class TestIndependentSides:
+    """Each symbolic check runs its two sides through different routes.
+
+    The recorder wraps verify's bindings of det, condensation_det and
+    permanent, and condensation's own det, and notes the route of each call
+    in order: the left side's calls come first, then the right side's, then
+    any spot check at an integer point."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        calls = []
+
+        def recorder(label, fn):
+            def recorded(*args, **kwargs):
+                if label.endswith("det"):
+                    strategy = args[1] if len(args) > 1 else kwargs.get("strategy")
+                    calls.append(f"{label}/{strategy or 'default'}")
+                else:
+                    calls.append(label)
+                return fn(*args, **kwargs)
+            return recorded
+
+        for owner, name, label in ((verify, "det", "det"),
+                                   (verify, "condensation_det", "condensation"),
+                                   (verify, "permanent", "permanent"),
+                                   (schur, "det", "condensation.det")):
+            monkeypatch.setattr(owner, name, recorder(label, getattr(owner, name)))
+        return calls
+
+    CONDENSATION = ["condensation", "condensation.det/division-free"]
+    WALK = "det/sparse-minor-expansion"
+
+    @pytest.mark.parametrize("check, lhs, rhs, spot", [
+        (lambda: verify_conjecture1(2), [WALK], ["det/division-free"], []),
+        (lambda: verify_conjecture1(4), ["det/bivariate-interpolation"],
+         ["det/division-free"], []),
+        (lambda: verify_conjecture2(6, 7), CONDENSATION, [WALK], ["det/default"]),
+        (lambda: verify_conjecture3(2, 3), ["permanent"], CONDENSATION, []),
+        (lambda: verify._deletion_recursion(1, 3), CONDENSATION, [WALK, WALK], []),
+    ], ids=["conj1(2)", "conj1(4)", "conj2(6,7)", "conj3(2,3)", "deletion(1,3)"])
+    def test_sides_share_no_route(self, routes, check, lhs, rhs, spot):
+        result = check()
+        assert result["pass"] if isinstance(result, dict) else result.passed()
+        assert routes == lhs + rhs + spot
+        assert set(lhs).isdisjoint(rhs)
 
 
 class TestProps:
