@@ -46,7 +46,7 @@ from .matrices import (
     evaluate_matrix,
 )
 from .oracle import audit_passes, count_plane_partitions, square_coefficient_audit
-from .poly import MultiPoly, NotDivisible, xvar, yvar
+from .poly import MultiPoly, NotDivisible
 from .schur import condensation_det, condense
 from .verify import (
     bivariate_row,
@@ -214,6 +214,8 @@ def _validate(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
             parser.error("--k requires --n")
         if ns.jobs < 1:
             parser.error("--jobs must be >= 1")
+        if ns.conjecture == "props" and ns.mode == "specialized":
+            parser.error("props checks polynomial identities; it has no specialized mode")
     for name in ("n", "k"):
         value = getattr(ns, name, None)
         if value is not None and value < 0:
@@ -236,11 +238,10 @@ def _uniform_params(k: int, n: int, ns: argparse.Namespace):
     return None
 
 
-def _huckel_guard(k: int, n: int, cap: int | None, route: str) -> None:
+def _huckel_guard(k: int, n: int, cap: int, route: str) -> None:
     """Refuse H_{k,n} before building it when its vertex count is over the
-    cap of the route it goes to (None: the route has no size cap)."""
-    if cap is not None:
-        size_guard((n + 1) ** 2 - k * k, cap, f"{route} vertex count")
+    cap of the route it goes to."""
+    size_guard((n + 1) ** 2 - k * k, cap, f"{route} vertex count")
 
 
 def _det_route(ns: argparse.Namespace) -> str:
@@ -254,15 +255,16 @@ def _det_route(ns: argparse.Namespace) -> str:
     return "sparse-minor-expansion" if ns.huckel is not None else "division-free"
 
 
-def _det_route_cap(ns: argparse.Namespace) -> int | None:
+def _det_route_cap(ns: argparse.Namespace) -> int:
     symbolic = ns.x is None
     if ns.strategy == "sparse-minor-expansion":
-        # the integer walk has only its state budget
-        return NON_INTEGER_WALK_DIM if symbolic else None
+        # the integer walk has only its state budget, which no H_{k,n} over
+        # 81 vertices passes, so the elimination cap refuses the large ones
+        # before their dense matrix is built
+        return NON_INTEGER_WALK_DIM if symbolic else NUMERIC_ELIMINATION_ROWS
     if ns.strategy == "division-free":
         return SYMBOLIC_DIVISION_FREE_ROWS if symbolic else NUMERIC_DIVISION_FREE_ROWS
-    # elimination, or the samples of interpolation; elimination refuses
-    # symbolic entries outright
+    # elimination, which refuses symbolic entries outright
     return NUMERIC_ELIMINATION_ROWS
 
 
@@ -285,14 +287,7 @@ def _source_matrix(ns: argparse.Namespace):
 def _cmd_det(ns: argparse.Namespace):
     ns.strategy = _det_route(ns)
     matrix, (kind, k, n) = _source_matrix(ns)
-    degree = None
-    if ns.strategy == "bivariate-interpolation" and ns.x is None:
-        # interpolation works on a single weight pair: collapse first
-        matrix = evaluate_matrix(
-            matrix, bivariate_params(0, n, xvar(0), yvar(0))
-        ) if kind != "pascal" else matrix
-        degree = n + 1 - (k if isinstance(k, int) else 0)
-    value = det(matrix, ns.strategy, degree=degree)
+    value = det(matrix, ns.strategy)
     print(value)
     if ns.verbose:
         print(matrix.to_grid(), file=sys.stderr)
@@ -303,8 +298,9 @@ def _cmd_det(ns: argparse.Namespace):
 
 def _cmd_perm(ns: argparse.Namespace):
     k, n = ns.huckel
-    # the integer walk has only its state budget
-    _huckel_guard(k, n, NON_INTEGER_WALK_DIM if ns.x is None else None, "permanent")
+    # the integer walk takes the elimination cap, as in _det_route_cap
+    cap = NON_INTEGER_WALK_DIM if ns.x is None else NUMERIC_ELIMINATION_ROWS
+    _huckel_guard(k, n, cap, "permanent")
     matrix = build_huckel(k, n, _uniform_params(k, n, ns))
     value = permanent(matrix)
     print(value)
@@ -422,7 +418,6 @@ _DEFAULT_INSTANCES = {
     ],
     ("conj3", "specialized"): [{"k": 0, "n": 3}, {"k": 1, "n": 3}],
     ("props", "symbolic"): [{"n": n} for n in range(7)],
-    ("props", "specialized"): [{"n": n} for n in range(7)],
 }
 
 

@@ -6,7 +6,8 @@ a ring must provide beyond +,-,* is exact division, which integers do by
 divmod-with-check and the custom rings via their ``exact_div``, and which
 the division-free algorithm does without.
 
-Determinant strategies (all return identical values where applicable):
+Determinant strategies, each taking the matrix alone (all return identical
+values where applicable):
 
 * ``fraction-free-elimination``: one-step Bareiss over sparse rows, every
   division exact by construction.  Each row keeps only its nonzero entries,
@@ -18,9 +19,6 @@ Determinant strategies (all return identical values where applicable):
   operations instead of N^3.
 * ``sparse-minor-expansion``: the signed frontier walk (below); thrives on
   the very sparse adjacency matrices.
-* ``bivariate-interpolation``: for matrices whose entries involve a single
-  parameter pair and whose determinant is homogeneous of known degree d,
-  sample at (1, t) for t = 0..d and solve the Vandermonde system exactly.
 * ``division-free``: Berkowitz's algorithm, O(n^4) ring products and no
   division, which also yields the whole characteristic polynomial; for the
   small dense matrices (the reduced matrices, the last step of symbolic
@@ -59,7 +57,6 @@ from .poly import MultiPoly, NotDivisible
 DET_STRATEGIES = (
     "fraction-free-elimination",
     "sparse-minor-expansion",
-    "bivariate-interpolation",
     "division-free",
 )
 
@@ -156,7 +153,7 @@ def _exact_div(a, b, kind: str):
 # -- determinants ----------------------------------------------------------------
 
 
-def det(M: PolyMatrix, strategy: str | None = None, degree: int | None = None):
+def det(M: PolyMatrix, strategy: str | None = None):
     """Exact determinant of a square matrix via the chosen strategy; without
     one, division-free over MultiPoly entries and fraction-free elimination
     over every other ring."""
@@ -173,8 +170,6 @@ def det(M: PolyMatrix, strategy: str | None = None, degree: int | None = None):
         return _det_bareiss(M.rows, kind)
     if strategy == "sparse-minor-expansion":
         return _frontier_walk(M.rows, kind, signed=True)
-    if strategy == "bivariate-interpolation":
-        return _det_interpolation(M, degree)
     if strategy == "division-free":
         c = _berkowitz(M.rows, kind)[-1]
         return c if M.dim % 2 == 0 else -c
@@ -339,77 +334,6 @@ def permutation_parity_census(M: PolyMatrix) -> tuple[int, int]:
     total = _frontier_walk(support.rows, "int", signed=False)
     signed = det(support)
     return (total + signed) // 2, (total - signed) // 2
-
-
-def _det_interpolation(M: PolyMatrix, degree: int | None):
-    if degree is None:
-        raise StrategyPrecondition("bivariate interpolation needs the degree")
-    if ring_kind(M) not in ("poly", "int"):
-        raise StrategyPrecondition("bivariate interpolation needs polynomial entries")
-    names: set[str] = set()
-    for row in M.rows:
-        for e in row:
-            if isinstance(e, MultiPoly):
-                names |= e.used_variables()
-    pairs = {nm[1:] for nm in names if nm != "z"}
-    if "z" in names or len(pairs) != 1:
-        raise StrategyPrecondition(
-            f"need exactly one parameter pair, found {sorted(names)}"
-        )
-    idx = int(pairs.pop())
-    xn, yn = f"x{idx}", f"y{idx}"
-
-    def sample(xv: int, yv: int) -> int:
-        rows = [
-            [
-                e.evaluate({xn: xv, yn: yv}) if isinstance(e, MultiPoly) else e
-                for e in row
-            ]
-            for row in M.rows
-        ]
-        return _det_bareiss(rows, "int")
-
-    d = degree
-    values = [sample(1, t) for t in range(d + 1)]
-    coeffs = _solve_vandermonde(values)
-    # homogeneity guard: det(2x, 2y) must equal 2^d det(x, y)
-    if sample(2, 2) != 2**d * sum(coeffs):
-        raise StrategyPrecondition(
-            f"determinant is not homogeneous of degree {d}"
-        )
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            exp = [0] * (2 * (idx + 1) + 1)
-            exp[idx] = d - k
-            exp[idx + 1 + idx] = k
-            terms[tuple(exp)] = c
-    return MultiPoly(terms, idx + 1)
-
-
-def _solve_vandermonde(values: Sequence[int]) -> list[int]:
-    """Coefficients of the unique degree<len polynomial with p(t)=values[t]."""
-    d = len(values) - 1
-    rows = [
-        [Fraction(t**k) for k in range(d + 1)] + [Fraction(values[t])]
-        for t in range(d + 1)
-    ]
-    for c in range(d + 1):
-        piv = next(r for r in range(c, d + 1) if rows[r][c])
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = 1 / rows[c][c]
-        rows[c] = [v * inv for v in rows[c]]
-        for r in range(d + 1):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    out = []
-    for r in range(d + 1):
-        v = rows[r][-1]
-        if v.denominator != 1:
-            raise StrategyPrecondition(f"non-integer coefficient {v} recovered")
-        out.append(int(v))
-    return out
 
 
 # -- frontier walk ------------------------------------------------------------

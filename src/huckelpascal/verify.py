@@ -20,6 +20,7 @@ from fractions import Fraction
 from .linalg import (
     NON_INTEGER_WALK_DIM,
     NUMERIC_ELIMINATION_ROWS,
+    StrategyPrecondition,
     charpoly,
     coefficient_list,
     det,
@@ -131,10 +132,8 @@ def verify_conjecture1(n: int, mode: str = "symbolic", seed: int | None = 0) -> 
             method = "sparse minor expansion vs division-free"
             details = {"parameters": "fully distinct"}
         else:
+            lhs = bivariate_row(n)[0]
             collapse = bivariate_params(0, n, xvar(0), yvar(0))
-            lhs = det(
-                build_huckel(0, n, collapse), "bivariate-interpolation", degree=n + 1
-            )
             rhs = det(evaluate_matrix(build_reduced(0, n), collapse), "division-free")
             method = "bivariate interpolation vs division-free"
             details = {"parameters": "collapsed to one (x, y) pair"}
@@ -398,13 +397,51 @@ def verify_props(n: int) -> VerifyReport:
 
 def bivariate_row(n: int) -> tuple[MultiPoly, list[int]]:
     """det H_n with every weight pair collapsed to (x0, y0), and its
-    coefficients from x0^(n+1) down to y0^(n+1): row n of the golden table."""
-    matrix = build_huckel(0, n, bivariate_params(0, n, xvar(0), yvar(0)))
-    if n:
-        p = det(matrix, "bivariate-interpolation", degree=n + 1)
-    else:
-        p = det(matrix, "division-free")
-    return p, [p.coefficient({"x0": n + 1 - j, "y0": j}) for j in range(n + 2)]
+    coefficients from x0^(n+1) down to y0^(n+1): row n of the golden table.
+
+    The determinant is homogeneous of degree d = n + 1, so it is sampled at
+    (1, t) for t = 0..d by integer elimination and recovered from the
+    Vandermonde system; a sample at (2, 2) must equal 2^d times the sum of
+    the coefficients."""
+    size_guard((n + 1) ** 2, NUMERIC_ELIMINATION_ROWS, "bivariate row vertex count")
+    d = n + 1
+
+    def sample(xv: int, yv: int) -> int:
+        return det(
+            build_huckel(0, n, bivariate_params(0, n, xv, yv)),
+            "fraction-free-elimination",
+        )
+
+    row = _solve_vandermonde([sample(1, t) for t in range(d + 1)])
+    if sample(2, 2) != 2**d * sum(row):
+        raise StrategyPrecondition(f"determinant is not homogeneous of degree {d}")
+    p = MultiPoly({(d - j, j, 0): c for j, c in enumerate(row) if c}, 1)
+    return p, row
+
+
+def _solve_vandermonde(values: list[int]) -> list[int]:
+    """Coefficients of the unique degree<len polynomial with p(t)=values[t]."""
+    d = len(values) - 1
+    rows = [
+        [Fraction(t**k) for k in range(d + 1)] + [Fraction(values[t])]
+        for t in range(d + 1)
+    ]
+    for c in range(d + 1):
+        piv = next(r for r in range(c, d + 1) if rows[r][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = 1 / rows[c][c]
+        rows[c] = [v * inv for v in rows[c]]
+        for r in range(d + 1):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    out = []
+    for r in range(d + 1):
+        v = rows[r][-1]
+        if v.denominator != 1:
+            raise StrategyPrecondition(f"non-integer coefficient {v} recovered")
+        out.append(int(v))
+    return out
 
 
 def _deletion_recursion(k: int, n: int) -> dict:

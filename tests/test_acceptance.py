@@ -44,6 +44,7 @@ from huckelpascal.oracle import (
 from huckelpascal.poly import poly_from_text, svar, xvar, yvar
 from huckelpascal.schur import condensation_det, condense, invert_T, schur_det_step
 from huckelpascal.verify import (
+    bivariate_row,
     verify_conjecture1,
     verify_conjecture2,
     verify_conjecture3,
@@ -77,8 +78,7 @@ def _gate(num: int, label: str, budget_s: float, body) -> None:
 def test_criterion_01_golden_determinants():
     def body():
         for n, want in GOLDEN_ROWS.items():
-            m = build_huckel(0, n, bivariate_params(0, n, xvar(0), yvar(0)))
-            p = det(m, "bivariate-interpolation", degree=n + 1) if n else det(m)
+            p = bivariate_row(n)[0]
             row = [p.coefficient({"x0": n + 1 - j, "y0": j}) for j in range(n + 2)]
             assert row == want, n
 

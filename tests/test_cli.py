@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import huckelpascal.cli as cli
+import huckelpascal.verify as verify
 from huckelpascal.cli import main
 from huckelpascal.linalg import DET_STRATEGIES
 from huckelpascal.verify import VerifyReport
@@ -39,12 +40,11 @@ class TestDet:
         _, r = run(capsys, "det", "--reduced", "0", "3", "--x", "2", "--y", "5")
         assert h.out == r.out
 
-    def test_interpolation_strategy_collapses_weights(self, capsys):
-        code, out = run(
-            capsys, "det", "--huckel", "0", "2", "--strategy", "bivariate-interpolation"
-        )
-        assert code == 0
-        assert out.out.strip() == "x0^3 + 9*x0^2*y0^1 + 9*x0^1*y0^2 + y0^3"
+    def test_interpolation_strategy_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["det", "--huckel", "0", "2", "--strategy", "bivariate-interpolation"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_json_artifact_has_schema_and_terms(self, capsys, tmp_path):
         path = tmp_path / "det.json"
@@ -216,6 +216,18 @@ class TestVerify:
             main(["verify", "conj2", "--k", "6"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "props", "--mode", "specialized"],
+        ["verify", "props", "--n", "2", "--mode", "specialized"],
+    ])
+    def test_props_has_no_specialized_mode(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "specialized" in err
+
 
 class TestUsageErrors:
     def test_lone_x_rejected(self):
@@ -285,15 +297,20 @@ class TestGuards:
         ["det", "--huckel", "0", "9"],
         ["det", "--huckel", "0", "4"],
         ["det", "--huckel", "0", "4", "--strategy", "division-free"],
-        ["det", "--huckel", "500", "501", "--strategy", "bivariate-interpolation"],
+        ["det", "--huckel", "500", "501", "--strategy", "fraction-free-elimination"],
         ["det", "--huckel", "0", "7", "--strategy", "sparse-minor-expansion"],
         ["perm", "--huckel", "500", "501"],
+        ["perm", "--huckel", "500", "501", "--x", "1", "--y", "1"],
+        ["det", "--huckel", "500", "501", "--x", "1", "--y", "1",
+         "--strategy", "sparse-minor-expansion"],
+        ["tables", "--max-n", "40"],
     ])
     def test_huckel_guard_trips_before_the_matrix_is_built(self, capsys, monkeypatch, argv):
         def build_huckel(*args):
             raise AssertionError("build_huckel ran before the guard")
 
         monkeypatch.setattr(cli, "build_huckel", build_huckel)
+        monkeypatch.setattr(verify, "build_huckel", build_huckel)
         code, out = run(capsys, *argv)
         assert code == 2
         assert "vertex count capped" in out.err

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from huckelpascal import verify
 from huckelpascal.cyclotomic import CycInt, GaussInt
 from huckelpascal.linalg import (
     DET_STRATEGIES,
@@ -27,6 +28,7 @@ from huckelpascal.matrices import (
     build_reduced,
 )
 from huckelpascal.poly import MultiPoly, svar, xvar, yvar, zvar
+from huckelpascal.verify import bivariate_row
 
 # coefficient rows of det H_n(x, y) in x^(n+1-k) y^k, k = 0..n+1
 BIVARIATE_DET_ROWS = {
@@ -51,21 +53,18 @@ def coeff_row(p: MultiPoly, degree: int) -> list[int]:
 class TestDeterminantStrategies:
     @pytest.mark.parametrize("n", sorted(BIVARIATE_DET_ROWS))
     def test_interpolation_recovers_golden_rows(self, n):
-        d = det(biv_huckel(n), "bivariate-interpolation", degree=n + 1)
-        assert coeff_row(d, n + 1) == BIVARIATE_DET_ROWS[n]
+        d, row = bivariate_row(n)
+        assert coeff_row(d, n + 1) == row == BIVARIATE_DET_ROWS[n]
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_all_strategies_agree_on_triangles(self, n):
         # fraction-free elimination refuses polynomial entries, so it runs
         # on the triangle at a point
         m = biv_huckel(n)
-        vals = [
-            det(m, s, degree=n + 1 if s == "bivariate-interpolation" else None)
-            for s in DET_STRATEGIES
-            if s != "fraction-free-elimination"
-        ]
+        vals = [det(m, s) for s in DET_STRATEGIES if s != "fraction-free-elimination"]
         reference = _brute_det(m.rows)
         assert all(v == reference for v in vals)
+        assert bivariate_row(n)[0] == reference
         at_point = build_huckel(0, n, bivariate_params(0, n, 2, 3))
         assert det(at_point, "fraction-free-elimination") == reference.evaluate(
             {"x0": 2, "y0": 3}
@@ -246,26 +245,18 @@ class TestDivisionFree:
 
 
 class TestInterpolationGuards:
-    def test_degree_required(self):
-        with pytest.raises(StrategyPrecondition):
-            det(biv_huckel(1), "bivariate-interpolation")
+    def test_inhomogeneous_rejected(self, monkeypatch):
+        # perturb the (2, 2) sample, so the row read off the (1, t) samples
+        # fails the homogeneity check
+        at_two = build_huckel(0, 2, bivariate_params(0, 2, 2, 2)).rows
 
-    def test_two_pairs_rejected(self):
-        m = build_huckel(1, 2)  # uses x1, y1, x2, y2
-        with pytest.raises(StrategyPrecondition):
-            det(m, "bivariate-interpolation", degree=2)
+        def perturbed(m, strategy):
+            value = det(m, strategy)
+            return value + 1 if m.rows == at_two else value
 
-    def test_inhomogeneous_rejected(self):
-        m = PolyMatrix([[xvar(0) + 1]])
+        monkeypatch.setattr(verify, "det", perturbed)
         with pytest.raises(StrategyPrecondition):
-            det(m, "bivariate-interpolation", degree=1)
-
-    def test_z_variable_rejected(self):
-        from huckelpascal.poly import zvar
-
-        m = PolyMatrix([[xvar(0) + zvar(), yvar(0)], [yvar(0), xvar(0)]])
-        with pytest.raises(StrategyPrecondition):
-            det(m, "bivariate-interpolation", degree=2)
+            bivariate_row(2)
 
 
 class TestPermutationCensus:
@@ -459,8 +450,7 @@ class TestCharpoly:
         n = 3
         p = charpoly(build_pascal("symmetric", n))
         cs = coefficient_list(p, "z", n + 1)
-        d = det(biv_huckel(n), "bivariate-interpolation", degree=n + 1)
-        assert coeff_row(d, n + 1) == cs
+        assert bivariate_row(n)[1] == cs
 
     def test_rejects_polynomial_matrix(self):
         with pytest.raises(StrategyPrecondition):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from huckelpascal import schur, verify
+from huckelpascal import linalg, schur, verify
 from huckelpascal.linalg import TooLarge
+from huckelpascal.matrices import build_pascal
 from huckelpascal.poly import svar, xvar, yvar
 from huckelpascal.verify import (
     VerifyReport,
     _draw_params,
+    bivariate_row,
     verify_conjecture1,
     verify_conjecture2,
     verify_conjecture3,
@@ -245,11 +247,12 @@ class TestIndependentSides:
 
     CONDENSATION = ["condensation", "condensation.det/division-free"]
     WALK = "det/sparse-minor-expansion"
+    # the golden row's samples: (1, t) for t = 0..5, then (2, 2)
+    SAMPLES = ["det/fraction-free-elimination"] * 7
 
     @pytest.mark.parametrize("check, lhs, rhs, spot", [
         (lambda: verify_conjecture1(2), [WALK], ["det/division-free"], []),
-        (lambda: verify_conjecture1(4), ["det/bivariate-interpolation"],
-         ["det/division-free"], []),
+        (lambda: verify_conjecture1(4), SAMPLES, ["det/division-free"], []),
         (lambda: verify_conjecture2(6, 7), CONDENSATION, [WALK], ["det/default"]),
         (lambda: verify_conjecture3(2, 3), ["permanent"], CONDENSATION, []),
         (lambda: verify._deletion_recursion(1, 3), CONDENSATION, [WALK, WALK], []),
@@ -259,6 +262,24 @@ class TestIndependentSides:
         assert result["pass"] if isinstance(result, dict) else result.passed()
         assert routes == lhs + rhs + spot
         assert set(lhs).isdisjoint(rhs)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_golden_row_never_runs_berkowitz(self, monkeypatch, n):
+        # props check (d) compares the row with charpoly, which is Berkowitz
+        calls = []
+        original = linalg._berkowitz
+
+        def recorded(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(linalg, "_berkowitz", recorded)
+        row = bivariate_row(n)[1]
+        assert calls == []
+        # the wrapper does see the other side of check (d)
+        p = linalg.charpoly(build_pascal("symmetric", n))
+        assert calls == [n + 1]
+        assert row == linalg.coefficient_list(p, "z", n + 1)
 
 
 class TestProps:
