@@ -34,6 +34,7 @@ from .linalg import (
     charpoly,
     coefficient_list,
     det,
+    huckel_guard,
     permanent,
     size_guard,
 )
@@ -210,6 +211,8 @@ def _validate(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if getattr(ns, "trace", False) and ns.k:
         parser.error("--trace records full-triangle runs; drop --k")
     if ns.subcommand == "verify":
+        if ns.k is not None and ns.conjecture in ("conj1", "props"):
+            parser.error(f"{ns.conjecture} runs on the triangle (k = 0); drop --k")
         if ns.k is not None and ns.n is None:
             parser.error("--k requires --n")
         if ns.jobs < 1:
@@ -238,12 +241,6 @@ def _uniform_params(k: int, n: int, ns: argparse.Namespace):
     return None
 
 
-def _huckel_guard(k: int, n: int, cap: int, route: str) -> None:
-    """Refuse H_{k,n} before building it when its vertex count is over the
-    cap of the route it goes to."""
-    size_guard((n + 1) ** 2 - k * k, cap, f"{route} vertex count")
-
-
 def _det_route(ns: argparse.Namespace) -> str:
     """The strategy given, or else the fast route for the matrix: the signed
     walk on the sparse symbolic H_{k,n}, division-free on the small dense
@@ -256,7 +253,9 @@ def _det_route(ns: argparse.Namespace) -> str:
 
 
 def _det_route_cap(ns: argparse.Namespace) -> int:
-    symbolic = ns.x is None
+    """The size cap of the route ``det`` runs: vertices of H_{k,n}, rows of
+    a reduced or Pascal matrix, checked before the matrix is built."""
+    symbolic = ns.x is None and ns.pascal is None
     if ns.strategy == "sparse-minor-expansion":
         # the integer walk has only its state budget, which no H_{k,n} over
         # 81 vertices passes, so the elimination cap refuses the large ones
@@ -269,18 +268,21 @@ def _det_route_cap(ns: argparse.Namespace) -> int:
 
 
 def _source_matrix(ns: argparse.Namespace):
+    cap = _det_route_cap(ns)
     if ns.huckel is not None:
         k, n = ns.huckel
-        _huckel_guard(k, n, _det_route_cap(ns), ns.strategy)
+        huckel_guard(k, n, cap, ns.strategy)
         return build_huckel(k, n, _uniform_params(k, n, ns)), ("huckel", k, n)
     if ns.reduced is not None:
         k, n = ns.reduced
+        size_guard(n + 1 - k, cap, f"{ns.strategy} rows")
         m = build_reduced(k, n)
         params = _uniform_params(k, n, ns)
         if params is not None:
             m = evaluate_matrix(m, params)
         return m, ("reduced", k, n)
     kind, n = ns.pascal
+    size_guard(n + 1, cap, f"{ns.strategy} rows")
     return build_pascal(kind, n), ("pascal", kind, n)
 
 
@@ -300,7 +302,7 @@ def _cmd_perm(ns: argparse.Namespace):
     k, n = ns.huckel
     # the integer walk takes the elimination cap, as in _det_route_cap
     cap = NON_INTEGER_WALK_DIM if ns.x is None else NUMERIC_ELIMINATION_ROWS
-    _huckel_guard(k, n, cap, "permanent")
+    huckel_guard(k, n, cap, "permanent")
     matrix = build_huckel(k, n, _uniform_params(k, n, ns))
     value = permanent(matrix)
     print(value)
@@ -311,6 +313,7 @@ def _cmd_perm(ns: argparse.Namespace):
 
 def _cmd_charpoly(ns: argparse.Namespace):
     kind, n = ns.pascal
+    size_guard(n + 1, NUMERIC_DIVISION_FREE_ROWS, "charpoly rows")
     p = charpoly(build_pascal(kind, n))
     print(p)
     payload = {

@@ -28,7 +28,10 @@ Fraction-free elimination refuses MultiPoly entries (StrategyPrecondition),
 and more than 144 rows over integer, cyclotomic and rational entries.  The
 division-free algorithm refuses more than 16 rows or more than 14 distinct
 variables over MultiPoly entries, and more than 49 rows over every other
-ring.  HUCKEL_MAX_SIZE raises the row caps, not the variable cap.  Without a
+ring.  HUCKEL_MAX_SIZE raises the row caps, not the variable cap.  Callers
+check the caps of the routes they feed before building anything:
+``huckel_guard`` the vertices of H_{k,n}, ``symbolic_division_free_guard``
+the rows and variables of a symbolic division-free determinant.  Without a
 strategy, ``det`` runs division-free over MultiPoly entries and elimination
 over every other ring.
 
@@ -51,7 +54,7 @@ from math import comb
 from typing import Sequence
 
 from .cyclotomic import CycInt, GaussInt
-from .matrices import PolyMatrix, _nz, permutation_sign
+from .matrices import PolyMatrix, TriangleGraph, _nz, permutation_sign
 from .poly import MultiPoly, NotDivisible
 
 DET_STRATEGIES = (
@@ -95,6 +98,12 @@ def size_guard(size: int, default: int, what: str) -> None:
             f"{what} capped at {limit}, got {size} "
             "(set HUCKEL_MAX_SIZE to raise the cap)"
         )
+
+
+def huckel_guard(k: int, n: int, cap: int, route: str) -> None:
+    """Refuse H_{k,n} before building it when its vertex count is over the
+    cap of the route it goes to; a bad (k, n) raises BadRange."""
+    size_guard(TriangleGraph(k, n).vertex_count, cap, f"{route} vertex count")
 
 
 # -- ring plumbing -----------------------------------------------------------
@@ -190,6 +199,17 @@ NON_INTEGER_WALK_DIM = 16
 _DIVISION_FREE_VARIABLE_LIMIT = 14
 
 
+def symbolic_division_free_guard(rows: int, variables: int) -> None:
+    """Refuse a symbolic division-free determinant over more than 16 rows
+    (HUCKEL_MAX_SIZE raises that cap) or 14 distinct variables (fixed)."""
+    size_guard(rows, SYMBOLIC_DIVISION_FREE_ROWS, "symbolic division-free rows")
+    if variables > _DIVISION_FREE_VARIABLE_LIMIT:
+        raise TooLarge(
+            f"symbolic division-free determinant capped at "
+            f"{_DIVISION_FREE_VARIABLE_LIMIT} distinct variables, got {variables}"
+        )
+
+
 def _det_bareiss(rows: Sequence[Sequence], kind: str):
     """One-step Bareiss over sparse rows with lazy row scaling.
 
@@ -268,14 +288,9 @@ def _berkowitz(rows: Sequence[Sequence], kind: str) -> list:
     """
     n = len(rows)
     if kind == "poly":
-        size_guard(n, SYMBOLIC_DIVISION_FREE_ROWS, "symbolic division-free rows")
         polys = [e for row in rows for e in row if isinstance(e, MultiPoly)]
         names = set().union(*(e.used_variables() for e in polys))
-        if len(names) > _DIVISION_FREE_VARIABLE_LIMIT:
-            raise TooLarge(
-                f"symbolic division-free determinant capped at "
-                f"{_DIVISION_FREE_VARIABLE_LIMIT} distinct variables, got {len(names)}"
-            )
+        symbolic_division_free_guard(n, len(names))
         # one varcount for every entry, so no product pays for a promotion
         vc = max(e.varcount for e in polys)
         lift = lambda e: e.promoted(vc) if isinstance(e, MultiPoly) else MultiPoly.const(e, vc)

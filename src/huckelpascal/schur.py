@@ -38,7 +38,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import _exact_div, _lift, det, ring_kind, size_guard
+from .linalg import (
+    NUMERIC_ELIMINATION_ROWS,
+    _exact_div,
+    _lift,
+    det,
+    huckel_guard,
+    ring_kind,
+    symbolic_division_free_guard,
+)
 from .matrices import BadRange, PolyMatrix, _nz, _weight, build_huckel, build_T
 from .poly import MultiPoly
 
@@ -228,10 +236,11 @@ class CondensationTrace:
 
 def condense(n: int, params=None) -> CondensationTrace:
     """Shrink the size-(n+1)^2 triangle matrix to size n+1, one block
-    per step, keeping the determinant exactly equal throughout."""
+    per step, keeping the determinant exactly equal throughout; at most
+    144 vertices, checked before the triangle is built."""
     if n < 1:
         raise BadRange(f"condense needs n >= 1, got {n}")
-    size_guard((n + 1) ** 2, 36, "condensation trace vertex count")
+    huckel_guard(0, n, NUMERIC_ELIMINATION_ROWS, "condensation trace")
     trace = CondensationTrace()
     M = _huckel(0, n, params)
     for m in range(n, 0, -1):
@@ -245,9 +254,12 @@ def condensation_det(k: int, n: int, params=None):
     """det H_{k,n} through iterated condensation (never through a full
     Laplace/elimination pass on the big matrix).  The final size-(n+1-k)
     matrix goes to the division-free algorithm over MultiPoly entries and
-    to fraction-free elimination over numbers."""
-    default = 64 if params is None else 144
-    size_guard((n + 1) ** 2 - k * k, default, "condensation vertex count")
+    to fraction-free elimination over numbers.  Checked before anything is
+    built: at most 144 vertices, and without params the division-free caps
+    on n + 1 - k rows over 2(n + 1 - k) weights, so at most 7 rows."""
+    huckel_guard(k, n, NUMERIC_ELIMINATION_ROWS, "condensation")
+    if params is None:
+        symbolic_division_free_guard(n + 1 - k, 2 * (n + 1 - k))
     M = _huckel(k, n, params)
     stop = 0 if k == 0 else k - 1
     for m in range(n, stop, -1):

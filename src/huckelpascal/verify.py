@@ -24,12 +24,11 @@ from .linalg import (
     charpoly,
     coefficient_list,
     det,
+    huckel_guard,
     permanent,
     permutation_parity_census,
-    size_guard,
 )
 from .matrices import (
-    BadRange,
     PolyMatrix,
     TriangleGraph,
     bivariate_params,
@@ -118,82 +117,96 @@ def _sz_bound(degree: int, domain: int, points: int) -> str:
     )
 
 
-# -- conjecture 1: triangle determinant = size-(n+1) reduction -------------------
+# -- conjectures 1 and 2: triangle / trapezium determinant = its reduction ------
 
 
 def verify_conjecture1(n: int, mode: str = "symbolic", seed: int | None = 0) -> VerifyReport:
-    t0 = time.perf_counter()
-    size = (n + 1) ** 2
-    if mode == "symbolic":
-        size_guard(size, 25, "symbolic conj1 vertex count")
-        if n <= 3:
-            lhs = det(build_huckel(0, n), "sparse-minor-expansion")
-            rhs = det(build_reduced(0, n), "division-free")
-            method = "sparse minor expansion vs division-free"
-            details = {"parameters": "fully distinct"}
-        else:
-            lhs = bivariate_row(n)[0]
-            collapse = bivariate_params(0, n, xvar(0), yvar(0))
-            rhs = det(evaluate_matrix(build_reduced(0, n), collapse), "division-free")
-            method = "bivariate interpolation vs division-free"
-            details = {"parameters": "collapsed to one (x, y) pair"}
-        report = VerifyReport(
-            conjecture="conj1",
-            instance={"k": 0, "n": n},
-            mode=mode,
-            method=method,
-            lhs=str(lhs),
-            rhs=str(rhs),
-            verdict=_verdict(lhs == rhs),
-            details=details,
-        )
-    elif mode == "specialized":
-        size_guard(size, 81, "specialized conj1 vertex count")
-        rng = random.Random(seed)
-        report = _specialized_reduction("conj1", 0, n, rng, seed)
-        corr = _unit_y_corollary(rng, n)
-        report.verdict = _verdict(report.passed() and corr["pass"])
-        report.details["unit_y_corollary"] = corr
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    report.elapsed_s = time.perf_counter() - t0
-    return report
+    """Conjecture 2 at k = 0: det H_n equals the determinant of its
+    size-(n+1) reduction.  See ``verify_conjecture2``."""
+    return _verify_reduction("conj1", 0, n, mode, seed)
 
 
-def _specialized_reduction(
-    conjecture: str, k: int, n: int, rng: random.Random, seed: int | None
+def verify_conjecture2(
+    k: int, n: int, mode: str = "symbolic", seed: int | None = 0
 ) -> VerifyReport:
-    """det H_{k,n} against its reduced matrix at five points drawn from rng,
-    each side computed by two strategies."""
-    samples = []
-    ok = True
-    for _ in range(5):
-        params = _draw_params(rng, k, n, -(10**6), 10**6)
-        reduced = evaluate_matrix(build_reduced(k, n), params)
-        lhs = det(build_huckel(k, n, params))
-        lhs2 = condensation_det(k, n, params)
-        rhs = det(reduced)
-        rhs2 = det(reduced, "sparse-minor-expansion")
-        ok = ok and lhs == lhs2 == rhs == rhs2
-        samples.append({"point": params, "lhs": str(lhs), "rhs": str(rhs)})
-    return VerifyReport(
-        conjecture=conjecture,
-        instance={"k": k, "n": n},
-        mode="specialized",
-        method="direct elimination + condensation vs reduced matrix (two strategies)",
-        lhs=str([s["lhs"] for s in samples]),
-        rhs=str([s["rhs"] for s in samples]),
-        verdict=_verdict(ok),
-        seed=seed,
-        details={
+    """det H_{k,n} equals the determinant of its size-(n+1-k) reduction.
+
+    Symbolic: condensation against the signed walk on the reduced matrix,
+    and against elimination on H_{k,n} at a seeded point.  Specialized: each
+    side by two strategies at five seeded points; conj1 adds the unit-y
+    corollary.  The caps of these routes, checked before anything is built,
+    allow 144 vertices, and symbolically 7 rows."""
+    return _verify_reduction("conj2", k, n, mode, seed)
+
+
+def _verify_reduction(
+    conjecture: str, k: int, n: int, mode: str, seed: int | None
+) -> VerifyReport:
+    t0 = time.perf_counter()
+    if mode == "symbolic":
+        # condensation_det checks every cap before it builds anything
+        lhs = condensation_det(k, n)
+        rhs = det(build_reduced(k, n), "sparse-minor-expansion")
+        rng = random.Random(20260815 + 100 * k + n)
+        point = _draw_params(rng, k, n, -999, 999)
+        spot_direct = det(build_huckel(k, n, point))
+        spot_lhs = lhs.evaluate(point) if isinstance(lhs, MultiPoly) else lhs
+        spot_ok = spot_lhs == spot_direct
+        ok = lhs == rhs and spot_ok
+        lhs, rhs, seed = str(lhs), str(rhs), None
+        method = "condensation pipeline vs sparse minor expansion"
+        details = {
+            "spot_check": {
+                "point": point,
+                "condensed": str(spot_lhs),
+                "direct": str(spot_direct),
+                "pass": spot_ok,
+            }
+        }
+    elif mode == "specialized":
+        huckel_guard(k, n, NUMERIC_ELIMINATION_ROWS, f"specialized {conjecture}")
+        rng = random.Random(seed)
+        samples = []
+        ok = True
+        for _ in range(5):
+            params = _draw_params(rng, k, n, -(10**6), 10**6)
+            reduced = evaluate_matrix(build_reduced(k, n), params)
+            lhs = det(build_huckel(k, n, params))
+            lhs2 = condensation_det(k, n, params)
+            rhs = det(reduced)
+            rhs2 = det(reduced, "sparse-minor-expansion")
+            ok = ok and lhs == lhs2 == rhs == rhs2
+            samples.append({"point": params, "lhs": str(lhs), "rhs": str(rhs)})
+        lhs = str([s["lhs"] for s in samples])
+        rhs = str([s["rhs"] for s in samples])
+        method = "direct elimination + condensation vs reduced matrix (two strategies)"
+        details = {
             "samples": samples,
             "probability": _sz_bound(
                 _degree_bound(build_huckel(k, n), build_reduced(k, n)),
                 2 * 10**6 + 1,
                 5,
             ),
-        },
+        }
+        if conjecture == "conj1":
+            corr = _unit_y_corollary(rng, n)
+            ok = ok and corr["pass"]
+            details["unit_y_corollary"] = corr
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    report = VerifyReport(
+        conjecture=conjecture,
+        instance={"k": k, "n": n},
+        mode=mode,
+        method=method,
+        lhs=lhs,
+        rhs=rhs,
+        verdict=_verdict(ok),
+        seed=seed,
+        details=details,
     )
+    report.elapsed_s = time.perf_counter() - t0
+    return report
 
 
 def _unit_y_corollary(rng: random.Random, n: int) -> dict:
@@ -216,49 +229,6 @@ def _unit_y_corollary(rng: random.Random, n: int) -> dict:
     return {"pass": lhs == rhs, "x": xs, "lhs": str(lhs), "rhs": str(rhs)}
 
 
-# -- conjecture 2: trapezium determinant = size-(n+1-k) reduction ------------------
-
-
-def verify_conjecture2(
-    k: int, n: int, mode: str = "symbolic", seed: int | None = 0
-) -> VerifyReport:
-    t0 = time.perf_counter()
-    if mode == "symbolic":
-        # condensation_det carries the symbolic size cap
-        lhs = condensation_det(k, n)
-        rhs = det(build_reduced(k, n), "sparse-minor-expansion")
-        rng = random.Random(20260815 + 100 * k + n)
-        point = _draw_params(rng, k, n, -999, 999)
-        spot_direct = det(build_huckel(k, n, point))
-        spot_lhs = lhs.evaluate(point) if isinstance(lhs, MultiPoly) else lhs
-        spot_ok = spot_lhs == spot_direct
-        ok = lhs == rhs and spot_ok
-        report = VerifyReport(
-            conjecture="conj2",
-            instance={"k": k, "n": n},
-            mode=mode,
-            method="condensation pipeline vs sparse minor expansion",
-            lhs=str(lhs),
-            rhs=str(rhs),
-            verdict=_verdict(ok),
-            details={
-                "spot_check": {
-                    "point": point,
-                    "condensed": str(spot_lhs),
-                    "direct": str(spot_direct),
-                    "pass": spot_ok,
-                }
-            },
-        )
-    elif mode == "specialized":
-        size_guard((n + 1) ** 2 - k * k, 144, "specialized conj2 vertex count")
-        report = _specialized_reduction("conj2", k, n, random.Random(seed), seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    report.elapsed_s = time.perf_counter() - t0
-    return report
-
-
 # -- conjecture 3: permanent = determinant ----------------------------------------
 
 
@@ -271,14 +241,13 @@ def verify_conjecture3(
     guards of those routines bound the size: the walk's state budget (and,
     over symbolic entries, its dimension cap) and the elimination row cap."""
     t0 = time.perf_counter()
-    size = (n + 1) ** 2 - k * k
     # the cap either routine would hit, checked before the matrix is built
     if mode == "symbolic":
-        size_guard(size, NON_INTEGER_WALK_DIM, "symbolic conj3 vertex count")
+        huckel_guard(k, n, NON_INTEGER_WALK_DIM, "symbolic conj3")
     elif mode == "specialized":
-        size_guard(size, NUMERIC_ELIMINATION_ROWS, "specialized conj3 vertex count")
+        huckel_guard(k, n, NUMERIC_ELIMINATION_ROWS, "specialized conj3")
     details: dict = {}
-    if size <= 9:
+    if TriangleGraph(k, n).vertex_count <= 9:
         even, odd = permutation_parity_census(build_huckel(k, n))
         details["parity_census"] = {
             "even": even,
@@ -336,12 +305,11 @@ def verify_props(n: int) -> VerifyReport:
     symmetry (n <= 4); (c) global rescaling multiplies the determinant by
     t^(n+1), run at a symbolic t; (d) the determinant against the
     characteristic polynomial of the symmetric Pascal matrix; (e) the
-    two-vertex deletion recursion on three trapezium instances.
+    two-vertex deletion recursion on three trapezium instances.  The
+    golden row runs first, so its guard (144 vertices, n <= 11) refuses a
+    larger n before anything is built.
     """
     t0 = time.perf_counter()
-    if n < 0:
-        raise BadRange(f"props verification needs n >= 0, got {n}")
-    size_guard((n + 1) ** 2, 49, "props vertex count")
     checks: dict = {}
 
     p, row = bivariate_row(n)
@@ -403,7 +371,7 @@ def bivariate_row(n: int) -> tuple[MultiPoly, list[int]]:
     (1, t) for t = 0..d by integer elimination and recovered from the
     Vandermonde system; a sample at (2, 2) must equal 2^d times the sum of
     the coefficients."""
-    size_guard((n + 1) ** 2, NUMERIC_ELIMINATION_ROWS, "bivariate row vertex count")
+    huckel_guard(0, n, NUMERIC_ELIMINATION_ROWS, "bivariate row")
     d = n + 1
 
     def sample(xv: int, yv: int) -> int:

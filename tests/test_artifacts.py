@@ -1,0 +1,49 @@
+"""JSON artifacts stay byte-identical: each argv's --json file has a fixed
+sha256.
+
+A digest changes only when a report's content does.  Such a change is an
+artifact change: say which fields moved and why, then update the digest.
+"""
+
+import hashlib
+
+import pytest
+
+from huckelpascal.cli import main
+
+DIGESTS = {
+    ("verify", "conj1"):
+        "5aeaf4f3dc6cdc5fdd021ea0c6459bb48d2a3860ec371b19ce7ff7035f0812fb",
+    ("verify", "conj1", "--mode", "specialized"):
+        "0fff0a254fe3a7327e1e7711c79c2cd06dcf2176a260ab4ec21889754cb74c52",
+    ("verify", "conj2"):
+        "954deecb7258b057178eb33e8bb800d20cd8e113dc4697aa2c310d48ee2864ce",
+    ("verify", "conj2", "--mode", "specialized"):
+        "9a563bf8eb7e1888552551f207fc74d4ba3c18146d7fd1f9391c5555033944b6",
+    ("verify", "conj3"):
+        "91ed92f6de4f8ee7a81b4806ef9b35976b789258fa7a1a9bfdda770ffd4fac89",
+    ("verify", "conj3", "--mode", "specialized"):
+        "724a03a2f858070f9a34f849331f472ff9a759da6c65cef94d214962bb68399a",
+    ("verify", "props"):
+        "dd15ad051e98c8789713919438c5d6bb97cb24fa23d4562f9be8ee1494c72e4a",
+    ("tables",):
+        "4009bcfcd000f52d12390e3801a4df5f600e9f1da8000d617c0486c1a23cd850",
+    ("formulas", "--table"):
+        "daa391601c6c3cbf642a6353497ae3a008d46aa3bd09799cb5e90e1998401bb5",
+    ("condense", "--n", "3", "--trace"):
+        "075f5933095b67a6aa99fa2561984beb1ad8d3a7b4d8ebe14a08db2ad0dc47eb",
+    ("condense", "--k", "3", "--n", "7"):
+        "f1e0f8d026f1fdeb736ef39e1c3471c986999a22ede91a3dd05da53e76b6fdf0",
+    ("det", "--huckel", "0", "3"):
+        "111dfff9c975198b8e42ea08fb3d90ab25585d06da5563284edd8cb3785cc9a0",
+    ("det", "--reduced", "0", "5"):
+        "dd006a80fc8f7b443ee2883d5815be1b5a34710cacade656e92d4634e7b987b9",
+}
+
+
+@pytest.mark.parametrize("argv", DIGESTS, ids=" ".join)
+def test_artifact_digest(argv, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert main([*argv, "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[argv]

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import huckelpascal.cli as cli
+import huckelpascal.schur as schur
 import huckelpascal.verify as verify
 from huckelpascal.cli import main
 from huckelpascal.linalg import DET_STRATEGIES
@@ -229,6 +230,21 @@ class TestVerify:
         assert "specialized" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "conj1", "--n", "2", "--k", "2"],
+        ["verify", "props", "--n", "1", "--k", "1"],
+        ["verify", "conj1", "--k", "0"],
+    ])
+    def test_k_on_a_triangle_check_is_a_usage_error(self, capsys, argv):
+        # conj1 and props run on k = 0 only, so --k would be dropped silently
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "--k" in err
+
+
 class TestUsageErrors:
     def test_lone_x_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -304,16 +320,50 @@ class TestGuards:
         ["det", "--huckel", "500", "501", "--x", "1", "--y", "1",
          "--strategy", "sparse-minor-expansion"],
         ["tables", "--max-n", "40"],
+        ["verify", "conj1", "--n", "7"],
+        ["verify", "conj2", "--k", "0", "--n", "7"],
+        ["verify", "props", "--n", "12"],
+        ["condense", "--n", "12", "--trace"],
+        ["oracle", "audit-squares", "--n", "7"],
     ])
     def test_huckel_guard_trips_before_the_matrix_is_built(self, capsys, monkeypatch, argv):
         def build_huckel(*args):
             raise AssertionError("build_huckel ran before the guard")
 
-        monkeypatch.setattr(cli, "build_huckel", build_huckel)
-        monkeypatch.setattr(verify, "build_huckel", build_huckel)
+        for module in (cli, verify, schur):
+            monkeypatch.setattr(module, "build_huckel", build_huckel)
+        t0 = time.perf_counter()
         code, out = run(capsys, *argv)
         assert code == 2
-        assert "vertex count capped" in out.err
+        assert out.err.startswith("error:")
+        assert len(out.err.strip().splitlines()) == 1
+        assert "capped" in out.err
+        assert time.perf_counter() - t0 < 5
+
+    @pytest.mark.parametrize("argv", [
+        ["det", "--pascal", "symmetric", "300"],
+        ["det", "--pascal", "symmetric", "600"],
+        ["det", "--pascal", "lower", "50", "--strategy", "division-free"],
+        ["charpoly", "--pascal", "symmetric", "600"],
+        ["det", "--reduced", "0", "150"],
+        ["det", "--reduced", "0", "150", "--x", "1", "--y", "1"],
+        ["det", "--reduced", "3", "20", "--strategy", "sparse-minor-expansion"],
+    ])
+    def test_pascal_and_reduced_guards_trip_before_the_matrix_is_built(
+        self, capsys, monkeypatch, argv
+    ):
+        def builder(*args):
+            raise AssertionError("the matrix was built before the guard")
+
+        monkeypatch.setattr(cli, "build_pascal", builder)
+        monkeypatch.setattr(cli, "build_reduced", builder)
+        t0 = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out.err.startswith("error:")
+        assert len(out.err.strip().splitlines()) == 1
+        assert "rows capped" in out.err
+        assert time.perf_counter() - t0 < 5
 
 
 _small = st.integers(-2, 4).map(str)

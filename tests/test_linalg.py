@@ -16,11 +16,14 @@ from huckelpascal.linalg import (
     charpoly,
     coefficient_list,
     det,
+    huckel_guard,
     permanent,
     permutation_parity_census,
     rank1_factor,
+    symbolic_division_free_guard,
 )
 from huckelpascal.matrices import (
+    BadRange,
     PolyMatrix,
     bivariate_params,
     build_huckel,
@@ -242,6 +245,26 @@ class TestDivisionFree:
         with pytest.raises(TooLarge):
             build()
         assert time.perf_counter() - t0 < 0.5
+
+
+class TestRouteGuards:
+    def test_huckel_guard_counts_trapezium_vertices(self):
+        huckel_guard(0, 11, 144, "route")  # 144 vertices
+        huckel_guard(5, 12, 144, "route")  # 169 - 25
+        with pytest.raises(TooLarge, match="route vertex count capped at 144, got 169"):
+            huckel_guard(0, 12, 144, "route")
+
+    @pytest.mark.parametrize("k, n", [(3, 2), (0, -1), (-1, 4)])
+    def test_huckel_guard_refuses_a_bad_range(self, k, n):
+        with pytest.raises(BadRange):
+            huckel_guard(k, n, 144, "route")
+
+    def test_symbolic_division_free_guard(self):
+        symbolic_division_free_guard(7, 14)
+        with pytest.raises(TooLarge, match="14 distinct variables, got 15"):
+            symbolic_division_free_guard(7, 15)
+        with pytest.raises(TooLarge, match="rows capped at 16, got 17"):
+            symbolic_division_free_guard(17, 2)
 
 
 class TestInterpolationGuards:

@@ -253,8 +253,10 @@ class TestCondense:
     def test_cost_guard(self):
         with pytest.raises(BadRange):
             condense(0)
-        with pytest.raises(TooLarge):
-            condense(6)
+        # 144 vertices run; 169 are refused before the triangle is built
+        assert condense(11).final.dim == 12
+        with pytest.raises(TooLarge, match="condensation trace vertex count"):
+            condense(12)
 
     def test_specialized_matches_direct(self):
         params = bivariate_params(0, 3, 5, 7)
@@ -307,9 +309,21 @@ class TestCondensationDet:
             params[f"y{i}"] = rng.randint(1, 99)
         assert condensation_det(0, 19, params) == det(build_huckel(0, 19, params))
 
-    def test_symbolic_guard(self):
-        with pytest.raises(TooLarge):
-            condensation_det(0, 8)  # 81 vertices symbolic
+    def test_symbolic_guard(self, monkeypatch):
+        def build_huckel(*args):
+            raise AssertionError("build_huckel ran before the guard")
+
+        # both caps trip before the matrix is built
+        monkeypatch.setattr(schur, "build_huckel", build_huckel)
+        with pytest.raises(TooLarge, match="14 distinct variables"):
+            condensation_det(0, 7)  # 8 rows over 16 weights
+        with pytest.raises(TooLarge, match="condensation vertex count"):
+            condensation_det(7, 13)  # 7 rows, 147 vertices
+
+    def test_variable_cap_ignores_the_override(self, monkeypatch):
+        monkeypatch.setenv("HUCKEL_MAX_SIZE", "400")
+        with pytest.raises(TooLarge, match="14 distinct variables"):
+            condensation_det(0, 7)
 
     def test_specialized_guard_is_looser(self):
         params = bivariate_params(0, 8, 3, 4)
@@ -317,8 +331,11 @@ class TestCondensationDet:
 
     def test_env_override(self, monkeypatch):
         with pytest.raises(TooLarge):
-            condensation_det(5, 9)  # 75 vertices symbolic
-        monkeypatch.setenv("HUCKEL_MAX_SIZE", "75")
+            condensation_det(72, 72)  # 145 vertices, one row
+        monkeypatch.setenv("HUCKEL_MAX_SIZE", "145")
+        assert condensation_det(72, 72) == svar(72)
+
+    def test_five_rows_at_75_vertices(self):
         val = condensation_det(5, 9)
         point = {}
         for i in range(5, 10):

@@ -29,12 +29,25 @@ BIVARIATE_ROWS = {
 
 
 class TestConjecture1:
-    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
     def test_symbolic_distinct_parameters(self, n):
         r = verify_conjecture1(n, "symbolic")
         assert r.passed()
-        assert r.details["parameters"] == "fully distinct"
+        assert r.method == "condensation pipeline vs sparse minor expansion"
+        assert r.details["spot_check"]["pass"]
         assert r.lhs == r.rhs
+        # every weight pair stays its own pair of variables
+        from huckelpascal.poly import poly_from_text
+
+        names = poly_from_text(r.lhs).used_variables()
+        assert names == {f"{c}{i}" for c in "xy" for i in range(n + 1)}
+
+    def test_is_conj2_at_k_zero(self):
+        one = verify_conjecture1(3).to_json()
+        two = verify_conjecture2(0, 3).to_json()
+        assert one.pop("conjecture") == "conj1"
+        assert two.pop("conjecture") == "conj2"
+        assert one == two
 
     def test_symbolic_n2_collapses_to_known_bivariate_form(self):
         r = verify_conjecture1(2, "symbolic")
@@ -46,16 +59,6 @@ class TestConjecture1:
             {f"x{i}": x for i in range(3)} | {f"y{i}": y for i in range(3)}
         )
         assert collapsed == want
-
-    def test_symbolic_n4_is_bivariate_with_golden_row(self):
-        r = verify_conjecture1(4, "symbolic")
-        assert r.passed()
-        assert "collapsed" in r.details["parameters"]
-        from huckelpascal.poly import poly_from_text
-
-        p = poly_from_text(r.lhs)
-        row = [p.coefficient({"x0": 5 - j, "y0": j}) for j in range(6)]
-        assert row == BIVARIATE_ROWS[4]
 
     def test_specialized_runs_five_points_and_corollary(self):
         r = verify_conjecture1(3, "specialized", seed=42)
@@ -79,12 +82,13 @@ class TestConjecture1:
         assert a.details["samples"] != b.details["samples"]
 
     def test_symbolic_guard(self):
-        with pytest.raises(TooLarge):
-            verify_conjecture1(5, "symbolic")
+        # 8 rows over 16 weights: condensation's division-free last step
+        with pytest.raises(TooLarge, match="14 distinct variables"):
+            verify_conjecture1(7, "symbolic")
 
     def test_specialized_guard(self):
-        with pytest.raises(TooLarge):
-            verify_conjecture1(9, "specialized")
+        with pytest.raises(TooLarge, match="specialized conj1 vertex count"):
+            verify_conjecture1(12, "specialized")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -92,7 +96,7 @@ class TestConjecture1:
 
     @pytest.mark.slow
     def test_specialized_full_range(self):
-        r = verify_conjecture1(8, "specialized", seed=0)
+        r = verify_conjecture1(11, "specialized", seed=0)
         assert r.passed()
 
 
@@ -136,9 +140,16 @@ class TestConjecture2:
         assert r.passed()
         assert len(r.details["samples"]) == 5
 
+    def test_symbolic_at_80_vertices(self):
+        r = verify_conjecture2(8, 11, "symbolic")
+        assert r.passed()
+        assert r.details["spot_check"]["pass"]
+
     def test_symbolic_guard(self):
-        with pytest.raises(TooLarge):
-            verify_conjecture2(0, 9, "symbolic")
+        with pytest.raises(TooLarge, match="14 distinct variables"):
+            verify_conjecture2(0, 7, "symbolic")  # 8 rows over 16 weights
+        with pytest.raises(TooLarge, match="condensation vertex count"):
+            verify_conjecture2(7, 13, "symbolic")  # 7 rows, 147 vertices
 
     def test_specialized_guard(self):
         with pytest.raises(TooLarge):
@@ -247,12 +258,10 @@ class TestIndependentSides:
 
     CONDENSATION = ["condensation", "condensation.det/division-free"]
     WALK = "det/sparse-minor-expansion"
-    # the golden row's samples: (1, t) for t = 0..5, then (2, 2)
-    SAMPLES = ["det/fraction-free-elimination"] * 7
 
     @pytest.mark.parametrize("check, lhs, rhs, spot", [
-        (lambda: verify_conjecture1(2), [WALK], ["det/division-free"], []),
-        (lambda: verify_conjecture1(4), SAMPLES, ["det/division-free"], []),
+        (lambda: verify_conjecture1(2), CONDENSATION, [WALK], ["det/default"]),
+        (lambda: verify_conjecture1(4), CONDENSATION, [WALK], ["det/default"]),
         (lambda: verify_conjecture2(6, 7), CONDENSATION, [WALK], ["det/default"]),
         (lambda: verify_conjecture3(2, 3), ["permanent"], CONDENSATION, []),
         (lambda: verify._deletion_recursion(1, 3), CONDENSATION, [WALK, WALK], []),
@@ -310,8 +319,10 @@ class TestProps:
         assert "t_scaling" not in r.details
 
     def test_guard(self):
-        with pytest.raises(TooLarge):
-            verify_props(7)
+        # the golden row's 144-vertex guard sets the limit
+        assert verify_props(11).passed()
+        with pytest.raises(TooLarge, match="bivariate row vertex count"):
+            verify_props(12)
 
 
 class TestReportShape:
