@@ -26,7 +26,7 @@ values where applicable):
 
 Fraction-free elimination refuses MultiPoly entries (StrategyPrecondition),
 and more than 144 rows over integer, cyclotomic and rational entries.  The
-division-free algorithm refuses more than 16 rows or more than 14 distinct
+division-free algorithm refuses more than 16 rows or more than 16 distinct
 variables over MultiPoly entries, and more than 49 rows over every other
 ring.  HUCKEL_MAX_SIZE raises the row caps, not the variable cap.  Callers
 check the caps of the routes they feed before building anything:
@@ -194,14 +194,14 @@ SYMBOLIC_DIVISION_FREE_ROWS = 16
 NUMERIC_DIVISION_FREE_ROWS = 49
 NON_INTEGER_WALK_DIM = 16
 
-# distinct variables a symbolic division-free determinant may carry: 14 at
-# 7 rows takes about 1.5 s, 16 at 8 rows about 15 s
-_DIVISION_FREE_VARIABLE_LIMIT = 14
+# distinct variables a symbolic division-free determinant may carry: 16 at
+# 8 rows takes about 2 s, 18 at 9 rows about 30 s
+_DIVISION_FREE_VARIABLE_LIMIT = 16
 
 
 def symbolic_division_free_guard(rows: int, variables: int) -> None:
     """Refuse a symbolic division-free determinant over more than 16 rows
-    (HUCKEL_MAX_SIZE raises that cap) or 14 distinct variables (fixed)."""
+    (HUCKEL_MAX_SIZE raises that cap) or 16 distinct variables (fixed)."""
     size_guard(rows, SYMBOLIC_DIVISION_FREE_ROWS, "symbolic division-free rows")
     if variables > _DIVISION_FREE_VARIABLE_LIMIT:
         raise TooLarge(

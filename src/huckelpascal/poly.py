@@ -2,19 +2,34 @@
 
 A polynomial lives in Z[x_0..x_{v-1}, y_0..y_{v-1}, z] where ``v`` is the
 ``varcount`` (number of boundary-parameter pairs).  The trailing variable ``z``
-is reserved for characteristic polynomials and scaling checks.  Terms are kept
-in a dict mapping exponent tuples to nonzero integer coefficients; the
-exponent tuple has length ``2*v + 1`` and is laid out as
+is reserved for characteristic polynomials and scaling checks.
 
-    (e(x_0), ..., e(x_{v-1}), e(y_0), ..., e(y_{v-1}), e(z))
+Terms are kept in a dict mapping packed monomials to nonzero integer
+coefficients.  A packed monomial is one int of 2*v + 2 fields, each
+``FIELD_BITS`` wide; from the most significant field down they hold
 
-The canonical term order is graded lexicographic with variable precedence
+    total degree, e(x_{v-1}), ..., e(x_0), e(y_{v-1}), ..., e(y_0), e(z)
+
+so the product of two monomials is the sum of their ints, and int order is
+the canonical graded lexicographic order with variable precedence
 
     x_{v-1} > ... > x_0 > y_{v-1} > ... > y_0 > z
 
-which is what printing and leading-term division use.  Polynomials
-of different varcounts combine freely: the smaller operand is promoted, so
-``x_1 * y_0`` works without ceremony.
+which is what printing and leading-term division use.  The top bit of every
+field stays clear: a total degree, and so every exponent, is at most
+``MAX_DEGREE`` = 2^(FIELD_BITS - 1) - 1.  Since no exponent exceeds the
+total degree, one check per product (the two degrees add up to at most
+``MAX_DEGREE``) keeps every field from overflowing; it runs before any term
+is formed and raises OverflowError.  The clear top bits also let exact
+division test whether one monomial divides another by one subtraction.
+
+The public surface speaks exponent tuples of length ``2*v + 1``,
+
+    (e(x_0), ..., e(x_{v-1}), e(y_0), ..., e(y_{v-1}), e(z))
+
+in the constructor, ``sorted_terms``, ``leading``, the JSON terms and the
+text form.  Polynomials of different varcounts combine freely: the smaller
+operand is promoted, so ``x_1 * y_0`` works without ceremony.
 
 Text format example: ``x0^3 + 9*x0^2*y0^1 + 9*x0^1*y0^2 + y0^3``.
 JSON term format: ``[{"exp": [3,0,0], "coef": "1"}, ...]`` with coefficients
@@ -24,7 +39,13 @@ as decimal strings so consumers never overflow 64-bit integers.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, Mapping
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Iterable, Mapping
+
+FIELD_BITS = 16
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
 
 
 class NotDivisible(ArithmeticError):
@@ -43,21 +64,25 @@ class MultiPoly:
     """Immutable sparse polynomial over Z.
 
     Construct via :func:`xvar`, :func:`yvar`, :func:`zvar`,
-    :meth:`MultiPoly.const` or arithmetic on those.
+    :meth:`MultiPoly.const` or arithmetic on those.  The constructor takes
+    exponent tuples and checks each one against ``varcount``.
     """
 
     __slots__ = ("terms", "varcount", "_hash")
 
     def __init__(self, terms: Mapping[tuple, int], varcount: int):
-        clean = {exp: c for exp, c in terms.items() if c != 0}
-        for exp in clean:
-            if len(exp) != _exp_len(varcount):
-                raise ValueError(
-                    f"exponent tuple {exp} does not fit varcount {varcount}"
-                )
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "varcount", varcount)
-        object.__setattr__(self, "_hash", None)
+        _set_terms(self, {_pack(exp, varcount): c for exp, c in terms.items() if c != 0})
+        _set_varcount(self, varcount)
+        _set_hash(self, None)
+
+    @staticmethod
+    def _of(terms: dict, varcount: int) -> "MultiPoly":
+        """Wrap a dict of packed monomials to nonzero coefficients, unchecked."""
+        p = _new(MultiPoly)
+        _set_terms(p, terms)
+        _set_varcount(p, varcount)
+        _set_hash(p, None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -66,13 +91,11 @@ class MultiPoly:
 
     @staticmethod
     def zero(varcount: int = 0) -> "MultiPoly":
-        return MultiPoly({}, varcount)
+        return MultiPoly._of({}, varcount)
 
     @staticmethod
     def const(c: int, varcount: int = 0) -> "MultiPoly":
-        if c == 0:
-            return MultiPoly.zero(varcount)
-        return MultiPoly({(0,) * _exp_len(varcount): int(c)}, varcount)
+        return MultiPoly._of({0: int(c)} if c else {}, varcount)
 
     # -- promotion ---------------------------------------------------------
 
@@ -81,48 +104,64 @@ class MultiPoly:
         v0 = self.varcount
         if varcount <= v0:
             return self
-        pad = varcount - v0
-        out = {}
-        for exp, c in self.terms.items():
-            xs = exp[:v0] + (0,) * pad
-            ys = exp[v0 : 2 * v0] + (0,) * pad
-            out[xs + ys + (exp[-1],)] = c
-        return MultiPoly(out, varcount)
+        # the y block and z keep their place; the x block and the degree
+        # move up by the width of the new fields
+        grow = FIELD_BITS * (varcount - v0)
+        low_bits = FIELD_BITS * (v0 + 1)
+        low = (1 << low_bits) - 1
+        block = FIELD_BITS * v0
+        xmask = (1 << block) - 1
+        return MultiPoly._of(
+            {
+                ((((k >> (low_bits + block)) << (block + grow))
+                  | ((k >> low_bits) & xmask)) << (low_bits + grow))
+                | (k & low): c
+                for k, c in self.terms.items()
+            },
+            varcount,
+        )
 
-    @staticmethod
-    def _pair(a, b) -> tuple["MultiPoly", "MultiPoly"]:
-        if isinstance(a, int):
-            a = MultiPoly.const(a)
-        if isinstance(b, int):
-            b = MultiPoly.const(b)
-        v = max(a.varcount, b.varcount)
-        return a.promoted(v), b.promoted(v)
+    def _pair(self, other) -> tuple["MultiPoly", "MultiPoly"]:
+        """Both operands at one varcount; an int becomes a constant there."""
+        if isinstance(other, int):
+            return self, MultiPoly.const(other, self.varcount)
+        if self.varcount == other.varcount:
+            return self, other
+        v = max(self.varcount, other.varcount)
+        return self.promoted(v), other.promoted(v)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, (MultiPoly, int)):
             return NotImplemented
-        a, b = MultiPoly._pair(self, other)
+        a, b = self._pair(other)
         out = dict(a.terms)
-        for exp, c in b.terms.items():
-            s = out.get(exp, 0) + c
+        for k, c in b.terms.items():
+            s = out.get(k, 0) + c
             if s:
-                out[exp] = s
+                out[k] = s
             else:
-                out.pop(exp, None)
-        return MultiPoly(out, a.varcount)
+                del out[k]
+        return MultiPoly._of(out, a.varcount)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({e: -c for e, c in self.terms.items()}, self.varcount)
+        return MultiPoly._of({k: -c for k, c in self.terms.items()}, self.varcount)
 
     def __sub__(self, other):
         if not isinstance(other, (MultiPoly, int)):
             return NotImplemented
-        a, b = MultiPoly._pair(self, other)
-        return a + (-b)
+        a, b = self._pair(other)
+        out = dict(a.terms)
+        for k, c in b.terms.items():
+            s = out.get(k, 0) - c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        return MultiPoly._of(out, a.varcount)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -130,19 +169,33 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, (MultiPoly, int)):
             return NotImplemented
-        a, b = MultiPoly._pair(self, other)
-        if len(a.terms) > len(b.terms):
-            a, b = b, a
+        a, b = self._pair(other)
+        at, bt = a.terms, b.terms
+        if not at or not bt:
+            return MultiPoly._of({}, a.varcount)
+        if len(at) > len(bt):
+            at, bt = bt, at
+        shift = FIELD_BITS * _exp_len(a.varcount)
+        degree = (max(at) >> shift) + (max(bt) >> shift)
+        if degree > MAX_DEGREE:
+            raise OverflowError(
+                f"product of total degree {degree} exceeds the packed "
+                f"monomial limit {MAX_DEGREE}"
+            )
+        if len(at) == 1:
+            [(ea, ca)] = at.items()
+            return MultiPoly._of({ea + eb: ca * cb for eb, cb in bt.items()}, a.varcount)
         out: dict = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                exp = tuple(i + j for i, j in zip(ea, eb))
-                s = out.get(exp, 0) + ca * cb
+        get = out.get
+        for ea, ca in at.items():
+            for eb, cb in bt.items():
+                k = ea + eb
+                s = get(k, 0) + ca * cb
                 if s:
-                    out[exp] = s
+                    out[k] = s
                 else:
-                    del out[exp]
-        return MultiPoly(out, a.varcount)
+                    del out[k]
+        return MultiPoly._of(out, a.varcount)
 
     __rmul__ = __mul__
 
@@ -160,10 +213,12 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = MultiPoly.const(other)
+            if not other:
+                return not self.terms
+            return len(self.terms) == 1 and self.terms.get(0) == other
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        a, b = MultiPoly._pair(self, other)
+        a, b = self._pair(other)
         return a.terms == b.terms
 
     def __bool__(self):
@@ -172,39 +227,35 @@ class MultiPoly:
     def __hash__(self):
         # Equal polynomials hash equal whatever their varcount: a constant
         # hashes as the integer it equals, and every other monomial is keyed
-        # by its x, y and z exponents with trailing zero exponents dropped.
-        h = object.__getattribute__(self, "_hash")
+        # by its x block, y block and z exponent, which promotion leaves as
+        # they are (it only adds zero fields above each block).
+        h = self._hash
         if h is None:
-            if not any(map(any, self.terms)):
+            if not any(self.terms):
                 h = hash(sum(self.terms.values()))
             else:
                 v = self.varcount
+                block = (1 << (FIELD_BITS * v)) - 1
+                xs = FIELD_BITS * (v + 1)
                 h = hash(frozenset(
-                    (_trimmed(exp[:v]), _trimmed(exp[v : 2 * v]), exp[-1], c)
-                    for exp, c in self.terms.items()
+                    ((k >> xs) & block, (k >> FIELD_BITS) & block, k & _FIELD, c)
+                    for k, c in self.terms.items()
                 ))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     # -- term order --------------------------------------------------------
 
-    def _order_key(self, exp: tuple) -> tuple:
-        """Graded-lex key; larger key means earlier (leading) term."""
-        v = self.varcount
-        xs = exp[:v]
-        ys = exp[v : 2 * v]
-        arranged = tuple(reversed(xs)) + tuple(reversed(ys)) + (exp[-1],)
-        return (sum(exp), arranged)
-
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         """Terms in canonical (descending graded-lex) order."""
-        return sorted(self.terms.items(), key=lambda t: self._order_key(t[0]), reverse=True)
+        v = self.varcount
+        return [(_unpack(k, v), c) for k, c in sorted(self.terms.items(), reverse=True)]
 
     def leading(self) -> tuple[tuple, int]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=self._order_key)
-        return exp, self.terms[exp]
+        k = max(self.terms)
+        return _unpack(k, self.varcount), self.terms[k]
 
     # -- queries -----------------------------------------------------------
 
@@ -212,12 +263,13 @@ class MultiPoly:
         """Total degree; the zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> (FIELD_BITS * _exp_len(self.varcount))
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         if not self.terms:
             return True
-        degs = {sum(e) for e in self.terms}
+        shift = FIELD_BITS * _exp_len(self.varcount)
+        degs = {k >> shift for k in self.terms}
         if len(degs) != 1:
             return False
         return degree is None or degs == {degree}
@@ -225,10 +277,15 @@ class MultiPoly:
     def swap_xy(self) -> "MultiPoly":
         """Apply the involution x_i <-> y_i for every pair simultaneously."""
         v = self.varcount
+        block = FIELD_BITS * v
+        mask = (1 << block) - 1
+        xs = FIELD_BITS * (v + 1)
         out = {}
-        for exp, c in self.terms.items():
-            out[exp[v : 2 * v] + exp[:v] + (exp[-1],)] = c
-        return MultiPoly(out, v)
+        for k, c in self.terms.items():
+            xy = (((k >> (xs + block)) << block | ((k >> FIELD_BITS) & mask)) << block
+                  | ((k >> xs) & mask))
+            out[(xy << FIELD_BITS) | (k & _FIELD)] = c
+        return MultiPoly._of(out, v)
 
     def is_palindromic(self) -> bool:
         return self.terms == self.swap_xy().terms
@@ -244,44 +301,49 @@ class MultiPoly:
             m = _VAR_RE.match(name)
             if m and name != "z":
                 need = max(need, int(m.group(2)) + 1)
-        p = self.promoted(need)
         exp = [0] * _exp_len(need)
         for name, e in assignment.items():
             exp[_var_slot(name, need)] = e
-        return p.terms.get(tuple(exp), 0)
+        return self.promoted(need).terms.get(_pack(exp, need), 0)
 
     def used_variables(self) -> set[str]:
         v = self.varcount
-        names = set()
-        for exp in self.terms:
-            for slot, e in enumerate(exp):
-                if e:
-                    names.add(_slot_name(slot, v))
-        return names
+        # a field of the OR of all keys is nonzero iff some term uses it
+        exp = _unpack(reduce(or_, self.terms, 0), v)
+        return {_slot_name(slot, v) for slot, e in enumerate(exp) if e}
 
     # -- exact division ----------------------------------------------------
 
     def exact_div(self, den: "MultiPoly | int") -> "MultiPoly":
         """Exact quotient self/den; raises NotDivisible on any remainder."""
-        if isinstance(den, int):
-            den = MultiPoly.const(den)
-        num, den = MultiPoly._pair(self, den)
+        num, den = self._pair(den)
         if not den.terms:
             raise ZeroDivisionError("division by zero polynomial")
-        if not num.terms:
-            return MultiPoly.zero(num.varcount)
-        dexp, dcoef = den.leading()
-        quot: dict = {}
-        rem = num
-        while rem.terms:
-            rexp, rcoef = rem.leading()
-            mono = tuple(r - d for r, d in zip(rexp, dexp))
-            if any(e < 0 for e in mono) or rcoef % dcoef != 0:
+        v = num.varcount
+        dterms = den.terms
+        dexp = max(dterms)
+        dcoef = dterms[dexp]
+        # (r | guard) - d keeps the top bit of a field iff r's field is at
+        # least d's there, since every field of r and d is below the top bit
+        guard = _guard_bits(v)
+        rem = dict(num.terms)
+        quot = {}
+        while rem:
+            rexp = max(rem)
+            rcoef = rem[rexp]
+            if ((rexp | guard) - dexp) & guard != guard or rcoef % dcoef:
                 raise NotDivisible(f"{num} is not divisible by {den}")
+            mono = rexp - dexp
             c = rcoef // dcoef
-            quot[mono] = quot.get(mono, 0) + c
-            rem = rem - MultiPoly({mono: c}, num.varcount) * den
-        return MultiPoly({e: c for e, c in quot.items() if c}, num.varcount)
+            quot[mono] = c
+            for e, dc in dterms.items():
+                k = mono + e
+                s = rem.get(k, 0) - c * dc
+                if s:
+                    rem[k] = s
+                else:
+                    del rem[k]
+        return MultiPoly._of(quot, v)
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -289,18 +351,31 @@ class MultiPoly:
         """Evaluate with values from any commutative ring (int, Fraction,
         CycInt, GaussInt, complex).  Every variable appearing with a nonzero
         exponent must be assigned, otherwise UnboundVariable is raised.
+        Terms are summed in canonical order, and each term multiplies its
+        factors in the order x_0..x_{v-1}, y_0..y_{v-1}, z.
         """
         v = self.varcount
+        names = _slot_names(v)
+        block = FIELD_BITS * v
+        mask = (1 << block) - 1
+        xs = FIELD_BITS * (v + 1)
         total = 0
-        for exp, coef in self.sorted_terms():
+        for key, coef in sorted(self.terms.items(), reverse=True):
             acc = coef
-            for slot, e in enumerate(exp):
-                if e == 0:
-                    continue
-                name = _slot_name(slot, v)
-                if name not in assignment:
-                    raise UnboundVariable(name)
-                acc = acc * (assignment[name] ** e)
+            # rearranged so that field i from the bottom holds slot i
+            fields = ((((key & _FIELD) << block) | ((key >> FIELD_BITS) & mask)) << block
+                      | ((key >> xs) & mask))
+            while fields:
+                # the lowest nonzero field, found by the lowest set bit
+                slot = ((fields & -fields).bit_length() - 1) // FIELD_BITS
+                shift = slot * FIELD_BITS
+                e = (fields >> shift) & _FIELD
+                try:
+                    value = assignment[names[slot]]
+                except KeyError:
+                    raise UnboundVariable(names[slot]) from None
+                acc = acc * value**e
+                fields ^= e << shift
             total = total + acc
         return total
 
@@ -312,9 +387,9 @@ class MultiPoly:
             + [p.varcount for p in mapping.values() if isinstance(p, MultiPoly)]
         )
         out = MultiPoly.zero(vc)
-        for exp, coef in self.terms.items():
+        for key, coef in self.terms.items():
             term = MultiPoly.const(coef, vc)
-            for slot, e in enumerate(exp):
+            for slot, e in enumerate(_unpack(key, v)):
                 if e == 0:
                     continue
                 name = _slot_name(slot, v)
@@ -382,16 +457,58 @@ class MultiPoly:
         return MultiPoly(terms, varcount)
 
 
+_new = object.__new__
+_set_terms = MultiPoly.terms.__set__
+_set_varcount = MultiPoly.varcount.__set__
+_set_hash = MultiPoly._hash.__set__
+
+
+# -- packed monomials ---------------------------------------------------------
+
+
+def _pack(exp: tuple, varcount: int) -> int:
+    """The packed monomial of an exponent tuple, checked against the layout."""
+    if len(exp) != _exp_len(varcount):
+        raise ValueError(f"exponent tuple {exp} does not fit varcount {varcount}")
+    degree = sum(exp)
+    if min(exp) < 0 or degree > MAX_DEGREE:
+        raise ValueError(
+            f"exponent tuple {exp} needs exponents >= 0 and total degree "
+            f"<= {MAX_DEGREE}"
+        )
+    key = degree
+    for i in range(varcount - 1, -1, -1):
+        key = (key << FIELD_BITS) | exp[i]
+    for i in range(varcount - 1, -1, -1):
+        key = (key << FIELD_BITS) | exp[varcount + i]
+    return (key << FIELD_BITS) | exp[-1]
+
+
+def _unpack(key: int, varcount: int) -> tuple:
+    """The exponent tuple of a packed monomial."""
+    fields = []
+    for _ in range(_exp_len(varcount)):
+        fields.append(key & _FIELD)
+        key >>= FIELD_BITS
+    # fields run z, y_0..y_{v-1}, x_0..x_{v-1}
+    return (*fields[varcount + 1 :], *fields[1 : varcount + 1], fields[0])
+
+
+@lru_cache(maxsize=None)
+def _guard_bits(varcount: int) -> int:
+    """The top bit of every field, the degree's included."""
+    top = 1 << (FIELD_BITS - 1)
+    return sum(top << (FIELD_BITS * i) for i in range(_exp_len(varcount) + 1))
+
+
+@lru_cache(maxsize=None)
+def _slot_names(varcount: int) -> tuple[str, ...]:
+    return tuple(_slot_name(slot, varcount) for slot in range(_exp_len(varcount)))
+
+
 # -- variable helpers -------------------------------------------------------
 
 _VAR_RE = re.compile(r"^(x|y)(\d+)$|^z$")
-
-
-def _trimmed(exps: tuple) -> tuple:
-    end = len(exps)
-    while end and not exps[end - 1]:
-        end -= 1
-    return exps[:end]
 
 
 def _var_slot(name: str, varcount: int) -> int:
@@ -505,14 +622,15 @@ def poly_properties(p: MultiPoly, degree: int) -> dict:
     the pair x^degree, y^degree.
     """
     v = p.varcount
+    terms = p.sorted_terms()
     pure_x = [
         (exp, c)
-        for exp, c in p.terms.items()
+        for exp, c in terms
         if all(e == 0 for e in exp[v : 2 * v]) and exp[-1] == 0
     ]
     pure_y = [
         (exp, c)
-        for exp, c in p.terms.items()
+        for exp, c in terms
         if all(e == 0 for e in exp[:v]) and exp[-1] == 0
     ]
     monic = (

@@ -256,7 +256,7 @@ def condensation_det(k: int, n: int, params=None):
     matrix goes to the division-free algorithm over MultiPoly entries and
     to fraction-free elimination over numbers.  Checked before anything is
     built: at most 144 vertices, and without params the division-free caps
-    on n + 1 - k rows over 2(n + 1 - k) weights, so at most 7 rows."""
+    on n + 1 - k rows over 2(n + 1 - k) weights, so at most 8 rows."""
     huckel_guard(k, n, NUMERIC_ELIMINATION_ROWS, "condensation")
     if params is None:
         symbolic_division_free_guard(n + 1 - k, 2 * (n + 1 - k))

@@ -135,7 +135,7 @@ def verify_conjecture2(
     and against elimination on H_{k,n} at a seeded point.  Specialized: each
     side by two strategies at five seeded points; conj1 adds the unit-y
     corollary.  The caps of these routes, checked before anything is built,
-    allow 144 vertices, and symbolically 7 rows."""
+    allow 144 vertices, and symbolically 8 rows."""
     return _verify_reduction("conj2", k, n, mode, seed)
 
 
@@ -165,12 +165,15 @@ def _verify_reduction(
         }
     elif mode == "specialized":
         huckel_guard(k, n, NUMERIC_ELIMINATION_ROWS, f"specialized {conjecture}")
+        # the symbolic matrices, built once: the reduced one is evaluated at
+        # every point, and both bound the degree
+        huckel_template, reduced_template = build_huckel(k, n), build_reduced(k, n)
         rng = random.Random(seed)
         samples = []
         ok = True
         for _ in range(5):
             params = _draw_params(rng, k, n, -(10**6), 10**6)
-            reduced = evaluate_matrix(build_reduced(k, n), params)
+            reduced = evaluate_matrix(reduced_template, params)
             lhs = det(build_huckel(k, n, params))
             lhs2 = condensation_det(k, n, params)
             rhs = det(reduced)
@@ -183,9 +186,7 @@ def _verify_reduction(
         details = {
             "samples": samples,
             "probability": _sz_bound(
-                _degree_bound(build_huckel(k, n), build_reduced(k, n)),
-                2 * 10**6 + 1,
-                5,
+                _degree_bound(huckel_template, reduced_template), 2 * 10**6 + 1, 5
             ),
         }
         if conjecture == "conj1":

@@ -291,7 +291,7 @@ class TestUsageErrors:
 class TestGuards:
     @pytest.mark.parametrize("argv", [
         ["det", "--huckel", "0", "9"],
-        ["det", "--reduced", "0", "7"],
+        ["det", "--reduced", "0", "8"],
         ["charpoly", "--pascal", "symmetric", "60"],
         ["det", "--huckel", "0", "7", "--strategy", "sparse-minor-expansion"],
         ["verify", "conj3", "--mode", "specialized", "--n", "9"],
@@ -320,11 +320,11 @@ class TestGuards:
         ["det", "--huckel", "500", "501", "--x", "1", "--y", "1",
          "--strategy", "sparse-minor-expansion"],
         ["tables", "--max-n", "40"],
-        ["verify", "conj1", "--n", "7"],
-        ["verify", "conj2", "--k", "0", "--n", "7"],
+        ["verify", "conj1", "--n", "8"],
+        ["verify", "conj2", "--k", "0", "--n", "8"],
         ["verify", "props", "--n", "12"],
         ["condense", "--n", "12", "--trace"],
-        ["oracle", "audit-squares", "--n", "7"],
+        ["oracle", "audit-squares", "--n", "8"],
     ])
     def test_huckel_guard_trips_before_the_matrix_is_built(self, capsys, monkeypatch, argv):
         def build_huckel(*args):

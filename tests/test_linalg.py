@@ -236,7 +236,7 @@ class TestDivisionFree:
         assert charpoly(q) == det(shifted, "sparse-minor-expansion")
 
     @pytest.mark.parametrize("build", [
-        lambda: det(build_reduced(0, 7), "division-free"),  # 16 variables
+        lambda: det(build_reduced(0, 8), "division-free"),  # 18 variables
         lambda: det(build_huckel(0, 4), "division-free"),  # 25 symbolic rows
         lambda: charpoly(build_pascal("symmetric", 60)),  # 61 integer rows
     ])
@@ -260,9 +260,9 @@ class TestRouteGuards:
             huckel_guard(k, n, 144, "route")
 
     def test_symbolic_division_free_guard(self):
-        symbolic_division_free_guard(7, 14)
-        with pytest.raises(TooLarge, match="14 distinct variables, got 15"):
-            symbolic_division_free_guard(7, 15)
+        symbolic_division_free_guard(8, 16)
+        with pytest.raises(TooLarge, match="16 distinct variables, got 17"):
+            symbolic_division_free_guard(8, 17)
         with pytest.raises(TooLarge, match="rows capped at 16, got 17"):
             symbolic_division_free_guard(17, 2)
 

@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from huckelpascal.poly import (
+    MAX_DEGREE,
     MultiPoly,
     NotDivisible,
     UnboundVariable,
@@ -243,3 +246,162 @@ def test_hash_consistency():
 def test_equal_polynomials_hash_equal_across_varcounts():
     assert len({xvar(0), xvar(0).promoted(3)}) == 1
     assert len({MultiPoly.const(5), 5}) == 1
+
+
+# -- packed monomials against a tuple-keyed reference ----------------------------
+#
+# The reference keeps each polynomial as (dict of exponent tuple -> nonzero
+# coefficient, varcount), with the tuple layout of the public surface.
+
+
+def tuple_polys(max_varcount=3, max_terms=5, max_exp=3, max_coef=50):
+    def at(v):
+        exps = st.tuples(*[st.integers(0, max_exp)] * (2 * v + 1))
+        return st.dictionaries(
+            exps, st.integers(-max_coef, max_coef), max_size=max_terms
+        ).map(lambda t: ({e: c for e, c in t.items() if c}, v))
+
+    return st.integers(0, max_varcount).flatmap(at)
+
+
+def _ref_promote(ref, v):
+    terms, v0 = ref
+    pad = (0,) * (v - v0)
+    return {e[:v0] + pad + e[v0 : 2 * v0] + pad + e[-1:]: c for e, c in terms.items()}, v
+
+
+def _ref_combine(a, b, op):
+    v = max(a[1], b[1])
+    (at, _), (bt, _) = _ref_promote(a, v), _ref_promote(b, v)
+    out = {}
+    if op == "*":
+        for ea, ca in at.items():
+            for eb, cb in bt.items():
+                e = tuple(i + j for i, j in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+    else:
+        sign = 1 if op == "+" else -1
+        out = dict(at)
+        for e, c in bt.items():
+            out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}, v
+
+
+def _ref_sorted(ref):
+    terms, v = ref
+
+    def key(e):
+        return sum(e), e[v - 1 :: -1] if v else (), e[2 * v - 1 : v - 1 : -1] if v else (), e[-1]
+
+    return sorted(terms.items(), key=lambda t: key(t[0]), reverse=True)
+
+
+def _ref_text(ref):
+    v = ref[1]
+    parts = []
+    for e, c in _ref_sorted(ref):
+        factors = [f"x{i}^{e[i]}" for i in reversed(range(v)) if e[i]]
+        factors += [f"y{i}^{e[v + i]}" for i in reversed(range(v)) if e[v + i]]
+        factors += [f"z^{e[-1]}"] if e[-1] else []
+        mono = "*".join(factors)
+        body = mono if mono and abs(c) == 1 else "*".join(filter(None, [str(abs(c)), mono]))
+        if parts:
+            parts.append(f"{'-' if c < 0 else '+'} {body}")
+        else:
+            parts.append(f"-{body}" if c < 0 else body)
+    return " ".join(parts) or "0"
+
+
+def _ref_exact_div(num, den):
+    v = max(num[1], den[1])
+    num, den = _ref_promote(num, v), _ref_promote(den, v)
+    if not den[0]:
+        raise ZeroDivisionError
+    dexp, dcoef = _ref_sorted(den)[0]
+    rem, quot = num, {}
+    while rem[0]:
+        rexp, rcoef = _ref_sorted(rem)[0]
+        mono = tuple(r - d for r, d in zip(rexp, dexp))
+        if min(mono) < 0 or rcoef % dcoef:
+            raise NotDivisible
+        quot[mono] = rcoef // dcoef
+        rem = _ref_combine(rem, _ref_combine(({mono: quot[mono]}, v), den, "*"), "-")
+    return quot, v
+
+
+@given(tuple_polys(), tuple_polys(), st.integers(-9, 9))
+@settings(max_examples=100, deadline=None)
+def test_packed_arithmetic_matches_the_tuple_reference(a, b, c):
+    p, q = MultiPoly(*a), MultiPoly(*b)
+    for op, got in (("*", p * q), ("+", p + q), ("-", p - q)):
+        want = _ref_combine(a, b, op)
+        assert got.varcount == want[1]
+        assert got.sorted_terms() == _ref_sorted(want)
+    const = ({(0,) * (2 * a[1] + 1): c} if c else {}, a[1])
+    assert (p * c).sorted_terms() == _ref_sorted(_ref_combine(a, const, "*"))
+    assert (c - p).sorted_terms() == _ref_sorted(_ref_combine(const, a, "-"))
+    assert (p + c) == MultiPoly(*_ref_combine(a, const, "+"))
+
+
+@given(tuple_polys())
+@settings(max_examples=100, deadline=None)
+def test_packed_order_and_formats_match_the_tuple_reference(a):
+    p = MultiPoly(*a)
+    ordered = _ref_sorted(a)
+    assert p.sorted_terms() == ordered
+    assert p.to_text() == _ref_text(a)
+    assert p.to_json_terms() == [
+        {"exp": list(e), "coef": str(c)} for e, c in ordered
+    ]
+    if ordered:
+        assert p.leading() == ordered[0]
+        assert p.total_degree() == sum(ordered[0][0])
+
+
+@given(tuple_polys(), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_packed_promotion_matches_the_tuple_reference(a, extra):
+    p = MultiPoly(*a).promoted(a[1] + extra)
+    want = _ref_promote(a, a[1] + extra)
+    assert p.varcount == want[1]
+    assert p.sorted_terms() == _ref_sorted(want)
+    assert p == MultiPoly(*a) and hash(p) == hash(MultiPoly(*a))
+
+
+@given(tuple_polys(max_terms=4), tuple_polys(max_terms=3))
+@settings(max_examples=100, deadline=None)
+def test_packed_exact_div_matches_the_tuple_reference(a, b):
+    if not b[0]:
+        return
+    product = _ref_combine(a, b, "*")
+    got = MultiPoly(*product).exact_div(MultiPoly(*b))
+    assert got.sorted_terms() == _ref_sorted(_ref_promote(a, product[1]))
+    # an arbitrary numerator: both divide, or both refuse
+    try:
+        want = _ref_exact_div(a, b)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            MultiPoly(*a).exact_div(MultiPoly(*b))
+    else:
+        assert MultiPoly(*a).exact_div(MultiPoly(*b)).sorted_terms() == _ref_sorted(want)
+
+
+def test_degree_field_limit():
+    x = xvar(0)
+    assert (x ** (MAX_DEGREE - 1) * x).total_degree() == MAX_DEGREE
+    with pytest.raises(OverflowError, match="exceeds the packed monomial limit"):
+        x**MAX_DEGREE * yvar(0)
+    with pytest.raises(ValueError, match="total degree"):
+        MultiPoly({(MAX_DEGREE, 1, 0): 1}, 1)
+    with pytest.raises(ValueError, match="exponents >= 0"):
+        MultiPoly({(-1, 0, 0): 1}, 1)
+
+
+def test_degree_overflow_raises_before_any_term_is_formed():
+    # 3000 x 3000 terms would take seconds to multiply out
+    wide = MultiPoly({(i, 3000 - i, 0): 1 for i in range(3000)}, 1)
+    high = wide * xvar(0) ** (MAX_DEGREE - 4000)
+    t0 = time.perf_counter()
+    with pytest.raises(OverflowError):
+        high * wide
+    assert time.perf_counter() - t0 < 0.5

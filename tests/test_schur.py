@@ -315,15 +315,15 @@ class TestCondensationDet:
 
         # both caps trip before the matrix is built
         monkeypatch.setattr(schur, "build_huckel", build_huckel)
-        with pytest.raises(TooLarge, match="14 distinct variables"):
-            condensation_det(0, 7)  # 8 rows over 16 weights
+        with pytest.raises(TooLarge, match="16 distinct variables"):
+            condensation_det(0, 8)  # 9 rows over 18 weights
         with pytest.raises(TooLarge, match="condensation vertex count"):
             condensation_det(7, 13)  # 7 rows, 147 vertices
 
     def test_variable_cap_ignores_the_override(self, monkeypatch):
         monkeypatch.setenv("HUCKEL_MAX_SIZE", "400")
-        with pytest.raises(TooLarge, match="14 distinct variables"):
-            condensation_det(0, 7)
+        with pytest.raises(TooLarge, match="16 distinct variables"):
+            condensation_det(0, 8)
 
     def test_specialized_guard_is_looser(self):
         params = bivariate_params(0, 8, 3, 4)

@@ -29,7 +29,11 @@ BIVARIATE_ROWS = {
 
 
 class TestConjecture1:
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("n", [
+        0, 1, 2, 3, 4, 5,
+        pytest.param(6, marks=pytest.mark.slow),
+        pytest.param(7, marks=pytest.mark.slow),
+    ])
     def test_symbolic_distinct_parameters(self, n):
         r = verify_conjecture1(n, "symbolic")
         assert r.passed()
@@ -82,9 +86,9 @@ class TestConjecture1:
         assert a.details["samples"] != b.details["samples"]
 
     def test_symbolic_guard(self):
-        # 8 rows over 16 weights: condensation's division-free last step
-        with pytest.raises(TooLarge, match="14 distinct variables"):
-            verify_conjecture1(7, "symbolic")
+        # 9 rows over 18 weights: condensation's division-free last step
+        with pytest.raises(TooLarge, match="16 distinct variables"):
+            verify_conjecture1(8, "symbolic")
 
     def test_specialized_guard(self):
         with pytest.raises(TooLarge, match="specialized conj1 vertex count"):
@@ -145,9 +149,16 @@ class TestConjecture2:
         assert r.passed()
         assert r.details["spot_check"]["pass"]
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("k,n", [(0, 7), (1, 8)])
+    def test_symbolic_at_eight_rows(self, k, n):
+        r = verify_conjecture2(k, n, "symbolic")
+        assert r.passed()
+        assert r.details["spot_check"]["pass"]
+
     def test_symbolic_guard(self):
-        with pytest.raises(TooLarge, match="14 distinct variables"):
-            verify_conjecture2(0, 7, "symbolic")  # 8 rows over 16 weights
+        with pytest.raises(TooLarge, match="16 distinct variables"):
+            verify_conjecture2(0, 8, "symbolic")  # 9 rows over 18 weights
         with pytest.raises(TooLarge, match="condensation vertex count"):
             verify_conjecture2(7, 13, "symbolic")  # 7 rows, 147 vertices
 
