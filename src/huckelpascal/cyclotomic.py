@@ -5,11 +5,18 @@
 z^4 = z^2 - 1.  This ring contains every value the boundary weights take at
 the angles 0, pi/6, pi/3, pi/2 (via x = z^-s, y = z^s) together with
 sqrt(3) = 2z - z^3, i = z^3, and the primitive roots omega_3 = z^4 and
-omega_6 = z^2.  Division is exact or raises: multiply by the three Galois
-conjugates, divide by the integer norm, and verify by multiplying back.
+omega_6 = z^2.  Each Galois map z -> z^k is linear on that basis: it reads
+the images of z, z^2, z^3 from a table built once from ``CycInt.zeta``.
+Division is exact or raises: multiply by the three Galois conjugates,
+divide by the integer norm, and verify by multiplying back, so a wrong
+conjugate can only make a division fail, never return a wrong quotient.
 
 ``GaussInt`` is the analogous two-coordinate ring Z[i], used where the angle
 pi/4 leaves Z[zeta_12].
+
+The public constructors coerce each coordinate with ``int()``; ring
+operations build their results through the unchecked ``_of``, and take a
+plain ``int`` operand as it is.
 """
 
 from __future__ import annotations
@@ -28,6 +35,13 @@ class CycInt:
 
     def __init__(self, a0: int, a1: int = 0, a2: int = 0, a3: int = 0):
         object.__setattr__(self, "coords", (int(a0), int(a1), int(a2), int(a3)))
+
+    @staticmethod
+    def _of(coords: tuple) -> "CycInt":
+        """Wrap a tuple of four ints, unchecked."""
+        c = _new(CycInt)
+        _set_coords(c, coords)
+        return c
 
     def __setattr__(self, name, value):
         raise AttributeError("CycInt is immutable")
@@ -64,7 +78,7 @@ class CycInt:
     def _times_zeta(self) -> "CycInt":
         a0, a1, a2, a3 = self.coords
         # shift up one power, folding z^4 = z^2 - 1
-        return CycInt(-a3, a0, a1 + a3, a2)
+        return CycInt._of((-a3, a0, a1 + a3, a2))
 
     # -- ring operations -------------------------------------------------------
 
@@ -77,42 +91,53 @@ class CycInt:
         raise TypeError(f"cannot coerce {type(v).__name__} to CycInt")
 
     def __add__(self, other):
-        if not isinstance(other, (CycInt, int)):
-            return NotImplemented
-        o = CycInt._coerce(other)
-        return CycInt(*(a + b for a, b in zip(self.coords, o.coords)))
+        a0, a1, a2, a3 = self.coords
+        if isinstance(other, CycInt):
+            b0, b1, b2, b3 = other.coords
+            return CycInt._of((a0 + b0, a1 + b1, a2 + b2, a3 + b3))
+        if isinstance(other, int):
+            return CycInt._of((a0 + other, a1, a2, a3))
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycInt(*(-a for a in self.coords))
+        a0, a1, a2, a3 = self.coords
+        return CycInt._of((-a0, -a1, -a2, -a3))
 
     def __sub__(self, other):
-        if not isinstance(other, (CycInt, int)):
-            return NotImplemented
-        return self + (-CycInt._coerce(other))
+        a0, a1, a2, a3 = self.coords
+        if isinstance(other, CycInt):
+            b0, b1, b2, b3 = other.coords
+            return CycInt._of((a0 - b0, a1 - b1, a2 - b2, a3 - b3))
+        if isinstance(other, int):
+            return CycInt._of((a0 - other, a1, a2, a3))
+        return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        if not isinstance(other, int):
+            return NotImplemented
+        a0, a1, a2, a3 = self.coords
+        return CycInt._of((other - a0, -a1, -a2, -a3))
 
     def __mul__(self, other):
-        if not isinstance(other, (CycInt, int)):
+        a0, a1, a2, a3 = self.coords
+        if isinstance(other, CycInt):
+            b0, b1, b2, b3 = other.coords
+        elif isinstance(other, int):
+            return CycInt._of((a0 * other, a1 * other, a2 * other, a3 * other))
+        else:
             return NotImplemented
-        b = CycInt._coerce(other).coords
-        a = self.coords
-        c = [0] * 7
-        for i in range(4):
-            if a[i] == 0:
-                continue
-            for j in range(4):
-                c[i + j] += a[i] * b[j]
+        # the coefficients of z^4, z^5, z^6 in the 4x4 convolution, folded by
         # z^4 = z^2 - 1, z^5 = z^3 - z, z^6 = -1
-        return CycInt(
-            c[0] - c[4] - c[6],
-            c[1] - c[5],
-            c[2] + c[4],
-            c[3] + c[5],
-        )
+        c4 = a1 * b3 + a2 * b2 + a3 * b1
+        c5 = a2 * b3 + a3 * b2
+        return CycInt._of((
+            a0 * b0 - c4 - a3 * b3,
+            a0 * b1 + a1 * b0 - c5,
+            a0 * b2 + a1 * b1 + a2 * b0 + c4,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + c5,
+        ))
 
     __rmul__ = __mul__
 
@@ -128,11 +153,11 @@ class CycInt:
         return acc
 
     def __eq__(self, other):
+        if isinstance(other, CycInt):
+            return self.coords == other.coords
         if isinstance(other, int):
-            other = CycInt(other)
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        return self.coords == other.coords
+            return self.coords == (other, 0, 0, 0)
+        return NotImplemented
 
     def __bool__(self):
         return any(self.coords)
@@ -147,14 +172,17 @@ class CycInt:
 
     def galois(self, k: int) -> "CycInt":
         """Apply the automorphism z -> z^k, k coprime to 12 (1, 5, 7, 11)."""
-        if k % 12 not in (1, 5, 7, 11):
+        images = _GALOIS.get(k % 12)
+        if images is None:
             raise ValueError("k must be a unit mod 12")
-        a = self.coords
-        out = CycInt(a[0])
-        for i in range(1, 4):
-            if a[i]:
-                out = out + CycInt.zeta(k * i) * a[i]
-        return out
+        a0, a1, a2, a3 = self.coords
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3) = images
+        return CycInt._of((
+            a0 + a1 * p0 + a2 * q0 + a3 * r0,
+            a1 * p1 + a2 * q1 + a3 * r1,
+            a1 * p2 + a2 * q2 + a3 * r2,
+            a1 * p3 + a2 * q3 + a3 * r3,
+        ))
 
     def conjugate(self) -> "CycInt":
         """Complex conjugation, the automorphism z -> z^-1."""
@@ -175,10 +203,10 @@ class CycInt:
             raise ZeroDivisionError("division by zero in Z[zeta_12]")
         aux = den.galois(5) * den.galois(7) * den.galois(11)
         n = (den * aux).coords[0]
-        t = self * aux
-        if any(c % n for c in t.coords):
+        t0, t1, t2, t3 = (self * aux).coords
+        if t0 % n or t1 % n or t2 % n or t3 % n:
             raise NotDivisible(f"{self!r} not divisible by {den!r}")
-        q = CycInt(*(c // n for c in t.coords))
+        q = CycInt._of((t0 // n, t1 // n, t2 // n, t3 // n))
         if q * den != self:
             raise NotDivisible(f"{self!r} not divisible by {den!r}")
         return q
@@ -209,6 +237,14 @@ class CycInt:
         return a0 + a1 * _HALF_PI6 + a2 * _HALF_PI6**2 + a3 * _HALF_PI6**3
 
 
+_new = object.__new__
+_set_coords = CycInt.coords.__set__
+
+# the images of z, z^2, z^3 under z -> z^k, by unit k mod 12: the Galois
+# action as a linear map on the power basis
+_GALOIS = {k: tuple(CycInt.zeta(k * i).coords for i in (1, 2, 3)) for k in (1, 5, 7, 11)}
+
+
 def theta_point(s: int) -> tuple[CycInt, CycInt]:
     """Boundary weights (x, y) = (z^-s, z^s) at the angle theta = s*pi/6."""
     return CycInt.zeta(-s), CycInt.zeta(s)
@@ -223,6 +259,14 @@ class GaussInt:
         object.__setattr__(self, "re", int(re))
         object.__setattr__(self, "im", int(im))
 
+    @staticmethod
+    def _of(re: int, im: int) -> "GaussInt":
+        """Wrap two ints, unchecked."""
+        g = _new(GaussInt)
+        _set_re(g, re)
+        _set_im(g, im)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("GaussInt is immutable")
 
@@ -235,30 +279,36 @@ class GaussInt:
         raise TypeError(f"cannot coerce {type(v).__name__} to GaussInt")
 
     def __add__(self, other):
-        if not isinstance(other, (GaussInt, int)):
-            return NotImplemented
-        o = GaussInt._coerce(other)
-        return GaussInt(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussInt):
+            return GaussInt._of(self.re + other.re, self.im + other.im)
+        if isinstance(other, int):
+            return GaussInt._of(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussInt(-self.re, -self.im)
+        return GaussInt._of(-self.re, -self.im)
 
     def __sub__(self, other):
-        if not isinstance(other, (GaussInt, int)):
-            return NotImplemented
-        o = GaussInt._coerce(other)
-        return GaussInt(self.re - o.re, self.im - o.im)
+        if isinstance(other, GaussInt):
+            return GaussInt._of(self.re - other.re, self.im - other.im)
+        if isinstance(other, int):
+            return GaussInt._of(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        if not isinstance(other, int):
+            return NotImplemented
+        return GaussInt._of(other - self.re, -self.im)
 
     def __mul__(self, other):
-        if not isinstance(other, (GaussInt, int)):
-            return NotImplemented
-        o = GaussInt._coerce(other)
-        return GaussInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        if isinstance(other, GaussInt):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return GaussInt._of(a * c - b * d, a * d + b * c)
+        if isinstance(other, int):
+            return GaussInt._of(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -274,11 +324,11 @@ class GaussInt:
         return acc
 
     def __eq__(self, other):
+        if isinstance(other, GaussInt):
+            return self.re == other.re and self.im == other.im
         if isinstance(other, int):
-            other = GaussInt(other)
-        if not isinstance(other, GaussInt):
-            return NotImplemented
-        return (self.re, self.im) == (other.re, other.im)
+            return self.re == other and self.im == 0
+        return NotImplemented
 
     def __bool__(self):
         return bool(self.re or self.im)
@@ -290,7 +340,7 @@ class GaussInt:
         return f"GaussInt({self.re}, {self.im})"
 
     def conjugate(self) -> "GaussInt":
-        return GaussInt(self.re, -self.im)
+        return GaussInt._of(self.re, -self.im)
 
     def norm(self) -> int:
         return self.re * self.re + self.im * self.im
@@ -303,13 +353,17 @@ class GaussInt:
         t = self * den.conjugate()
         if t.re % n or t.im % n:
             raise NotDivisible(f"{self!r} not divisible by {den!r}")
-        q = GaussInt(t.re // n, t.im // n)
+        q = GaussInt._of(t.re // n, t.im // n)
         if q * den != self:
             raise NotDivisible(f"{self!r} not divisible by {den!r}")
         return q
 
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
+
+
+_set_re = GaussInt.re.__set__
+_set_im = GaussInt.im.__set__
 
 
 class RadicalValue:

@@ -21,8 +21,9 @@ values where applicable):
   the very sparse adjacency matrices.
 * ``division-free``: Berkowitz's algorithm, O(n^4) ring products and no
   division, which also yields the whole characteristic polynomial; for the
-  small dense matrices (the reduced matrices, the last step of symbolic
-  condensation, ``charpoly``).
+  small dense matrices (the reduced matrices, symbolic and evaluated at the
+  specialized sample points, the last step of symbolic condensation,
+  ``charpoly``).
 
 Fraction-free elimination refuses MultiPoly entries (StrategyPrecondition),
 and more than 144 rows over integer, cyclotomic and rational entries.  The
@@ -223,11 +224,12 @@ def _det_bareiss(rows: Sequence[Sequence], kind: str):
     n = len(rows)
     size_guard(n, NUMERIC_ELIMINATION_ROWS, "numeric elimination rows")
     lift = _LIFTS[kind]
-    a = [
-        {j: lift(e) if isinstance(e, int) else e
-         for j, e in enumerate(row) if _nz(e)}
-        for row in rows
-    ]
+    a = [{j: e for j, e in enumerate(row) if e} for row in rows]
+    if kind != "int":
+        for row in a:  # plain ints may stand in for ring elements
+            for j, e in row.items():
+                if isinstance(e, int):
+                    row[j] = lift(e)
     # pivots[t] is the divisor after t steps; a row at level t is current
     # through step t - 1
     pivots = [lift(1)]

@@ -111,17 +111,17 @@ class PolyMatrix:
         if isinstance(other, PolyMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            # each column's nonzero (index, entry) pairs, in index order
-            cols = [
-                [(i, b) for i, b in enumerate(col) if _nz(b)]
-                for col in other.transpose().rows
-            ]
+            # each right row's nonzero (column, entry) pairs; every entry
+            # sums a[i] * b over ascending i, from 0, as sum() would
+            right = [[(j, b) for j, b in enumerate(r) if _nz(b)] for r in other.rows]
             out = []
             for row in self.rows:
-                nz = [_nz(a) for a in row]
-                out.append(
-                    [sum((row[i] * b for i, b in col if nz[i]), 0) for col in cols]
-                )
+                acc = [0] * other.ncols
+                for i, a in enumerate(row):
+                    if _nz(a):
+                        for j, b in right[i]:
+                            acc[j] = acc[j] + a * b
+                out.append(acc)
             return PolyMatrix(out)
         return self.map_entries(lambda e: e * other if _nz(e) else e * 0)
 

@@ -132,8 +132,11 @@ def verify_conjecture2(
     """det H_{k,n} equals the determinant of its size-(n+1-k) reduction.
 
     Symbolic: condensation against the signed walk on the reduced matrix,
-    and against elimination on H_{k,n} at a seeded point.  Specialized: each
-    side by two strategies at five seeded points; conj1 adds the unit-y
+    and against elimination on H_{k,n} at a seeded point.  Specialized: at
+    five seeded points, four values from four different codes must agree:
+    fraction-free elimination on H_{k,n} and condensation on the left,
+    fraction-free elimination and the division-free (Berkowitz) algorithm
+    on the evaluated reduced matrix on the right; conj1 adds the unit-y
     corollary.  The caps of these routes, checked before anything is built,
     allow 144 vertices, and symbolically 8 rows."""
     return _verify_reduction("conj2", k, n, mode, seed)
@@ -177,7 +180,7 @@ def _verify_reduction(
             lhs = det(build_huckel(k, n, params))
             lhs2 = condensation_det(k, n, params)
             rhs = det(reduced)
-            rhs2 = det(reduced, "sparse-minor-expansion")
+            rhs2 = det(reduced, "division-free")
             ok = ok and lhs == lhs2 == rhs == rhs2
             samples.append({"point": params, "lhs": str(lhs), "rhs": str(rhs)})
         lhs = str([s["lhs"] for s in samples])

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from huckelpascal.cyclotomic import CycInt
 from huckelpascal.matrices import (
     BadRange,
     PolyMatrix,
@@ -397,16 +398,27 @@ def test_matrix_algebra_basics():
 _sparse_entries = {
     "int": st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
     "poly": st.sampled_from([0, 0, 0, 2, X(0), -Y(1), X(1) + Y(0)]),
+    "cyc": st.sampled_from([0, 0, 0, 1, CycInt(0, 1), -CycInt(2, 0, -1, 3)]),
+}
+
+_dense_entries = {
+    "int": st.integers(-9, 9).filter(bool),
+    "cyc": st.builds(CycInt, *[st.integers(-3, 3)] * 4).filter(bool),
 }
 
 
-@pytest.mark.parametrize("ring", sorted(_sparse_entries))
+@pytest.mark.parametrize(
+    "ring, right",
+    [pytest.param(r, "sparse", id=r) for r in sorted(_sparse_entries)]
+    + [pytest.param(r, "dense", id=f"{r}-dense-right") for r in sorted(_dense_entries)],
+)
 @given(st.data())
 @settings(max_examples=40, deadline=None)
-def test_product_matches_triple_loop(ring, data):
+def test_product_matches_triple_loop(ring, right, data):
     m, k, p = (data.draw(st.integers(1, 4)) for _ in range(3))
-    entry = _sparse_entries[ring]
-    a = [data.draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(m)]
+    left = _sparse_entries[ring]
+    entry = (_sparse_entries if right == "sparse" else _dense_entries)[ring]
+    a = [data.draw(st.lists(left, min_size=k, max_size=k)) for _ in range(m)]
     b = [data.draw(st.lists(entry, min_size=p, max_size=p)) for _ in range(k)]
     naive = [
         [sum((a[i][t] * b[t][j] for t in range(k)), 0) for j in range(p)]

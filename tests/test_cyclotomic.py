@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from huckelpascal import cyclotomic
 from huckelpascal.cyclotomic import CycInt, GaussInt, RadicalValue, theta_point
 from huckelpascal.poly import NotDivisible
 
@@ -136,6 +137,84 @@ def test_galois_is_homomorphism():
     a, b = CycInt(2, -1, 3, 5), CycInt(0, 4, -2, 1)
     for k in (5, 7, 11):
         assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+
+
+def _convolve_folded(a, b):
+    """Reference product: the 7-term convolution, folded by z^4 = z^2 - 1
+    from the top, z^d = z^(d-2) - z^(d-4)."""
+    c = [0] * 7
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    for d in range(6, 3, -1):
+        c[d - 2] += c[d]
+        c[d - 4] -= c[d]
+    return tuple(c[:4])
+
+
+def _close(got: complex, want: complex) -> bool:
+    return abs(got - want) <= 1e-9 * max(1.0, abs(got), abs(want))
+
+
+@given(cycs(), cycs(), st.integers(-10**6, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_cyc_ops_match_reference(a, b, n):
+    A, B, N = a.coords, b.coords, (n, 0, 0, 0)
+    plus = lambda u, v: tuple(x + y for x, y in zip(u, v))
+    minus = lambda u, v: tuple(x - y for x, y in zip(u, v))
+    cases = [
+        (a * b, _convolve_folded(A, B), a.to_complex() * b.to_complex()),
+        (a + b, plus(A, B), a.to_complex() + b.to_complex()),
+        (a - b, minus(A, B), a.to_complex() - b.to_complex()),
+        (-a, minus((0,) * 4, A), -a.to_complex()),
+        (a * n, _convolve_folded(A, N), a.to_complex() * n),
+        (n * a, _convolve_folded(N, A), n * a.to_complex()),
+        (a + n, plus(A, N), a.to_complex() + n),
+        (n + a, plus(N, A), n + a.to_complex()),
+        (a - n, minus(A, N), a.to_complex() - n),
+        (n - a, minus(N, A), n - a.to_complex()),
+    ]
+    for got, coords, value in cases:
+        assert type(got) is CycInt
+        assert got.coords == coords and all(type(c) is int for c in got.coords)
+        assert _close(got.to_complex(), value)
+    assert (a == n) == (A == N) and (a * 1 == a) and (a * 0 == 0)
+
+
+@given(gauss(), gauss(), st.integers(-10**6, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_gauss_ops_match_reference(a, b, n):
+    za, zb = a.to_complex(), b.to_complex()
+    cases = [
+        (a * b, za * zb), (a + b, za + zb), (a - b, za - zb), (-a, -za),
+        (a * n, za * n), (n * a, n * za), (a + n, za + n), (n + a, n + za),
+        (a - n, za - n), (n - a, n - za),
+    ]
+    for got, value in cases:
+        assert type(got) is GaussInt
+        assert type(got.re) is int and type(got.im) is int
+        assert (got.re, got.im) == (value.real, value.imag)
+        assert _close(got.to_complex(), value)
+    assert (a == n) == ((a.re, a.im) == (n, 0))
+
+
+@pytest.mark.parametrize("k", (1, 5, 7, 11))
+def test_galois_table_matches_zeta(k):
+    assert cyclotomic._GALOIS[k] == tuple(Z(k * i).coords for i in (1, 2, 3))
+    for i in range(12):
+        assert Z(i).galois(k) == Z(k * i)
+    assert Z(1).galois(k + 12) == Z(k)
+
+
+def test_exact_div_multiplies_back(monkeypatch):
+    # sigma_5 wrongly sends z to z^3: the "norm" of z comes out as
+    # z * z^3 * z^7 * z^11 = 1 - z^2, whose constant 1 divides everything,
+    # so only the multiply-back can refuse the wrong quotient
+    a = CycInt(3, 1, -4, 1)
+    assert (a * Z(1)).exact_div(Z(1)) == a
+    monkeypatch.setitem(cyclotomic._GALOIS, 5, (Z(3).coords,) + cyclotomic._GALOIS[5][1:])
+    with pytest.raises(NotDivisible):
+        (a * Z(1)).exact_div(Z(1))
 
 
 # -- realness ---------------------------------------------------------------

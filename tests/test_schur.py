@@ -90,6 +90,22 @@ class TestInvertT:
         n = 2 * m + 1
         assert build_T(m) * w == PolyMatrix.identity(n, one=svar(m))
 
+    def test_multiply_back_catches_a_wrong_entry(self, monkeypatch):
+        # one wrong corner in the check's T_m: the closed-form W no longer
+        # multiplies back to S * I, and the numeric path must say so
+        original = schur.build_T
+
+        def wrong_corner(m, params=None):
+            rows = [list(r) for r in original(m, params).rows]
+            rows[0][-1] += 1
+            return PolyMatrix(rows)
+
+        params = {"x11": 3, "y11": -7}
+        invert_T(11, params)
+        monkeypatch.setattr(schur, "build_T", wrong_corner)
+        with pytest.raises(ArithmeticError, match="multiply-back at m=11"):
+            invert_T(11, params)
+
     def test_bad_range(self):
         with pytest.raises(BadRange):
             invert_T(0)

@@ -239,7 +239,8 @@ class TestConjecture3:
 
 
 class TestIndependentSides:
-    """Each symbolic check runs its two sides through different routes.
+    """Each symbolic check, and each specialized sample, runs its two sides
+    through different routes.
 
     The recorder wraps verify's bindings of det, condensation_det and
     permanent, and condensation's own det, and notes the route of each call
@@ -282,6 +283,31 @@ class TestIndependentSides:
         assert result["pass"] if isinstance(result, dict) else result.passed()
         assert routes == lhs + rhs + spot
         assert set(lhs).isdisjoint(rhs)
+
+    # one specialized sample: elimination on H and condensation (which ends
+    # in elimination on its condensed matrix) on the left; elimination and
+    # Berkowitz on the reduced matrix on the right
+    SAMPLE = ["det/default", "elimination({h})",
+              "condensation", "condensation.det/default", "elimination({r})",
+              "det/default", "elimination({r})", "det/division-free", "berkowitz({r})"]
+
+    @pytest.mark.parametrize("check, h, r, tail", [
+        (lambda: verify_conjecture1(8, "specialized"), 81, 9,
+         ["det/default", "elimination(81)", "det/default", "elimination(9)"]),
+        (lambda: verify_conjecture2(0, 11, "specialized"), 144, 12, []),
+    ], ids=["conj1s(8)", "conj2s(0,11)"])
+    def test_specialized_sample_runs_four_codes(self, routes, monkeypatch, check, h, r, tail):
+        for name, label in (("_det_bareiss", "elimination"),
+                            ("_berkowitz", "berkowitz"),
+                            ("_frontier_walk", "walk")):
+            def recorded(rows, *args, _fn=getattr(linalg, name), _label=label, **kwargs):
+                routes.append(f"{_label}({len(rows)})")
+                return _fn(rows, *args, **kwargs)
+            monkeypatch.setattr(linalg, name, recorded)
+        assert check().passed()
+        # the unit-y corollary of conj1 follows the five samples
+        assert routes == [c.format(h=h, r=r) for c in self.SAMPLE] * 5 + tail
+        assert not any(c.startswith("walk") for c in routes)
 
     @pytest.mark.parametrize("n", range(7))
     def test_golden_row_never_runs_berkowitz(self, monkeypatch, n):
