@@ -10,6 +10,9 @@ the images of z, z^2, z^3 from a table built once from ``CycInt.zeta``.
 Division is exact or raises: multiply by the three Galois conjugates,
 divide by the integer norm, and verify by multiplying back, so a wrong
 conjugate can only make a division fail, never return a wrong quotient.
+``divider`` computes the conjugate product and the norm once per divisor
+and returns the division as a function of the dividend; ``exact_div`` is
+that function applied once.
 
 ``GaussInt`` is the analogous two-coordinate ring Z[i], used where the angle
 pi/4 leaves Z[zeta_12].
@@ -198,18 +201,31 @@ class CycInt:
 
     def exact_div(self, other) -> "CycInt":
         """Exact quotient in Z[zeta_12]; raises NotDivisible otherwise."""
-        den = CycInt._coerce(other)
-        if not den:
+        return CycInt._coerce(other).divider()(self)
+
+    def divider(self):
+        """Exact division by this element, as a function of the dividend.
+
+        The product of the three other Galois conjugates and the integer
+        norm are computed here, once; each call multiplies by that product,
+        tests divisibility by the norm and multiplies the quotient back,
+        raising NotDivisible on a non-multiple.  Zero raises
+        ZeroDivisionError."""
+        if not self:
             raise ZeroDivisionError("division by zero in Z[zeta_12]")
-        aux = den.galois(5) * den.galois(7) * den.galois(11)
-        n = (den * aux).coords[0]
-        t0, t1, t2, t3 = (self * aux).coords
-        if t0 % n or t1 % n or t2 % n or t3 % n:
-            raise NotDivisible(f"{self!r} not divisible by {den!r}")
-        q = CycInt._of((t0 // n, t1 // n, t2 // n, t3 // n))
-        if q * den != self:
-            raise NotDivisible(f"{self!r} not divisible by {den!r}")
-        return q
+        aux = self.galois(5) * self.galois(7) * self.galois(11)
+        n = (self * aux).coords[0]
+
+        def div(a) -> "CycInt":
+            t0, t1, t2, t3 = (a * aux).coords
+            if t0 % n or t1 % n or t2 % n or t3 % n:
+                raise NotDivisible(f"{a!r} not divisible by {self!r}")
+            q = CycInt._of((t0 // n, t1 // n, t2 // n, t3 // n))
+            if q * self != a:
+                raise NotDivisible(f"{a!r} not divisible by {self!r}")
+            return q
+
+        return div
 
     # -- structure ----------------------------------------------------------------
 
@@ -346,17 +362,31 @@ class GaussInt:
         return self.re * self.re + self.im * self.im
 
     def exact_div(self, other) -> "GaussInt":
-        den = GaussInt._coerce(other)
-        if not den:
+        """Exact quotient in Z[i]; raises NotDivisible otherwise."""
+        return GaussInt._coerce(other).divider()(self)
+
+    def divider(self):
+        """Exact division by this element, as a function of the dividend:
+        the conjugate and the norm are computed once; each call multiplies
+        by the conjugate, tests divisibility by the norm and multiplies the
+        quotient back, raising NotDivisible on a non-multiple.  Zero raises
+        ZeroDivisionError."""
+        if not self:
             raise ZeroDivisionError("division by zero in Z[i]")
-        n = den.norm()
-        t = self * den.conjugate()
-        if t.re % n or t.im % n:
-            raise NotDivisible(f"{self!r} not divisible by {den!r}")
-        q = GaussInt._of(t.re // n, t.im // n)
-        if q * den != self:
-            raise NotDivisible(f"{self!r} not divisible by {den!r}")
-        return q
+        n = self.norm()
+        conj = self.conjugate()
+
+        def div(a) -> "GaussInt":
+            t = a * conj
+            re, im = t.re, t.im
+            if re % n or im % n:
+                raise NotDivisible(f"{a!r} not divisible by {self!r}")
+            q = GaussInt._of(re // n, im // n)
+            if q * self != a:
+                raise NotDivisible(f"{a!r} not divisible by {self!r}")
+            return q
+
+        return div
 
     def to_complex(self) -> complex:
         return complex(self.re, self.im)

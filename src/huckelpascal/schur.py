@@ -40,7 +40,7 @@ from functools import lru_cache
 
 from .linalg import (
     NUMERIC_ELIMINATION_ROWS,
-    _exact_div,
+    _divider,
     _lift,
     det,
     huckel_guard,
@@ -174,6 +174,7 @@ def schur_det_step(M: PolyMatrix, m: int, params=None):
         vc = max(e.varcount for e in (tail[0, n - 1], tail[n - 1, 0], s)
                  if isinstance(e, MultiPoly))
         w_inv, (r, left, [s]) = _promoted(w_inv, vc), _promoted((r, left, [s]), vc)
+    divide = _divider(s, kind)
     mu = w_inv[0][0]  # constant (-1)^m; the y -> -x residue scale
     rows = M.rows
     # nonzero (t, B[i, t]) of each coupled row i, (t, C[t, j]) of each column j
@@ -206,7 +207,7 @@ def schur_det_step(M: PolyMatrix, m: int, params=None):
             num = y_ij - v[i] * w[j]
             if isinstance(num, int):
                 num = _lift(num, kind)
-            row[j] = row[j] - _exact_div(num, s, kind)
+            row[j] = row[j] - divide(num)
         reduced.append([v[i]] + row)
     return 1, PolyMatrix(reduced)
 
@@ -260,7 +261,13 @@ def condensation_det(k: int, n: int, params=None):
     huckel_guard(k, n, NUMERIC_ELIMINATION_ROWS, "condensation")
     if params is None:
         symbolic_division_free_guard(n + 1 - k, 2 * (n + 1 - k))
-    M = _huckel(k, n, params)
+    return _condensed_det(_huckel(k, n, params), k, n, params)
+
+
+def _condensed_det(M: PolyMatrix, k: int, n: int, params):
+    """``condensation_det`` on H_{k,n} as built already (by ``_huckel``, or
+    by ``build_huckel`` at a numeric point), with no guard: for a caller
+    that has checked the caps and runs other routes on the same matrix."""
     stop = 0 if k == 0 else k - 1
     for m in range(n, stop, -1):
         _, M = schur_det_step(M, m, params)

@@ -38,7 +38,7 @@ from .matrices import (
     evaluate_matrix,
 )
 from .poly import MultiPoly, poly_properties, svar, xvar, yvar, zvar
-from .schur import condensation_det
+from .schur import _condensed_det, condensation_det
 
 
 @dataclass
@@ -177,8 +177,10 @@ def _verify_reduction(
         for _ in range(5):
             params = _draw_params(rng, k, n, -(10**6), 10**6)
             reduced = evaluate_matrix(reduced_template, params)
-            lhs = det(build_huckel(k, n, params))
-            lhs2 = condensation_det(k, n, params)
+            # one H_{k,n} per point, read by elimination and by condensation
+            h = build_huckel(k, n, params)
+            lhs = det(h)
+            lhs2 = _condensed_det(h, k, n, params)
             rhs = det(reduced)
             rhs2 = det(reduced, "division-free")
             ok = ok and lhs == lhs2 == rhs == rhs2

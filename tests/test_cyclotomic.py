@@ -126,6 +126,38 @@ def test_cyc_not_divisible():
         CycInt(1).exact_div(CycInt(0))
 
 
+@given(cycs(), st.lists(cycs(-30, 30), min_size=1, max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_cyc_divider_serves_many_dividends(b, quotients):
+    if not b:
+        return
+    divide = b.divider()
+    assert [divide(q * b) for q in quotients] == quotients
+
+
+@pytest.mark.parametrize("ring, den, num", [
+    ("cyc", CycInt(2), CycInt(1)),
+    ("cyc", CycInt(2), CycInt.sqrt3()),
+    ("cyc", Z(1) + 2, CycInt(1)),  # norm 13, not a unit
+    ("gauss", GaussInt(1, 1), GaussInt(1)),
+    ("gauss", GaussInt(3), GaussInt(6, 4)),
+])
+def test_divider_refuses_a_non_multiple(ring, den, num):
+    divide = den.divider()
+    with pytest.raises(NotDivisible):
+        divide(num)
+    # the divider stays usable for the multiples
+    assert divide(num * den) == num
+
+
+@pytest.mark.parametrize("zero", [CycInt(0), GaussInt(0)])
+def test_divider_of_zero_raises(zero):
+    with pytest.raises(ZeroDivisionError):
+        zero.divider()
+    with pytest.raises(ZeroDivisionError):
+        type(zero)(1).exact_div(zero)
+
+
 def test_galois_fixes_integers():
     for k in (1, 5, 7, 11):
         assert CycInt(17).galois(k) == CycInt(17)
@@ -215,6 +247,9 @@ def test_exact_div_multiplies_back(monkeypatch):
     monkeypatch.setitem(cyclotomic._GALOIS, 5, (Z(3).coords,) + cyclotomic._GALOIS[5][1:])
     with pytest.raises(NotDivisible):
         (a * Z(1)).exact_div(Z(1))
+    # the per-divisor form, which elimination uses, trips the same way
+    with pytest.raises(NotDivisible):
+        Z(1).divider()(a * Z(1))
 
 
 # -- realness ---------------------------------------------------------------

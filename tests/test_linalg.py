@@ -1,12 +1,13 @@
 """Determinant strategies, permanents, charpoly, rank-1 factoring."""
 
+import random
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from huckelpascal import verify
+from huckelpascal import linalg, verify
 from huckelpascal.cyclotomic import CycInt, GaussInt
 from huckelpascal.linalg import (
     DET_STRATEGIES,
@@ -30,8 +31,9 @@ from huckelpascal.matrices import (
     build_pascal,
     build_reduced,
 )
-from huckelpascal.poly import MultiPoly, svar, xvar, yvar, zvar
-from huckelpascal.verify import bivariate_row
+from huckelpascal.poly import MultiPoly, NotDivisible, svar, xvar, yvar, zvar
+from huckelpascal.schur import condensation_det
+from huckelpascal.verify import _draw_params, bivariate_row
 
 # coefficient rows of det H_n(x, y) in x^(n+1-k) y^k, k = 0..n+1
 BIVARIATE_DET_ROWS = {
@@ -182,10 +184,185 @@ class TestSparseElimination:
         assert det(PolyMatrix(rows)) == _brute_det(rows)
 
     def test_pivot_entry_is_read_after_catch_up(self):
-        # rows 1 and 2 miss step 0; at step 1 row 1 pivots and row 2, still
+        # column 0 (rows 0, 3) pivots first on row 0; rows 1 and 2 miss that
+        # step, and at step 1 row 1 pivots on column 1 while row 2, still
         # unscaled, is updated: its column-1 entry must be scaled by 2 first
         rows = [[2, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1]]
         assert det(PolyMatrix(rows)) == _brute_det(rows) == -3
+
+
+ELIMINATION_RINGS = sorted(set(RING_ELEMENTS) - {"poly"})
+
+
+def _lifted(rows, ring):
+    """The integer matrix with each nonzero entry embedded in the ring."""
+    make = RING_ELEMENTS[ring]
+    return [[make(e, 0) if e else 0 for e in row] for row in rows]
+
+
+def _det_and_order(rows):
+    """det by elimination, and the (rows, columns) orders of its pivots as
+    passed to the sign; None for a matrix refused as singular first."""
+    seen = []
+    original = linalg.permutation_sign
+
+    def recorded(perm):
+        seen.append(list(perm))
+        return original(perm)
+
+    linalg.permutation_sign = recorded
+    try:
+        value = det(PolyMatrix(rows))
+    finally:
+        linalg.permutation_sign = original
+    return value, (tuple(seen) if seen else None)
+
+
+def _dense_pivot_order(rows):
+    """Eager dense one-step Bareiss with the same pivot rule: the live
+    column with the fewest nonzeros among the live rows, ties to the lowest
+    index, on the lowest-index live row holding it.  The lazy sparse loop
+    keeps each entry as this minor times a nonzero ratio of pivots, so the
+    two see the same supports and must choose the same pivots."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    live_rows, live_cols = list(range(n)), list(range(n))
+    prev = 1
+    order_rows, order_cols = [], []
+    for _ in range(n):
+        c = min(live_cols, key=lambda j: (sum(1 for i in live_rows if a[i][j] != 0), j))
+        users = [i for i in live_rows if a[i][c] != 0]
+        if not users:
+            return None  # singular
+        p = users[0]
+        live_rows.remove(p)
+        live_cols.remove(c)
+        order_rows.append(p)
+        order_cols.append(c)
+        pc = a[p][c]
+        for i in live_rows:
+            ric = a[i][c]
+            for j in live_cols:
+                a[i][j] = _quotient(pc * a[i][j] - ric * a[p][j], prev)
+            a[i][c] = 0
+        prev = pc
+    return order_rows, order_cols
+
+
+def _quotient(num, den):
+    """The exact quotient, by each ring's own division."""
+    if isinstance(num, int) and isinstance(den, int):
+        q, r = divmod(num, den)
+        assert r == 0
+        return q
+    if isinstance(num, Fraction):
+        return num / den
+    return num.exact_div(den)
+
+
+class TestPivotOrder:
+    """Step s eliminates the live column held by the fewest live rows, ties
+    to the lowest index, on the lowest-index live row holding it; the sign
+    is the product of the row and column order signs."""
+
+    # column counts 4, 3, 1, 3: column 2 (row 1 only) goes first
+    SPARSEST_LAST = [[1, 1, 0, 1], [1, 1, 2, 0], [1, 0, 0, 1], [1, 1, 0, 3]]
+
+    @pytest.mark.parametrize("ring", ELIMINATION_RINGS)
+    def test_sparsest_column_goes_first(self, ring):
+        rows = _lifted(self.SPARSEST_LAST, ring)
+        value, order = _det_and_order(rows)
+        assert value == _brute_det(rows)
+        # step 1: column 1 (rows 0, 3) on row 0; row 3's column-0 entry
+        # cancels, which leaves column 0 to row 2 alone
+        assert order == ([1, 0, 2, 3], [2, 1, 0, 3])
+
+    # column counts 4, 4, 3, 3: step 0 takes column 2 (tied with column 3)
+    # on row 0, and row 3's column-0 entry cancels; column 0 is then down to
+    # rows 1 and 2 and wins the tie with column 3, where it would have lost
+    # had the count kept the cancelled entry
+    CANCELS_TO_FIRST = [[-1, 1, -1, 2], [1, 2, 0, 0], [-1, 2, 1, 2], [1, 1, 1, -1]]
+
+    @pytest.mark.parametrize("ring", ELIMINATION_RINGS)
+    def test_cancellation_lowers_a_column_count(self, ring):
+        rows = _lifted(self.CANCELS_TO_FIRST, ring)
+        value, order = _det_and_order(rows)
+        assert value == _brute_det(rows)
+        assert order == ([0, 1, 2, 3], [2, 0, 1, 3])
+
+    @pytest.mark.parametrize("ring", ELIMINATION_RINGS)
+    def test_singular_only_after_cancellation(self, ring):
+        # every row and column is nonzero; column 1 loses its last holder
+        # when row 1's entry cancels against row 0 at step 1
+        rows = _lifted([[1, 2, 0], [2, 4, 0], [0, 0, 1]], ring)
+        value, order = _det_and_order(rows)
+        assert value == 0 and order is None  # refused before any sign
+
+    @pytest.mark.parametrize("ring", ELIMINATION_RINGS)
+    def test_odd_column_order_sign(self, ring):
+        # column 1 (row 0 only) goes first: rows in order, columns swapped
+        rows = _lifted([[3, 5], [7, 0]], ring)
+        value, order = _det_and_order(rows)
+        assert value == _lifted([[-35]], ring)[0][0]
+        assert order == ([0, 1], [1, 0])
+
+    @pytest.mark.parametrize("ring", ELIMINATION_RINGS)
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_order_matches_a_dense_reference(self, ring, data):
+        # small entries, so that cancellations and late singularity occur
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        entry = st.sampled_from([0, 0, 0, 1, 1, -1, 2])
+        ints = data.draw(
+            st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+        rows = _lifted(ints, ring)
+        value, order = _det_and_order(rows)
+        assert value == _brute_det(rows)
+        expected = _dense_pivot_order(rows)
+        assert order == (None if expected is None else tuple(expected))
+
+    def test_exact_division_count_on_the_144_vertex_triangle(self, monkeypatch):
+        calls = 0
+
+        original = linalg._divider
+
+        def counted_divider(*args):
+            divide = original(*args)
+
+            def counted(a):
+                nonlocal calls
+                calls += 1
+                return divide(a)
+            return counted
+
+        point = _draw_params(random.Random(1), 0, 11, -(10**6), 10**6)
+        h = build_huckel(0, 11, point)
+        expected = det(h)
+        monkeypatch.setattr(linalg, "_divider", counted_divider)
+        assert det(h) == expected
+        # index-order pivots made 12 606 exact divisions here
+        assert calls == 4865
+
+    def test_400_vertex_triangle_matches_condensation(self, monkeypatch):
+        monkeypatch.setenv("HUCKEL_MAX_SIZE", "400")
+        point = _draw_params(random.Random(19), 0, 19, -(10**6), 10**6)
+        assert det(build_huckel(0, 19, point)) == condensation_det(0, 19, point)
+
+
+class TestDivider:
+    @pytest.mark.parametrize("kind, den, num", [
+        ("int", 3, 7),
+        ("int", -3, 10**40 + 1),
+        ("poly", xvar(0), xvar(0) + 1),
+        ("cyc", CycInt(2), CycInt(1, 0, 2)),
+        ("gauss", GaussInt(1, 1), GaussInt(1)),
+    ])
+    def test_refuses_a_non_multiple(self, kind, den, num):
+        divide = linalg._divider(den, kind)
+        with pytest.raises(NotDivisible):
+            divide(num)
+        assert divide(num * den) == num
 
 
 class TestDivisionFree:

@@ -6,7 +6,7 @@ import pytest
 
 import huckelpascal.schur as schur
 from huckelpascal.cyclotomic import theta_point
-from huckelpascal.linalg import TooLarge, _exact_div, _lift, det, rank1_factor, ring_kind
+from huckelpascal.linalg import TooLarge, _divider, _lift, det, rank1_factor, ring_kind
 from huckelpascal.matrices import (
     BadRange,
     PolyMatrix,
@@ -56,7 +56,7 @@ def _dense_step(M, m, params=None):
             num = sum(bw[u] * M[a + u, j] for u in range(n)) - v[i] * w[j]
             if isinstance(num, int):
                 num = _lift(num, kind)
-            row.append(M[i, j] - _exact_div(num, s, kind))
+            row.append(M[i, j] - _divider(s, kind)(num))
         rows.append(row)
     return PolyMatrix(rows)
 
@@ -230,12 +230,16 @@ class TestSparseStep:
     def test_divisions_only_on_coupled_pairs(self, monkeypatch):
         calls = 0
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return _exact_div(*args)
+        def counted_divider(*args):
+            divide = _divider(*args)
 
-        monkeypatch.setattr(schur, "_exact_div", counted)
+            def counted(num):
+                nonlocal calls
+                calls += 1
+                return divide(num)
+            return counted
+
+        monkeypatch.setattr(schur, "_divider", counted_divider)
         params = _seeded_params(6, 0, 11)
         assert condensation_det(0, 11, params) == det(build_huckel(0, 11, params))
         # the dense step divides on every kept entry: 42 779 times here

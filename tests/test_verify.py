@@ -131,6 +131,20 @@ class TestConjecture2:
         assert r.passed()
         assert r.details["spot_check"]["pass"]
 
+    @pytest.mark.parametrize("k, n", [(0, 5), (3, 6)])
+    def test_specialized_builds_h_once_per_point(self, monkeypatch, k, n):
+        # elimination and condensation read the same H_{k,n} at each point
+        built = []
+        for owner in (verify, schur):
+            def recorded(*args, _fn=owner.build_huckel, **kwargs):
+                built.append(args[2] if len(args) > 2 else kwargs.get("params"))
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, "build_huckel", recorded)
+        report = verify_conjecture2(k, n, "specialized", seed=2)
+        assert report.passed()
+        points = [sample["point"] for sample in report.details["samples"]]
+        assert built == [None] + points  # the symbolic template, then one per point
+
     @pytest.mark.parametrize("k", [1, 4, 7])
     def test_degenerate_strip_is_single_weight_sum(self, k):
         r = verify_conjecture2(k, k, "symbolic")
@@ -242,8 +256,9 @@ class TestIndependentSides:
     """Each symbolic check, and each specialized sample, runs its two sides
     through different routes.
 
-    The recorder wraps verify's bindings of det, condensation_det and
-    permanent, and condensation's own det, and notes the route of each call
+    The recorder wraps verify's bindings of det, condensation_det (and its
+    guard-free form, which takes an H_{k,n} built already) and permanent,
+    and condensation's own det, and notes the route of each call
     in order: the left side's calls come first, then the right side's, then
     any spot check at an integer point."""
 
@@ -263,6 +278,7 @@ class TestIndependentSides:
 
         for owner, name, label in ((verify, "det", "det"),
                                    (verify, "condensation_det", "condensation"),
+                                   (verify, "_condensed_det", "condensation"),
                                    (verify, "permanent", "permanent"),
                                    (schur, "det", "condensation.det")):
             monkeypatch.setattr(owner, name, recorder(label, getattr(owner, name)))
