@@ -1,11 +1,11 @@
 """Exact block condensation of the triangle/trapezium matrices.
 
 The cyclic blocks T_m are invertible up to the scalar S_m = x_m + y_m:
-``invert_T`` returns the polynomial matrix W = S_m * T_m^{-1} in closed
-form (period-4 column patterns) and always validates it by multiplying
-back.  Since det T_m = S_m (the two orientations of an odd cycle), a
-Schur complement that eliminates a trailing T_m block can be re-bordered
-into a matrix of the same determinant with no prefactor at all:
+W = S_m * T_m^{-1} has a closed form (period-4 column patterns), which
+``invert_T`` returns and validates by multiplying back.  Since det T_m =
+S_m (the two orientations of an odd cycle), a Schur complement that
+eliminates a trailing T_m block can be re-bordered into a matrix of the
+same determinant with no prefactor at all:
 
     det [[A, B], [C, T_m]] = det [[S_m, w^T], [v, A - P]]
 
@@ -19,24 +19,35 @@ survives untouched, so the step iterates.  Iterating down the rows shrinks
 a triangle matrix of size (n+1)^2 to size n+1 and a trapezium of size
 (n+1)^2 - k^2 to size n+1-k, exactly.
 
-A step works only where T_m couples to the rest.  A kept row with no
+A step never forms W.  For each kept row b of B it solves z T_m = S_m b
+for z = b W: two entries come from W's closed-form columns 0 and 1, and
+the tridiagonal interior gives the rest by z[u+1] = S_m b[u] - z[u-1].
+It then multiplies z back with the block's own entries and raises unless
+every one of the 2m+1 columns equals S_m b; z is the unique solution, so
+that proves the very product the step goes on to use.
+
+A step works only where T_m couples to the rest.  Between steps the
+matrix is a dict of sparse rows (label -> {label: nonzero entry}) and a
+list of labels in position order; original vertices keep their labels
+and each border gets a fresh one at the front.  A kept row with no
 nonzero in B has a zero row in B W C and v, and a kept column with no
 nonzero in C a zero column in B W C and w, so A - P equals A outside the
-coupled rows and columns, and every other row is copied as it is.  On
-H_{k,n} the coupled rows (and columns) are the n - m borders of earlier
-steps and the m vertices of row m-1 bonded to the block, at most n in
-all.  So a step makes at most n^2 exact divisions where the dense formula
-made one per entry of A: 1 331 in place of 42 779 over the eleven steps
-of the 144-vertex triangle H_{0,11}.  Over MultiPoly entries the built
-matrix and each step's W, null pair and S_m share one varcount, so no
-product pays for a promotion.
+coupled rows and columns, and every other row is left as it is, not
+copied.  On H_{k,n} the coupled rows (and columns) are the n - m borders
+of earlier steps and the m vertices of row m-1 bonded to the block, at
+most n in all.  So a step costs O(n m) ring operations for the solves and
+at most n^2 exact divisions, where the dense formula made one division
+per entry of A: 1 331 in place of 42 779 over the eleven steps of the
+144-vertex triangle H_{0,11}.  Over MultiPoly entries the step reads x_m
+and y_m from the block as stored, so every product shares the matrix's
+varcount and none pays for a promotion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from itertools import compress
 
 from .linalg import (
     NUMERIC_ELIMINATION_ROWS,
@@ -47,7 +58,7 @@ from .linalg import (
     ring_kind,
     symbolic_division_free_guard,
 )
-from .matrices import BadRange, PolyMatrix, _nz, _weight, build_huckel, build_T
+from .matrices import BadRange, PolyMatrix, _weight, build_huckel, build_T
 from .poly import MultiPoly
 
 
@@ -67,51 +78,41 @@ def invert_T(m: int, params=None) -> PolyMatrix:
     """
     if m < 1:
         raise BadRange(f"invert_T needs m >= 1, got {m}")
-    if params is None:
-        return _invert_symbolic(m)
-    return _invert_build(m, params)
-
-
-@lru_cache(maxsize=None)
-def _invert_symbolic(m: int) -> PolyMatrix:
-    return _invert_build(m, None)
-
-
-def _invert_build(m: int, params) -> PolyMatrix:
-    n = 2 * m + 1
     x = _weight(f"x{m}", params)
     y = _weight(f"y{m}", params)
-    s = x + y
-    sgn = (-1) ** m
-    cols = []
-    for j in range(n):
-        sig_e = sgn * (-1) ** ((j + 1) // 2) if j % 2 == 1 else 0
-        sig_o = 0
-        if j % 2 == 0 and 2 <= j <= 2 * (m - 1):
-            sig_o = -sgn * (-1) ** (j // 2)
-        b0 = (1 if j == 0 else 0) - y * sig_e
-        b1 = (1 if j == n - 1 else 0) - sig_o
-        w = [0] * n
-        w[0] = sgn * b0 + b1
-        w[1] = x * b0 - sgn * (y * b1)
-        for i in range(1, n - 1):
-            w[i + 1] = (s if i == j else 0) - w[i - 1]
-        cols.append(w)
-    result = PolyMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
-    if build_T(m, params) * result != PolyMatrix.identity(n, one=s):
+    n = 2 * m + 1
+    result = PolyMatrix(zip(*(_inverse_column(j, m, x, y) for j in range(n))))
+    if build_T(m, params) * result != PolyMatrix.identity(n, one=x + y):
         raise ArithmeticError(f"closed-form inverse failed multiply-back at m={m}")
     return result
 
 
-def _null_pair(m: int, params):
+def _inverse_column(j: int, m: int, x, y) -> list:
+    """Column j of W = (x + y) * T_m^{-1}, from its two boundary values."""
+    n = 2 * m + 1
+    s = x + y
+    sgn = (-1) ** m
+    sig_e = sgn * (-1) ** ((j + 1) // 2) if j % 2 == 1 else 0
+    sig_o = 0
+    if j % 2 == 0 and 2 <= j <= 2 * (m - 1):
+        sig_o = -sgn * (-1) ** (j // 2)
+    b0 = (1 if j == 0 else 0) - y * sig_e
+    b1 = (1 if j == n - 1 else 0) - sig_o
+    w = [0] * n
+    w[0] = sgn * b0 + b1
+    w[1] = x * b0 - sgn * (y * b1)
+    for i in range(1, n - 1):
+        w[i + 1] = (s if i == j else 0) - w[i - 1]
+    return w
+
+
+def _null_pair(m: int, x, y):
     """Right/left null vectors of T_m at y_m = -x_m, kept polynomial.
 
     Odd entries of the right vector carry y_m, of the left one x_m; the
     two agree modulo x_m + y_m but the mixed choice is what cancels the
     coupling residue exactly.
     """
-    x = _weight(f"x{m}", params)
-    y = _weight(f"y{m}", params)
     n = 2 * m + 1
     r = []
     left = []
@@ -145,78 +146,136 @@ def schur_det_step(M: PolyMatrix, m: int, params=None):
     BlockMismatch when the trailing block is not T_m with these params,
     and refuses specializations with S_m = 0 (the block is singular there).
 
-    Only the kept rows with a nonzero in the block's columns (the coupled
-    rows) and the kept columns with a nonzero in its rows are touched:
-    every other entry of A - P equals A's, so those rows are copied.
+    The step runs on M's sparse rows and touches only the kept rows with a
+    nonzero in the block's columns (the coupled rows) and the kept columns
+    with a nonzero in its rows: every other entry of A - P equals A's.  An
+    entry that cancels to zero comes back as the int 0, where a dense
+    computation over CycInt or GaussInt would leave that ring's zero; the
+    two compare equal.
     """
-    n = 2 * m + 1
+    rows, pos = _sparse(M)
+    _condense(rows, pos, m, params)
+    return 1, _dense(rows, pos)
+
+
+def _sparse(M: PolyMatrix):
+    """M as sparse rows keyed by index, and the index list."""
     d = M.dim
-    a = d - n
+    rows = {i: dict(compress(enumerate(row), row)) for i, row in enumerate(M.rows)}
+    return rows, list(range(d))
+
+
+def _dense(rows: dict, pos: list) -> PolyMatrix:
+    """The sparse matrix as a dense one, rows and columns in position order."""
+    at = {label: p for p, label in enumerate(pos)}
+    out = []
+    for label in pos:
+        row = [0] * len(pos)
+        for j, e in rows[label].items():
+            row[at[j]] = e
+        out.append(row)
+    return PolyMatrix(out)
+
+
+def _condense(rows: dict, pos: list, m: int, params) -> None:
+    """One Schur step in place on the sparse matrix (rows, pos): the block
+    T_m at the last 2m+1 positions is deleted and its border, labelled -m,
+    goes to the front."""
+    n = 2 * m + 1
+    a = len(pos) - n
     if a < 0:
-        raise BlockMismatch(f"matrix of size {d} has no trailing T_{m}")
-    tail = M.submatrix(range(a, d), range(a, d))
-    if tail != build_T(m, params):
+        raise BlockMismatch(f"matrix of size {len(pos)} has no trailing T_{m}")
+    block, kept = pos[a:], pos[:a]
+    at = {label: t for t, label in enumerate(block)}
+    in_block = at.keys()
+    # each block row's entries inside the block (T_m) and outside it (C)
+    inner, outer = [], []
+    for label in block:
+        row = rows[label]
+        inner.append({at[j]: e for j, e in row.items() if j in at})
+        outer.append([(j, e) for j, e in row.items() if j not in at])
+    if inner != [dict(compress(enumerate(r), r)) for r in build_T(m, params).rows]:
         raise BlockMismatch(f"trailing {n}x{n} block is not T_{m}")
     x = _weight(f"x{m}", params)
     y = _weight(f"y{m}", params)
-    s = x + y
-    if s == 0:
+    if x + y == 0:
         raise ZeroDivisionError(f"x_{m} + y_{m} vanishes at this specialization")
+    border = -m
     if a == 0:
-        return 1, PolyMatrix([[s]])
-
-    kind = ring_kind(tail)  # the ring of s
-    w_inv = invert_T(m, params).rows
-    r, left = _null_pair(m, params)
-    if kind == "poly":
-        # one varcount, the block's as stored in M, so no product pays for
-        # a promotion
-        vc = max(e.varcount for e in (tail[0, n - 1], tail[n - 1, 0], s)
-                 if isinstance(e, MultiPoly))
-        w_inv, (r, left, [s]) = _promoted(w_inv, vc), _promoted((r, left, [s]), vc)
+        rows.clear()
+        rows[border] = {border: x + y}
+        pos[:] = [border]
+        return
+    if m < 1:
+        raise BadRange(f"a condensation step needs m >= 1, got {m}")
+    kind = ring_kind(PolyMatrix([[x, y]]))  # the ring of S_m
+    # x_m and y_m as the block stores them (just matched to T_m's corners),
+    # so over MultiPoly every product below shares the matrix's varcount
+    x, y = inner[-1].get(0, 0), inner[0].get(n - 1, 0)
+    s = x + y
     divide = _divider(s, kind)
-    mu = w_inv[0][0]  # constant (-1)^m; the y -> -x residue scale
-    rows = M.rows
-    # nonzero (t, B[i, t]) of each coupled row i, (t, C[t, j]) of each column j
-    coupled = {}
-    for i in range(a):
-        nz = [(t, e) for t, e in enumerate(rows[i][a:]) if _nz(e)]
-        if nz:
-            coupled[i] = nz
-    cols: dict[int, list] = {}
-    for t in range(n):
-        for j, e in enumerate(rows[a + t][:a]):
-            if _nz(e):
-                cols.setdefault(j, []).append((t, e))
-    v = {i: mu * sum(e * r[t] for t, e in nz) for i, nz in coupled.items()}
-    w = {j: sum(e * left[t] for t, e in nz) for j, nz in cols.items()}
-    lead = next((e for e in v.values() if _nz(e)), None)
+    lift = kind != "int"  # a ring's divider takes no plain int
+    w0, w1 = _inverse_column(0, m, x, y), _inverse_column(1, m, x, y)
+    mu = w0[0]  # constant (-1)^m; the y -> -x residue scale
+    r, left = _null_pair(m, x, y)
+    # the block's own nonzeros (row, column, entry), for the multiply-back
+    own = [(t, u, e) for t, entries in enumerate(inner) for u, e in entries.items()]
+    w: dict = {}
+    for t, entries in enumerate(outer):
+        for j, e in entries:
+            w[j] = w[j] + e * left[t] if j in w else e * left[t]
+    v = {}  # nonzero v in position order
+    for i in kept:
+        row = rows[i]
+        if row.keys().isdisjoint(in_block):
+            continue
+        b = {at[j]: row.pop(j) for j in row.keys() & in_block}
+        sb = [0] * n
+        for t, e in b.items():
+            sb[t] = s * e
+        # z = b W from z T_m = S_m b: two seeds, then the interior columns
+        z = [sum(e * w0[t] for t, e in b.items()),
+             sum(e * w1[t] for t, e in b.items())]
+        for u in range(1, n - 1):
+            z.append(sb[u] - z[u - 1] if sb[u] else -z[u - 1])
+        back = [0] * n
+        for t, u, e in own:
+            p = z[t] if e == 1 else z[t] * e
+            back[u] = back[u] + p if back[u] else p
+        if back != sb:
+            raise ArithmeticError(f"row solve failed multiply-back at m={m}")
+        vi = mu * sum(e * r[t] for t, e in b.items())
+        # numerators of P's row: (b W) C - v_i w; the sign rule below flips
+        # v and w together, so it leaves v_i w_j alone
+        num = {}
+        for zu, entries in zip(z, outer):
+            if zu:
+                for j, c in entries:
+                    p = zu if c == 1 else zu * c
+                    num[j] = num[j] + p if j in num else p
+        if vi:
+            for j, wj in w.items():
+                num[j] = num[j] - vi * wj if j in num else -(vi * wj)
+            v[i] = vi
+        for j, q in num.items():
+            if lift and isinstance(q, int):
+                q = _lift(q, kind)
+            e = row.get(j, 0) - divide(q)
+            if e:
+                row[j] = e
+            else:
+                row.pop(j, None)
+    lead = next(iter(v.values()), None)
     if lead is not None and _is_negative(lead):
         v = {i: -e for i, e in v.items()}
         w = {j: -e for j, e in w.items()}
-    reduced = [[s] + [w.get(j, 0) for j in range(a)]]
-    for i in range(a):
-        nz = coupled.get(i)
-        if nz is None:
-            reduced.append((0,) + rows[i][:a])
-            continue
-        bw = [sum(e * w_inv[t][u] for t, e in nz) for u in range(n)]
-        row = list(rows[i][:a])
-        for j, cj in cols.items():
-            y_ij = sum(bw[u] * c for u, c in cj if _nz(bw[u]))
-            num = y_ij - v[i] * w[j]
-            if isinstance(num, int):
-                num = _lift(num, kind)
-            row[j] = row[j] - divide(num)
-        reduced.append([v[i]] + row)
-    return 1, PolyMatrix(reduced)
-
-
-def _promoted(rows, varcount: int):
-    return [
-        [e.promoted(varcount) if isinstance(e, MultiPoly) else e for e in row]
-        for row in rows
-    ]
+    for i, e in v.items():
+        rows[i][border] = e
+    for label in block:
+        del rows[label]
+    rows[border] = {border: s}
+    rows[border].update((j, e) for j, e in w.items() if e)
+    pos[:] = [border] + kept
 
 
 # -- iterated condensation ------------------------------------------------------
@@ -243,11 +302,12 @@ def condense(n: int, params=None) -> CondensationTrace:
         raise BadRange(f"condense needs n >= 1, got {n}")
     huckel_guard(0, n, NUMERIC_ELIMINATION_ROWS, "condensation trace")
     trace = CondensationTrace()
-    M = _huckel(0, n, params)
+    rows, pos = _sparse(_huckel(0, n, params))
     for m in range(n, 0, -1):
-        _, M = schur_det_step(M, m, params)
-        trace.steps.append(CondensationStep(m=m, border=str(M[0, 0]), size=M.dim))
-    trace.final = M
+        _condense(rows, pos, m, params)
+        border = rows[pos[0]][pos[0]]
+        trace.steps.append(CondensationStep(m=m, border=str(border), size=len(pos)))
+    trace.final = _dense(rows, pos)
     return trace
 
 
@@ -268,9 +328,11 @@ def _condensed_det(M: PolyMatrix, k: int, n: int, params):
     """``condensation_det`` on H_{k,n} as built already (by ``_huckel``, or
     by ``build_huckel`` at a numeric point), with no guard: for a caller
     that has checked the caps and runs other routes on the same matrix."""
+    rows, pos = _sparse(M)
     stop = 0 if k == 0 else k - 1
     for m in range(n, stop, -1):
-        _, M = schur_det_step(M, m, params)
+        _condense(rows, pos, m, params)
+    M = _dense(rows, pos)
     return det(M, "division-free") if ring_kind(M) == "poly" else det(M)
 
 
@@ -279,5 +341,7 @@ def _huckel(k: int, n: int, params) -> PolyMatrix:
     M = build_huckel(k, n, params)
     names = (f"{c}{m}" for m in range(k, n + 1) for c in "xy")
     if any(isinstance(_weight(name, params), MultiPoly) for name in names):
-        return PolyMatrix(_promoted(M.rows, n + 1))
+        return M.map_entries(
+            lambda e: e.promoted(n + 1) if isinstance(e, MultiPoly) else e
+        )
     return M

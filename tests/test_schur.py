@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import huckelpascal.schur as schur
-from huckelpascal.cyclotomic import theta_point
+from huckelpascal.cyclotomic import CycInt, GaussInt, theta_point
 from huckelpascal.linalg import TooLarge, _divider, _lift, det, rank1_factor, ring_kind
 from huckelpascal.matrices import (
     BadRange,
@@ -36,12 +36,13 @@ def _dense_step(M, m, params=None):
     n = 2 * m + 1
     d = M.dim
     a = d - n
-    s = _weight(f"x{m}", params) + _weight(f"y{m}", params)
+    x, y = _weight(f"x{m}", params), _weight(f"y{m}", params)
+    s = x + y
     if a == 0:
         return PolyMatrix([[s]])
     kind = ring_kind(M.submatrix(range(a, d), range(a, d)))
     W = invert_T(m, params)
-    r, left = _null_pair(m, params)
+    r, left = _null_pair(m, x, y)
     v = [W[0, 0] * sum(M[i, a + t] * r[t] for t in range(n)) for i in range(a)]
     w = [sum(M[a + t, j] * left[t] for t in range(n)) for j in range(a)]
     lead = next((e for e in v if e != 0), None)
@@ -70,6 +71,28 @@ def _seeded_params(seed, k, n):
     for i in range(k, n + 1):
         x, y = rng.randint(-40, 40), rng.randint(-40, 40)
         params[f"x{i}"], params[f"y{i}"] = x, y if x + y else y + 1
+    return params
+
+
+def _ring_params(ring, seed, k, n):
+    """Seeded weights in Z, Z[zeta12] or Z[i], every x_m + y_m nonzero."""
+    import random
+
+    rng = random.Random(seed)
+
+    def draw():
+        if ring == "int":
+            return rng.randint(-40, 40)
+        if ring == "cyc":
+            return CycInt(*(rng.randint(-5, 5) for _ in range(4)))
+        return GaussInt(rng.randint(-9, 9), rng.randint(-9, 9))
+
+    params = {}
+    for i in range(k, n + 1):
+        x, y = draw(), draw()
+        while x + y == 0:
+            y = draw()
+        params[f"x{i}"], params[f"y{i}"] = x, y
     return params
 
 
@@ -246,6 +269,71 @@ class TestSparseStep:
         assert calls <= 2000
 
 
+class TestSparseStepEdges:
+    """The tail check, the per-row multiply-back and dropped zeros."""
+
+    def test_extra_nonzero_in_the_tail(self):
+        rows = [list(r) for r in build_huckel(0, 2).rows]
+        a = len(rows) - 5
+        rows[a][a + 2] = 1  # T_2 has a zero there
+        with pytest.raises(BlockMismatch):
+            schur_det_step(PolyMatrix(rows), 2)
+
+    def test_tail_missing_its_corner_weight(self):
+        params = _seeded_params(5, 0, 2)
+        rows = [list(r) for r in build_huckel(0, 2, params).rows]
+        rows[len(rows) - 5][-1] = 0  # y_2, top right of T_2
+        with pytest.raises(BlockMismatch):
+            schur_det_step(PolyMatrix(rows), 2, params)
+
+    def test_entry_cancelling_to_zero(self):
+        # B = e_0 and C = e_1 give P = 1, so A - P = 1 - 1 cancels
+        params = _theta_params(1, 1)
+        t = build_T(1, params).rows
+        M = PolyMatrix([[1, 1, 0, 0], [0, *t[0]], [1, *t[1]], [0, *t[2]]])
+        _, reduced = schur_det_step(M, 1, params)
+        dense = _dense_step(M, 1, params)
+        assert reduced == dense
+        assert reduced[1, 1] == 0 and type(reduced[1, 1]) is int
+        assert dense[1, 1] == 0 and type(dense[1, 1]) is CycInt
+        assert det(reduced) == det(M)
+
+    def test_kept_row_with_no_block_entry(self):
+        t = build_T(1, {"x1": 3, "y1": -7}).rows
+        M = PolyMatrix([
+            [2, 5, 1, 0, 0],
+            [4, 9, 0, 0, 0],  # not coupled, though column 1 is
+            [0, 3, *t[0]],
+            [0, 0, *t[1]],
+            [0, 0, *t[2]],
+        ])
+        _, reduced = schur_det_step(M, 1, {"x1": 3, "y1": -7})
+        assert reduced == _dense_step(M, 1, {"x1": 3, "y1": -7})
+        assert list(reduced.rows[2]) == [0, 4, 9]
+        assert reduced[1, 1] == 2  # column 0 is not coupled either
+        assert det(reduced) == det(M)
+
+    @pytest.mark.parametrize("ring", ["int", "cyc", "gauss"])
+    def test_condensation_equals_elimination(self, ring):
+        for n in range(6):
+            for k in range(n + 1):
+                params = _ring_params(ring, 100 * n + k, k, n)
+                h = build_huckel(k, n, params)
+                assert condensation_det(k, n, params) == det(h), (k, n)
+
+    @pytest.mark.parametrize("params", [None, _seeded_params(7, 0, 3)])
+    def test_corrupted_seed_column_fails_multiply_back(self, monkeypatch, params):
+        original = schur._inverse_column
+
+        def corrupted(j, m, x, y):
+            w = original(j, m, x, y)
+            return [e + 1 for e in w] if j == 0 else w
+
+        monkeypatch.setattr(schur, "_inverse_column", corrupted)
+        with pytest.raises(ArithmeticError, match="multiply-back at m=3"):
+            condensation_det(0, 3, params)
+
+
 class TestCondense:
     def test_trace_shape(self):
         trace = condense(2)
@@ -328,6 +416,13 @@ class TestCondensationDet:
             params[f"x{i}"] = rng.randint(1, 99)
             params[f"y{i}"] = rng.randint(1, 99)
         assert condensation_det(0, 19, params) == det(build_huckel(0, 19, params))
+
+    def test_wide_trapezium_symbolic(self, monkeypatch):
+        # 148 vertices in two rows: blocks of 75 and 73 columns
+        monkeypatch.setenv("HUCKEL_MAX_SIZE", "148")
+        val = condensation_det(36, 37)
+        point = {"x36": 5, "y36": -3, "x37": 7, "y37": 11}
+        assert val.evaluate(point) == det(build_huckel(36, 37, point))
 
     def test_symbolic_guard(self, monkeypatch):
         def build_huckel(*args):
