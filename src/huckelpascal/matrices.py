@@ -37,7 +37,10 @@ class PolyMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        rows = tuple(tuple(r) for r in rows)
+        # from a list, so the tuple is allocated at its final size: one built
+        # from a generator is resized, and CPython's per-size tuple free
+        # lists then keep one more dead tuple per matrix, up to 2000 a size
+        rows = tuple([tuple(r) for r in rows])
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
         object.__setattr__(self, "rows", rows)
