@@ -165,8 +165,8 @@ class CycInt:
     def __bool__(self):
         return any(self.coords)
 
-    def __hash__(self):
-        return hash(("CycInt", self.coords))
+    def __hash__(self):  # a rational integer hashes as the int it equals
+        return hash(self.coords[0]) if not any(self.coords[1:]) else hash(("CycInt", self.coords))
 
     def __repr__(self):
         return f"CycInt{self.coords}"
@@ -349,8 +349,8 @@ class GaussInt:
     def __bool__(self):
         return bool(self.re or self.im)
 
-    def __hash__(self):
-        return hash(("GaussInt", self.re, self.im))
+    def __hash__(self):  # a rational integer hashes as the int it equals
+        return hash(self.re) if not self.im else hash(("GaussInt", self.re, self.im))
 
     def __repr__(self):
         return f"GaussInt({self.re}, {self.im})"

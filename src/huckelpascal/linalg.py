@@ -3,7 +3,9 @@
 All algorithms work over whichever exact ring the matrix entries live in
 (plain integers, Fraction, MultiPoly, CycInt, GaussInt); the only operation
 a ring must provide beyond +,-,* is exact division, and the division-free
-algorithm does without it.  ``_divider`` builds the exact division by one
+algorithm does without it.  Every route reads its matrix through
+``_ring_rows``: a {column: nonzero entry} dict per row, every entry in one
+ring (ints lifted, MultiPoly entries at one varcount).  ``_divider`` builds the exact division by one
 divisor once, for every entry divided by it: integers test the remainder
 of divmod, CycInt and GaussInt compute the divisor's conjugate product and
 norm once and test norm divisibility and multiply back on every entry.
@@ -60,7 +62,6 @@ import os
 from fractions import Fraction
 from itertools import chain, compress
 from math import comb
-from typing import Sequence
 
 from .cyclotomic import CycInt, GaussInt
 from .matrices import PolyMatrix, TriangleGraph, _nz, permutation_sign
@@ -128,10 +129,10 @@ _RING_TYPES = (
 )
 
 
-def ring_kind(M: PolyMatrix) -> str:
+def _ring_of(entries) -> str:
     kinds = set()
     # the distinct entry types, in the order they first appear
-    for t in dict.fromkeys(map(type, chain.from_iterable(M.rows))):
+    for t in dict.fromkeys(map(type, entries)):
         for base, kind in _RING_TYPES:
             if issubclass(t, base):
                 if kind is not None:
@@ -142,6 +143,11 @@ def ring_kind(M: PolyMatrix) -> str:
     if len(kinds) > 1:
         raise TypeError(f"mixed entry rings {sorted(kinds)}")
     return kinds.pop() if kinds else "int"
+
+
+def ring_kind(M: PolyMatrix) -> str:
+    """The ring of M's nonzero entries, classified without lifting them."""
+    return _ring_of(filter(None, chain.from_iterable(M.rows)))
 
 
 _LIFTS = {
@@ -155,6 +161,25 @@ _LIFTS = {
 
 def _lift(c: int, kind: str):
     return _LIFTS[kind](c)
+
+
+def _ring_rows(M: PolyMatrix) -> tuple[list[dict], str]:
+    """M's nonzero entries as one {column: entry} dict per row, each an
+    element of their ring, and that ring: ints are lifted, and MultiPoly
+    entries promoted to the largest varcount, so no product promotes."""
+    rows = [dict(compress(enumerate(row), row)) for row in M.rows]
+    kind = _ring_of(chain.from_iterable(map(dict.values, rows)))
+    if kind == "int":
+        return rows, kind
+    if kind == "poly":
+        vc = max(e.varcount for row in rows for e in row.values() if isinstance(e, MultiPoly))
+        lift = lambda e: e.promoted(vc) if isinstance(e, MultiPoly) else MultiPoly.const(e, vc)
+    else:
+        lift = lambda e: _lift(e, kind) if isinstance(e, int) else e
+    for row in rows:
+        for j, e in row.items():
+            row[j] = lift(e)
+    return rows, kind
 
 
 def _divider(b, kind: str):
@@ -186,7 +211,7 @@ def det(M: PolyMatrix, strategy: str | None = None):
     one, division-free over MultiPoly entries and fraction-free elimination
     over every other ring."""
     M.dim  # raises on a non-square matrix
-    kind = ring_kind(M)
+    rows, kind = _ring_rows(M)
     if strategy is None:
         strategy = "division-free" if kind == "poly" else "fraction-free-elimination"
     if strategy == "fraction-free-elimination":
@@ -195,11 +220,11 @@ def det(M: PolyMatrix, strategy: str | None = None):
                 "fraction-free elimination does not take polynomial entries; "
                 "use division-free"
             )
-        return _det_bareiss(M.rows, kind)
+        return _det_bareiss(rows, kind)
     if strategy == "sparse-minor-expansion":
-        return _frontier_walk(M.rows, kind, signed=True)
+        return _frontier_walk(rows, kind, signed=True)
     if strategy == "division-free":
-        c = _berkowitz(M.rows, kind)[-1]
+        c = _berkowitz(rows, kind)[-1]
         return c if M.dim % 2 == 0 else -c
     raise StrategyPrecondition(f"unknown strategy {strategy!r}")
 
@@ -229,14 +254,14 @@ def symbolic_division_free_guard(rows: int, variables: int) -> None:
         )
 
 
-def _det_bareiss(rows: Sequence[Sequence], kind: str):
+def _det_bareiss(a: list[dict], kind: str):
     """One-step Bareiss over sparse rows with a fill-reducing pivot order
     and lazy row scaling.
 
-    Each row is a dict of its nonzero entries.  Step s eliminates the live
-    column held by the fewest live rows, ties going to the lowest index
-    (Markowitz's rule, by columns), and pivots on the lowest-index live row
-    holding it.  Only the rows holding that column c are updated,
+    Each row is a dict of its nonzero entries, updated in place.  Step s
+    eliminates the live column held by the fewest live rows, ties going to
+    the lowest index (Markowitz's rule, by columns), and pivots on the
+    lowest-index live row holding it.  Only the rows holding that column c are updated,
     (pc*r - r[c]*p) / prev over the union of the two supports; a row with a
     zero there would just be multiplied by pc / prev, so it is left alone
     and, when next used, caught up by pivots[s] / pivots[t] from the step t
@@ -245,15 +270,8 @@ def _det_bareiss(rows: Sequence[Sequence], kind: str):
     from it.  The determinant is the last pivot, signed by the row and
     column orders of the pivots.
     """
-    n = len(rows)
+    n = len(a)
     size_guard(n, NUMERIC_ELIMINATION_ROWS, "numeric elimination rows")
-    lift = _LIFTS[kind]
-    a = [dict(compress(enumerate(row), row)) for row in rows]
-    if kind != "int":
-        for row in a:  # plain ints may stand in for ring elements
-            for j, e in row.items():
-                if isinstance(e, int):
-                    row[j] = lift(e)
     # key[j] = n * (live rows holding column j) + j while column j is live,
     # and `dead` above every such key once it is eliminated, so min(key)
     # names the sparsest live column, ties to the lowest index
@@ -264,7 +282,7 @@ def _det_bareiss(rows: Sequence[Sequence], kind: str):
     dead = n * (n + 1)
     # pivots[t] is the divisor after t steps, divide[t] its exact divider; a
     # row at level t is current through step t - 1
-    pivots = [lift(1)]
+    pivots = [_lift(1, kind)]
     divide = []
     level = [0] * n
     live = list(range(n))
@@ -282,7 +300,7 @@ def _det_bareiss(rows: Sequence[Sequence], kind: str):
     for s in range(n):
         c = min(key)
         if c < n:  # no live row holds that column
-            return lift(0)
+            return _lift(0, kind)
         c %= n
         key[c] = dead
         users = [i for i in live if c in a[i]]
@@ -321,7 +339,7 @@ def _det_bareiss(rows: Sequence[Sequence], kind: str):
     return last if sign > 0 else -last
 
 
-def _berkowitz(rows: Sequence[Sequence], kind: str) -> list:
+def _berkowitz(a: list[dict], kind: str) -> list:
     """Coefficients [c_0 = 1, c_1, ..., c_n] of det(zI - A) = sum c_i z^(n-i),
     by Berkowitz's division-free algorithm.
 
@@ -331,19 +349,15 @@ def _berkowitz(rows: Sequence[Sequence], kind: str) -> list:
     A_r.  Only ring +, - and * run, never on a zero operand: O(n^4) products
     for a dense matrix, and no division.
     """
-    n = len(rows)
+    n = len(a)
     if kind == "poly":
-        polys = [e for row in rows for e in row if isinstance(e, MultiPoly)]
-        names = set().union(*(e.used_variables() for e in polys))
+        entries = [e for row in a for e in row.values()]
+        names = set().union(*(e.used_variables() for e in entries))
         symbolic_division_free_guard(n, len(names))
-        # one varcount for every entry, so no product pays for a promotion
-        vc = max(e.varcount for e in polys)
-        lift = lambda e: e.promoted(vc) if isinstance(e, MultiPoly) else MultiPoly.const(e, vc)
+        one = MultiPoly.const(1, entries[0].varcount)  # the entries' varcount
     else:
         size_guard(n, NUMERIC_DIVISION_FREE_ROWS, "division-free rows")
-        lift = lambda e: _lift(e, kind) if isinstance(e, int) else e
-    a = [{j: lift(e) for j, e in enumerate(row) if _nz(e)} for row in rows]
-    one = lift(1)
+        one = _lift(1, kind)
     coeffs = [one]  # None stands for a zero coefficient
     for r in range(n):
         # the rows of A_r and R, as (column, entry) pairs
@@ -366,7 +380,7 @@ def _berkowitz(rows: Sequence[Sequence], kind: str) -> list:
                 acc = -p if acc is None else acc - p
             new.append(acc if acc is not None and _nz(acc) else None)
         coeffs = new
-    zero = lift(0)
+    zero = one - one
     return [zero if c is None else c for c in coeffs]
 
 
@@ -390,9 +404,10 @@ def permutation_parity_census(M: PolyMatrix) -> tuple[int, int]:
     permutation contributes exactly +-1, so perm S = even + odd (frontier
     walk) and det S = even - odd (fraction-free elimination).
     """
-    support = M.map_entries(lambda e: 1 if _nz(e) else 0)
-    total = _frontier_walk(support.rows, "int", signed=False)
-    signed = det(support)
+    M.dim  # raises on a non-square matrix
+    support = [dict.fromkeys(row, 1) for row in _ring_rows(M)[0]]
+    total = _frontier_walk(support, "int", signed=False)
+    signed = _det_bareiss(support, "int")  # last: it updates the rows
     return (total + signed) // 2, (total - signed) // 2
 
 
@@ -402,7 +417,7 @@ def permutation_parity_census(M: PolyMatrix) -> tuple[int, int]:
 _FRONTIER_STATE_BUDGET = 2_000_000
 
 
-def _frontier_walk(rows: Sequence[Sequence], kind: str, signed: bool):
+def _frontier_walk(rows: list[dict], kind: str, signed: bool):
     """Sum over the permutations with nonzero support of the products of
     their entries, signed by parity (the determinant) or not (the permanent).
 
@@ -411,19 +426,18 @@ def _frontier_walk(rows: Sequence[Sequence], kind: str, signed: bool):
     flips the sign once for each free column left of j, which is the parity
     of a Laplace expansion along the row.  A column with no nonzero entry
     below row r must be taken by then, so sets that leave one free are
-    dropped, as are sets whose partial sum cancels to zero.  Plain integer
-    entries may stand in for ring elements; the sums start from the ring's one.
+    dropped, as are sets whose partial sum cancels to zero.  The sums start
+    from the ring's one.
     """
     n = len(rows)
     if kind != "int":
         size_guard(n, NON_INTEGER_WALK_DIM, "non-integer frontier walk dimension")
     zero = _lift(0, kind)
-    support = [[(j, e) for j, e in enumerate(row) if _nz(e)] for row in rows]
     last = [-1] * n
-    for r, entries in enumerate(support):
-        for j, _ in entries:
+    for r, row in enumerate(rows):
+        for j in row:
             last[j] = r
-    if not all(support) or -1 in last:
+    if not all(rows) or -1 in last:
         return zero  # a zero row or column
     # closed[r]: the columns whose last nonzero entry is in row r or above
     closed = [0] * n
@@ -435,8 +449,8 @@ def _frontier_walk(rows: Sequence[Sequence], kind: str, signed: bool):
     # include closed[r]; summing the choices bounds the states kept.
     states = 0
     reach = 0
-    for r, entries in enumerate(support):
-        for j, _ in entries:
+    for r, row in enumerate(rows):
+        for j in row:
             reach |= 1 << j
         fixed = closed[r].bit_count()
         if fixed <= r + 1:
@@ -447,8 +461,8 @@ def _frontier_walk(rows: Sequence[Sequence], kind: str, signed: bool):
                 f"than {_FRONTIER_STATE_BUDGET} states"
             )
     layer = {(1 << n) - 1: _lift(1, kind)}
-    for r, entries in enumerate(support):
-        steps = [(1 << j, (1 << j) - 1, e, -e) for j, e in entries]
+    for r, row in enumerate(rows):
+        steps = [(1 << j, (1 << j) - 1, e, -e) for j, e in row.items()]
         dead = closed[r]
         nxt: dict = {}
         get = nxt.get
@@ -481,7 +495,7 @@ def permanent(M: PolyMatrix):
     HUCKEL_MAX_SIZE raises; the signed walk shares both guards.
     """
     M.dim  # raises on a non-square matrix
-    return _frontier_walk(M.rows, ring_kind(M), signed=False)
+    return _frontier_walk(*_ring_rows(M), signed=False)
 
 
 # -- characteristic polynomial ------------------------------------------------------
@@ -491,11 +505,12 @@ def charpoly(M: PolyMatrix) -> MultiPoly:
     """det(zI + M) for an integer matrix (note the +z convention: the
     coefficient list read off this polynomial is symmetric for matrices
     whose eigenvalues come in reciprocal pairs)."""
-    if ring_kind(M) != "int":
+    rows, kind = _ring_rows(M)
+    if kind != "int":
         raise StrategyPrecondition("charpoly expects an integer matrix")
     n = M.dim  # raises on a non-square matrix
     # det(zI + M) = det(zI - (-M)), whose coefficients Berkowitz returns
-    coeffs = _berkowitz([[-e for e in row] for row in M.rows], "int")
+    coeffs = _berkowitz([{j: -e for j, e in row.items()} for row in rows], "int")
     return MultiPoly({(n - i,): c for i, c in enumerate(coeffs) if c}, 0)
 
 

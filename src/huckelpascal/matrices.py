@@ -76,7 +76,7 @@ class PolyMatrix:
         )
 
     def __hash__(self):
-        return hash(tuple(tuple(str(e) for e in r) for r in self.rows))
+        return hash(self.rows)  # equal entries of two rings hash equal, unlike their text
 
     def __repr__(self):
         return f"PolyMatrix({self.nrows}x{self.ncols})"

@@ -28,34 +28,32 @@ that proves the very product the step goes on to use.
 
 A step works only where T_m couples to the rest.  Between steps the
 matrix is a dict of sparse rows (label -> {label: nonzero entry}) and a
-list of labels in position order; original vertices keep their labels
-and each border gets a fresh one at the front.  A kept row with no
-nonzero in B has a zero row in B W C and v, and a kept column with no
-nonzero in C a zero column in B W C and w, so A - P equals A outside the
-coupled rows and columns, and every other row is left as it is, not
-copied.  On H_{k,n} the coupled rows (and columns) are the n - m borders
+list of labels in position order, read from H by ``_ring_rows``, so
+every entry is in one ring; original vertices keep their labels and each
+border gets a fresh one at the front.  A kept row with no nonzero in B
+has a zero row in B W C and v, and a kept column with no nonzero in C a
+zero column in B W C and w, so A - P equals A outside the coupled rows
+and columns, and every other row is left as it is, not copied.  On H_{k,n} the coupled rows (and columns) are the n - m borders
 of earlier steps and the m vertices of row m-1 bonded to the block, at
 most n in all.  So a step costs O(n m) ring operations for the solves and
 at most n^2 exact divisions, where the dense formula made one division
 per entry of A: 1 331 in place of 42 779 over the eleven steps of the
-144-vertex triangle H_{0,11}.  Over MultiPoly entries the step reads x_m
-and y_m from the block as stored, so every product shares the matrix's
-varcount and none pays for a promotion.
+144-vertex triangle H_{0,11}.  Over MultiPoly entries every entry, x_m
+and y_m as the block stores them included, has the matrix's largest
+varcount, so no product pays for a promotion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 
 from .linalg import (
     NUMERIC_ELIMINATION_ROWS,
     _divider,
-    _lift,
+    _ring_rows,
     det,
     huckel_guard,
-    ring_kind,
     symbolic_division_free_guard,
 )
 from .matrices import BadRange, PolyMatrix, _weight, build_huckel, build_T
@@ -146,23 +144,19 @@ def schur_det_step(M: PolyMatrix, m: int, params=None):
     BlockMismatch when the trailing block is not T_m with these params,
     and refuses specializations with S_m = 0 (the block is singular there).
 
-    The step runs on M's sparse rows and touches only the kept rows with a
-    nonzero in the block's columns (the coupled rows) and the kept columns
-    with a nonzero in its rows: every other entry of A - P equals A's.  An
-    entry that cancels to zero comes back as the int 0, where a dense
-    computation over CycInt or GaussInt would leave that ring's zero; the
-    two compare equal.
+    The step runs on M's nonzero entries, lifted into one ring, and touches
+    only the kept rows with a nonzero in the block's columns (the coupled
+    rows) and the kept columns with a nonzero in its rows: every other
+    entry of A - P equals A's.  A zero comes back as the int 0 and every
+    other entry lifted, where a dense computation over CycInt or GaussInt
+    would leave that ring's zero and M's ints; the two compare, and hash,
+    equal.
     """
-    rows, pos = _sparse(M)
-    _condense(rows, pos, m, params)
+    M.dim  # raises on a non-square matrix
+    rows, kind = _ring_rows(M)
+    rows, pos = dict(enumerate(rows)), list(range(len(rows)))
+    _condense(rows, pos, m, params, kind)
     return 1, _dense(rows, pos)
-
-
-def _sparse(M: PolyMatrix):
-    """M as sparse rows keyed by index, and the index list."""
-    d = M.dim
-    rows = {i: dict(compress(enumerate(row), row)) for i, row in enumerate(M.rows)}
-    return rows, list(range(d))
 
 
 def _dense(rows: dict, pos: list) -> PolyMatrix:
@@ -177,10 +171,10 @@ def _dense(rows: dict, pos: list) -> PolyMatrix:
     return PolyMatrix(out)
 
 
-def _condense(rows: dict, pos: list, m: int, params) -> None:
-    """One Schur step in place on the sparse matrix (rows, pos): the block
-    T_m at the last 2m+1 positions is deleted and its border, labelled -m,
-    goes to the front."""
+def _condense(rows: dict, pos: list, m: int, params, kind: str) -> None:
+    """One Schur step in place on the sparse matrix (rows, pos) over the
+    ring ``kind``: the block T_m at the last 2m+1 positions is deleted and
+    its border, labelled -m, goes to the front."""
     n = 2 * m + 1
     a = len(pos) - n
     if a < 0:
@@ -194,7 +188,7 @@ def _condense(rows: dict, pos: list, m: int, params) -> None:
         row = rows[label]
         inner.append({at[j]: e for j, e in row.items() if j in at})
         outer.append([(j, e) for j, e in row.items() if j not in at])
-    if inner != [dict(compress(enumerate(r), r)) for r in build_T(m, params).rows]:
+    if inner != _ring_rows(build_T(m, params))[0]:
         raise BlockMismatch(f"trailing {n}x{n} block is not T_{m}")
     x = _weight(f"x{m}", params)
     y = _weight(f"y{m}", params)
@@ -208,13 +202,11 @@ def _condense(rows: dict, pos: list, m: int, params) -> None:
         return
     if m < 1:
         raise BadRange(f"a condensation step needs m >= 1, got {m}")
-    kind = ring_kind(PolyMatrix([[x, y]]))  # the ring of S_m
     # x_m and y_m as the block stores them (just matched to T_m's corners),
     # so over MultiPoly every product below shares the matrix's varcount
     x, y = inner[-1].get(0, 0), inner[0].get(n - 1, 0)
     s = x + y
     divide = _divider(s, kind)
-    lift = kind != "int"  # a ring's divider takes no plain int
     w0, w1 = _inverse_column(0, m, x, y), _inverse_column(1, m, x, y)
     mu = w0[0]  # constant (-1)^m; the y -> -x residue scale
     r, left = _null_pair(m, x, y)
@@ -258,8 +250,6 @@ def _condense(rows: dict, pos: list, m: int, params) -> None:
                 num[j] = num[j] - vi * wj if j in num else -(vi * wj)
             v[i] = vi
         for j, q in num.items():
-            if lift and isinstance(q, int):
-                q = _lift(q, kind)
             e = row.get(j, 0) - divide(q)
             if e:
                 row[j] = e
@@ -302,9 +292,10 @@ def condense(n: int, params=None) -> CondensationTrace:
         raise BadRange(f"condense needs n >= 1, got {n}")
     huckel_guard(0, n, NUMERIC_ELIMINATION_ROWS, "condensation trace")
     trace = CondensationTrace()
-    rows, pos = _sparse(_huckel(0, n, params))
+    rows, kind = _ring_rows(build_huckel(0, n, params))
+    rows, pos = dict(enumerate(rows)), list(range(len(rows)))
     for m in range(n, 0, -1):
-        _condense(rows, pos, m, params)
+        _condense(rows, pos, m, params, kind)
         border = rows[pos[0]][pos[0]]
         trace.steps.append(CondensationStep(m=m, border=str(border), size=len(pos)))
     trace.final = _dense(rows, pos)
@@ -321,27 +312,17 @@ def condensation_det(k: int, n: int, params=None):
     huckel_guard(k, n, NUMERIC_ELIMINATION_ROWS, "condensation")
     if params is None:
         symbolic_division_free_guard(n + 1 - k, 2 * (n + 1 - k))
-    return _condensed_det(_huckel(k, n, params), k, n, params)
+    return _condensed_det(build_huckel(k, n, params), k, n, params)
 
 
 def _condensed_det(M: PolyMatrix, k: int, n: int, params):
-    """``condensation_det`` on H_{k,n} as built already (by ``_huckel``, or
-    by ``build_huckel`` at a numeric point), with no guard: for a caller
-    that has checked the caps and runs other routes on the same matrix."""
-    rows, pos = _sparse(M)
+    """``condensation_det`` on H_{k,n} as built already, with no guard: for
+    a caller that has checked the caps and runs other routes on the same
+    matrix."""
+    rows, kind = _ring_rows(M)
+    rows, pos = dict(enumerate(rows)), list(range(len(rows)))
     stop = 0 if k == 0 else k - 1
     for m in range(n, stop, -1):
-        _condense(rows, pos, m, params)
+        _condense(rows, pos, m, params, kind)
     M = _dense(rows, pos)
-    return det(M, "division-free") if ring_kind(M) == "poly" else det(M)
-
-
-def _huckel(k: int, n: int, params) -> PolyMatrix:
-    """H_{k,n} with every polynomial entry promoted to varcount n + 1."""
-    M = build_huckel(k, n, params)
-    names = (f"{c}{m}" for m in range(k, n + 1) for c in "xy")
-    if any(isinstance(_weight(name, params), MultiPoly) for name in names):
-        return M.map_entries(
-            lambda e: e.promoted(n + 1) if isinstance(e, MultiPoly) else e
-        )
-    return M
+    return det(M, "division-free") if kind == "poly" else det(M)

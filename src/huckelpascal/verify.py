@@ -94,12 +94,12 @@ def _draw_params(rng: random.Random, k: int, n: int, lo: int, hi: int) -> dict:
 def _degree_bound(*matrices: PolyMatrix) -> int:
     """A bound on the total degree of the determinant and the permanent of
     each symbolic matrix: the sum over rows of the largest total degree of
-    that row's entries, taken over the matrices compared."""
+    that row's nonzero entries, taken over the matrices compared."""
     return max(
         sum(
             max(
-                [0]
-                + [e.total_degree() for e in row if isinstance(e, MultiPoly)]
+                (e.total_degree() for e in filter(None, row) if isinstance(e, MultiPoly)),
+                default=0,
             )
             for row in M.rows
         )
@@ -250,26 +250,25 @@ def verify_conjecture3(
     # the cap either routine would hit, checked before the matrix is built
     if mode == "symbolic":
         huckel_guard(k, n, NON_INTEGER_WALK_DIM, "symbolic conj3")
+        points = [None]
     elif mode == "specialized":
         huckel_guard(k, n, NUMERIC_ELIMINATION_ROWS, "specialized conj3")
+        rng = random.Random(seed)
+        points = [_draw_params(rng, k, n, -999, 999) for _ in range(3)]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     details: dict = {}
+    symbolic = build_huckel(k, n)  # for the census, the symbolic sides and the bound
     if TriangleGraph(k, n).vertex_count <= 9:
-        even, odd = permutation_parity_census(build_huckel(k, n))
+        even, odd = permutation_parity_census(symbolic)
         details["parity_census"] = {
             "even": even,
             "odd": odd,
             "all_contributions_even": odd == 0,
         }
-    if mode == "symbolic":
-        points = [None]
-    elif mode == "specialized":
-        rng = random.Random(seed)
-        points = [_draw_params(rng, k, n, -999, 999) for _ in range(3)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     perms, dets = [], []
     for params in points:
-        h = build_huckel(k, n, params)
+        h = symbolic if params is None else build_huckel(k, n, params)
         perms.append(permanent(h))
         dets.append(det(h) if params is not None else condensation_det(k, n))
     census = details.get("parity_census")
@@ -283,7 +282,7 @@ def verify_conjecture3(
             {"point": p, "perm": str(a), "det": str(b)}
             for p, a, b in zip(points, perms, dets)
         ]
-        details["probability"] = _sz_bound(_degree_bound(build_huckel(k, n)), 1999, 3)
+        details["probability"] = _sz_bound(_degree_bound(symbolic), 1999, 3)
         lhs, rhs = str([str(a) for a in perms]), str([str(b) for b in dets])
     report = VerifyReport(
         conjecture="conj3",

@@ -1,9 +1,11 @@
 """Matrix builders against hand-transcribed golden displays."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from huckelpascal.cyclotomic import CycInt
+from huckelpascal.cyclotomic import CycInt, GaussInt
 from huckelpascal.matrices import (
     BadRange,
     PolyMatrix,
@@ -393,6 +395,16 @@ def test_matrix_algebra_basics():
     assert a.scaled(2) == M([[2, 4], [6, 8]])
     with pytest.raises(ValueError):
         M([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("ring", [MultiPoly.const, Fraction, CycInt, GaussInt],
+                         ids=["MultiPoly", "Fraction", "CycInt", "GaussInt"])
+def test_ring_integers_hash_as_ints(ring):
+    for n in (0, 1, -1, 3, 2**70):
+        assert ring(n) == n and hash(ring(n)) == hash(n)
+        assert len({ring(n), n}) == 1
+    lifted, plain = M([[ring(1), 0], [ring(3), ring(-2)]]), M([[1, 0], [3, -2]])
+    assert lifted == plain and hash(lifted) == hash(plain)
 
 
 _sparse_entries = {

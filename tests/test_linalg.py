@@ -14,6 +14,7 @@ from huckelpascal.linalg import (
     NotRankOne,
     StrategyPrecondition,
     TooLarge,
+    _ring_rows,
     charpoly,
     coefficient_list,
     det,
@@ -21,6 +22,7 @@ from huckelpascal.linalg import (
     permanent,
     permutation_parity_census,
     rank1_factor,
+    ring_kind,
     symbolic_division_free_guard,
 )
 from huckelpascal.matrices import (
@@ -141,9 +143,39 @@ class TestDeterminantStrategies:
             det(PolyMatrix([[1]]), "cofactor-magic")
 
     def test_mixed_rings_rejected(self):
-        m = PolyMatrix([[CycInt(1), xvar(0)], [1, 1]])
-        with pytest.raises(TypeError):
-            det(m)
+        for rows, message in (([[CycInt(1), xvar(0)], [1, 1]], "mixed entry rings"),
+                              ([[1.5, 1], [1, 1]], "unsupported entry type float")):
+            for read in (det, ring_kind):
+                with pytest.raises(TypeError, match=message):
+                    read(PolyMatrix(rows))
+
+
+class TestRingRows:
+    """The one reader every route runs: nonzero entries, lifted into one ring."""
+
+    def test_ring_read_from_nonzero_entries_only(self):
+        m = PolyMatrix([[CycInt(0), 2], [GaussInt(0), MultiPoly.zero(3)]])
+        assert ring_kind(m) == "int"
+        assert _ring_rows(m) == ([{1: 2}, {}], "int")
+        assert det(m) == 0
+
+    def test_polynomials_come_out_at_one_varcount(self):
+        rows, kind = _ring_rows(PolyMatrix([[xvar(0), 2], [0, yvar(3)]]))
+        assert kind == "poly"
+        assert rows == [{0: xvar(0), 1: 2}, {1: yvar(3)}]
+        assert {(type(e), e.varcount) for row in rows for e in row.values()} == {
+            (MultiPoly, 4)
+        }
+
+    @pytest.mark.parametrize("element, kind", [
+        (CycInt(0, 1), "cyc"), (GaussInt(0, 1), "gauss"), (Fraction(1, 2), "fraction"),
+    ])
+    def test_ints_are_lifted(self, element, kind):
+        m = PolyMatrix([[element, 3], [0, 1]])
+        assert ring_kind(m) == kind
+        rows, read = _ring_rows(m)
+        assert read == kind and rows == [{0: element, 1: 3}, {1: 1}]
+        assert {type(e) for row in rows for e in row.values()} == {type(element)}
 
 
 # nonzero ring elements from a nonzero integer pair (a, b)

@@ -247,7 +247,8 @@ class TestSparseStep:
         stop = 0 if k == 0 else k - 1
         for m in range(n, stop, -1):
             _, reduced = schur_det_step(M, m, params)
-            assert reduced == _dense_step(M, m, params), f"step m={m}"
+            dense = _dense_step(M, m, params)
+            assert reduced == dense and hash(reduced) == hash(dense), f"step m={m}"
             M = reduced
 
     def test_divisions_only_on_coupled_pairs(self, monkeypatch):

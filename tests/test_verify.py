@@ -228,6 +228,22 @@ class TestConjecture3:
         with pytest.raises(TooLarge, match="conj3 vertex count"):
             verify_conjecture3(500, 501, mode)
 
+    @pytest.mark.parametrize("mode", ["symbolic", "specialized"])
+    def test_builds_the_symbolic_matrix_once(self, mode, monkeypatch):
+        # at 9 vertices the census, the symbolic sides and the degree bound
+        # all read the one symbolic H_{0,2}
+        built = []
+
+        def recorded(*args, _fn=verify.build_huckel, **kwargs):
+            built.append(args[2] if len(args) > 2 else kwargs.get("params"))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "build_huckel", recorded)
+        report = verify_conjecture3(0, 2, mode, seed=4)
+        assert report.passed() and "parity_census" in report.details
+        points = [sample["point"] for sample in report.details.get("samples", [])]
+        assert built == [None] + points
+
     def test_specialized_at_49_vertices(self):
         assert verify_conjecture3(0, 6, "specialized").passed()
 
