@@ -3,9 +3,12 @@
 All algorithms work over whichever exact ring the matrix entries live in
 (plain integers, Fraction, MultiPoly, CycInt, GaussInt); the only operation
 a ring must provide beyond +,-,* is exact division, and the division-free
-algorithm does without it.  Every route reads its matrix through
-``_ring_rows``: a {column: nonzero entry} dict per row, every entry in one
-ring (ints lifted, MultiPoly entries at one varcount).  ``_divider`` builds the exact division by one
+algorithm does without it.  Every route reads its matrix as a {column:
+nonzero entry} dict per row, every entry in one ring (ints lifted,
+MultiPoly entries at one varcount): ``matrices._ring_rows`` reads them from
+a dense matrix, and ``matrices._huckel_rows`` writes those of H_{k,n}
+straight from its geometry, for the private ``_det_rows`` and
+``_permanent_rows``.  ``_divider`` builds the exact division by one
 divisor once, for every entry divided by it: integers test the remainder
 of divmod, CycInt and GaussInt compute the divisor's conjugate product and
 norm once and test norm divisibility and multiply back on every entry.
@@ -59,13 +62,19 @@ so over non-integer entries the walk is also capped at dimension 16
 from __future__ import annotations
 
 import os
-from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from math import comb
 
-from .cyclotomic import CycInt, GaussInt
-from .matrices import PolyMatrix, TriangleGraph, _nz, permutation_sign
-from .poly import MultiPoly, NotDivisible
+from .matrices import (
+    PolyMatrix,
+    TriangleGraph,
+    _lift,
+    _nz,
+    _ring_of,
+    _ring_rows,
+    permutation_sign,
+)
+from .poly import MultiPoly, NotDivisible, _difference
 
 DET_STRATEGIES = (
     "fraction-free-elimination",
@@ -119,67 +128,9 @@ def huckel_guard(k: int, n: int, cap: int, route: str) -> None:
 # -- ring plumbing -----------------------------------------------------------
 
 
-# entry types by ring, tried in order; plain ints fit every ring
-_RING_TYPES = (
-    (MultiPoly, "poly"),
-    (CycInt, "cyc"),
-    (GaussInt, "gauss"),
-    (Fraction, "fraction"),
-    (int, None),
-)
-
-
-def _ring_of(entries) -> str:
-    kinds = set()
-    # the distinct entry types, in the order they first appear
-    for t in dict.fromkeys(map(type, entries)):
-        for base, kind in _RING_TYPES:
-            if issubclass(t, base):
-                if kind is not None:
-                    kinds.add(kind)
-                break
-        else:
-            raise TypeError(f"unsupported entry type {t.__name__}")
-    if len(kinds) > 1:
-        raise TypeError(f"mixed entry rings {sorted(kinds)}")
-    return kinds.pop() if kinds else "int"
-
-
 def ring_kind(M: PolyMatrix) -> str:
     """The ring of M's nonzero entries, classified without lifting them."""
     return _ring_of(filter(None, chain.from_iterable(M.rows)))
-
-
-_LIFTS = {
-    "int": int,
-    "poly": lambda c: MultiPoly.const(c),
-    "cyc": CycInt,
-    "gauss": GaussInt,
-    "fraction": Fraction,
-}
-
-
-def _lift(c: int, kind: str):
-    return _LIFTS[kind](c)
-
-
-def _ring_rows(M: PolyMatrix) -> tuple[list[dict], str]:
-    """M's nonzero entries as one {column: entry} dict per row, each an
-    element of their ring, and that ring: ints are lifted, and MultiPoly
-    entries promoted to the largest varcount, so no product promotes."""
-    rows = [dict(compress(enumerate(row), row)) for row in M.rows]
-    kind = _ring_of(chain.from_iterable(map(dict.values, rows)))
-    if kind == "int":
-        return rows, kind
-    if kind == "poly":
-        vc = max(e.varcount for row in rows for e in row.values() if isinstance(e, MultiPoly))
-        lift = lambda e: e.promoted(vc) if isinstance(e, MultiPoly) else MultiPoly.const(e, vc)
-    else:
-        lift = lambda e: _lift(e, kind) if isinstance(e, int) else e
-    for row in rows:
-        for j, e in row.items():
-            row[j] = lift(e)
-    return rows, kind
 
 
 def _divider(b, kind: str):
@@ -211,7 +162,14 @@ def det(M: PolyMatrix, strategy: str | None = None):
     one, division-free over MultiPoly entries and fraction-free elimination
     over every other ring."""
     M.dim  # raises on a non-square matrix
-    rows, kind = _ring_rows(M)
+    return _det_rows(_ring_rows(M), strategy)
+
+
+def _det_rows(ring_rows: tuple[list[dict], str], strategy: str | None = None):
+    """``det`` of a square matrix read already: its nonzero rows and their
+    ring, as ``_ring_rows`` and ``matrices._huckel_rows`` return them.  The
+    rows are left as they are."""
+    rows, kind = ring_rows
     if strategy is None:
         strategy = "division-free" if kind == "poly" else "fraction-free-elimination"
     if strategy == "fraction-free-elimination":
@@ -225,7 +183,7 @@ def det(M: PolyMatrix, strategy: str | None = None):
         return _frontier_walk(rows, kind, signed=True)
     if strategy == "division-free":
         c = _berkowitz(rows, kind)[-1]
-        return c if M.dim % 2 == 0 else -c
+        return c if len(rows) % 2 == 0 else -c
     raise StrategyPrecondition(f"unknown strategy {strategy!r}")
 
 
@@ -258,7 +216,8 @@ def _det_bareiss(a: list[dict], kind: str):
     """One-step Bareiss over sparse rows with a fill-reducing pivot order
     and lazy row scaling.
 
-    Each row is a dict of its nonzero entries, updated in place.  Step s
+    Each row is a copy of the given dict of its nonzero entries, updated in
+    place, so the caller's rows stay as they are.  Step s
     eliminates the live column held by the fewest live rows, ties going to
     the lowest index (Markowitz's rule, by columns), and pivots on the
     lowest-index live row holding it.  Only the rows holding that column c are updated,
@@ -272,6 +231,7 @@ def _det_bareiss(a: list[dict], kind: str):
     """
     n = len(a)
     size_guard(n, NUMERIC_ELIMINATION_ROWS, "numeric elimination rows")
+    a = [dict(row) for row in a]
     # key[j] = n * (live rows holding column j) + j while column j is live,
     # and `dead` above every such key once it is eliminated, so min(key)
     # names the sparsest live column, ties to the lowest index
@@ -358,6 +318,7 @@ def _berkowitz(a: list[dict], kind: str) -> list:
     else:
         size_guard(n, NUMERIC_DIVISION_FREE_ROWS, "division-free rows")
         one = _lift(1, kind)
+    difference = _difference if kind == "poly" else _ring_difference
     coeffs = [one]  # None stands for a zero coefficient
     for r in range(n):
         # the rows of A_r and R, as (column, entry) pairs
@@ -371,17 +332,23 @@ def _berkowitz(a: list[dict], kind: str) -> list:
                 col = {i: v for i in range(r) if (v := _dot(block[i], col)) is not None}
         new = []
         for i in range(r + 2):
-            acc = coeffs[i] if i <= r else None
-            for k in range(max(1, i - r), i + 1):
-                sk, c = s[k - 1], coeffs[i - k]
-                if sk is None or c is None:
-                    continue
-                p = sk if c is one else sk * c
-                acc = -p if acc is None else acc - p
-            new.append(acc if acc is not None and _nz(acc) else None)
+            products = (
+                sk if c is one else sk * c
+                for k in range(max(1, i - r), i + 1)
+                if (sk := s[k - 1]) is not None and (c := coeffs[i - k]) is not None
+            )
+            new.append(difference(coeffs[i] if i <= r else None, products))
         coeffs = new
     zero = one - one
     return [zero if c is None else c for c in coeffs]
+
+
+def _ring_difference(first, products):
+    """first - sum(products) over any ring, None standing for zero."""
+    acc = first
+    for p in products:
+        acc = -p if acc is None else acc - p
+    return acc if acc is not None and _nz(acc) else None
 
 
 def _dot(entries, vec: dict):
@@ -405,9 +372,15 @@ def permutation_parity_census(M: PolyMatrix) -> tuple[int, int]:
     walk) and det S = even - odd (fraction-free elimination).
     """
     M.dim  # raises on a non-square matrix
-    support = [dict.fromkeys(row, 1) for row in _ring_rows(M)[0]]
+    return _parity_census(_ring_rows(M)[0])
+
+
+def _parity_census(rows: list[dict]) -> tuple[int, int]:
+    """``permutation_parity_census`` of a square matrix given as its nonzero
+    rows."""
+    support = [dict.fromkeys(row, 1) for row in rows]
     total = _frontier_walk(support, "int", signed=False)
-    signed = _det_bareiss(support, "int")  # last: it updates the rows
+    signed = _det_bareiss(support, "int")
     return (total + signed) // 2, (total - signed) // 2
 
 
@@ -495,7 +468,12 @@ def permanent(M: PolyMatrix):
     HUCKEL_MAX_SIZE raises; the signed walk shares both guards.
     """
     M.dim  # raises on a non-square matrix
-    return _frontier_walk(*_ring_rows(M), signed=False)
+    return _permanent_rows(_ring_rows(M))
+
+
+def _permanent_rows(ring_rows: tuple[list[dict], str]):
+    """``permanent`` of a square matrix read already, as for ``_det_rows``."""
+    return _frontier_walk(*ring_rows, signed=False)
 
 
 # -- characteristic polynomial ------------------------------------------------------

@@ -19,7 +19,9 @@ produced by one Schur-complement step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from itertools import chain, compress
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -191,6 +193,71 @@ def evaluate_matrix(M: PolyMatrix, assignment: Mapping[str, object]) -> PolyMatr
     )
 
 
+# -- ring rows -------------------------------------------------------------------
+
+# entry types by ring, tried in order; plain ints fit every ring
+_RING_TYPES = (
+    (MultiPoly, "poly"),
+    (CycInt, "cyc"),
+    (GaussInt, "gauss"),
+    (Fraction, "fraction"),
+    (int, None),
+)
+
+
+def _ring_of(entries) -> str:
+    kinds = set()
+    # the distinct entry types, in the order they first appear
+    for t in dict.fromkeys(map(type, entries)):
+        for base, kind in _RING_TYPES:
+            if issubclass(t, base):
+                if kind is not None:
+                    kinds.add(kind)
+                break
+        else:
+            raise TypeError(f"unsupported entry type {t.__name__}")
+    if len(kinds) > 1:
+        raise TypeError(f"mixed entry rings {sorted(kinds)}")
+    return kinds.pop() if kinds else "int"
+
+
+_LIFTS = {
+    "int": int,
+    "poly": lambda c: MultiPoly.const(c),
+    "cyc": CycInt,
+    "gauss": GaussInt,
+    "fraction": Fraction,
+}
+
+
+def _lift(c: int, kind: str):
+    return _LIFTS[kind](c)
+
+
+def _lifter(kind: str, entries: Iterable) -> Callable:
+    """The map that puts each of ``entries`` (nonzero, of the ring ``kind``
+    but not "int") into that ring: ints are lifted, and MultiPoly entries
+    promoted to the largest varcount among them, so no product promotes."""
+    if kind == "poly":
+        vc = max(e.varcount for e in entries if isinstance(e, MultiPoly))
+        return lambda e: e.promoted(vc) if isinstance(e, MultiPoly) else MultiPoly.const(e, vc)
+    return lambda e: _lift(e, kind) if isinstance(e, int) else e
+
+
+def _ring_rows(M: PolyMatrix) -> tuple[list[dict], str]:
+    """M's nonzero entries as one {column: entry} dict per row, each an
+    element of their ring, and that ring (see ``_lifter``)."""
+    rows = [dict(compress(enumerate(row), row)) for row in M.rows]
+    kind = _ring_of(chain.from_iterable(map(dict.values, rows)))
+    if kind == "int":
+        return rows, kind
+    lift = _lifter(kind, chain.from_iterable(map(dict.values, rows)))
+    for row in rows:
+        for j, e in row.items():
+            row[j] = lift(e)
+    return rows, kind
+
+
 # -- graph ---------------------------------------------------------------------
 
 
@@ -355,26 +422,81 @@ def build_R(m: int) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
+def _corner_weights(k: int, n: int, params) -> tuple[list, list]:
+    """x_m and y_m for the rows m = k..n, in row order."""
+    rows = range(k, n + 1)
+    return [_weight(f"x{m}", params) for m in rows], [_weight(f"y{m}", params) for m in rows]
+
+
+def _huckel_nonzeros(k: int, n: int, one, x: Sequence, y: Sequence) -> list[dict]:
+    """The entries of H_{k,n} off its structural zeros, one {column: entry}
+    dict per vertex in ascending column order: ``one`` on both ends of every
+    bond, y_m = ``y[m - k]`` from the left end of row m to its right end and
+    x_m = ``x[m - k]`` back, and y_0 + x_0 on the apex.  A weight that is
+    zero is written as it is.
+
+    Row m starts at vertex m^2 - k^2.  Its position p bonds to p - 1 and
+    p + 1 within the row; an odd p also to p - 1 of the row above, and an
+    even p to p + 1 of the row below.
+    """
+    rows = []
+    for m in range(k, n + 1):
+        off = m * m - k * k
+        last = off + 2 * m  # the row's right end
+        down = 2 * m + 2  # from (m, p) to (m + 1, p + 1)
+        below = m < n
+        if m == 0:
+            rows.append({0: y[0] + x[0], 2: one} if below else {0: y[0] + x[0]})
+            continue
+        rows.append({off + 1: one, last: y[m - k], last + 2: one} if below
+                    else {off + 1: one, last: y[m - k]})
+        for v in range(off + 1, last, 2):
+            # odd position, then the even one after it unless that is the end
+            rows.append({v - 2 * m: one, v - 1: one, v + 1: one} if m > k
+                        else {v - 1: one, v + 1: one})
+            if v + 1 < last:
+                rows.append({v: one, v + 2: one, v + 1 + down: one} if below
+                            else {v: one, v + 2: one})
+        rows.append({off: x[m - k], last - 1: one, last + down: one} if below
+                    else {off: x[m - k], last - 1: one})
+    return rows
+
+
+def _huckel_rows(
+    k: int, n: int, params: Mapping[str, object] | None = None
+) -> tuple[list[dict], str]:
+    """H_{k,n} as ``_ring_rows(build_huckel(k, n, params))`` reads it, built
+    from the row geometry without the dense matrix: its nonzero entries,
+    one {column: entry} dict per vertex, every entry in their ring, and that
+    ring.  The ring is that of the weights; the bonds' 1s come out as its one."""
+    TriangleGraph(k, n)  # raises BadRange
+    x, y = _corner_weights(k, n, params)
+    corners = x + y if k else [y[0] + x[0], *x[1:], *y[1:]]
+    kind = _ring_of(filter(None, corners))
+    one = 1
+    if kind != "int":
+        lift = _lifter(kind, filter(None, corners))
+        x, y, one = [*map(lift, x)], [*map(lift, y)], lift(1)
+    rows = _huckel_nonzeros(k, n, one, x, y)
+    if all(corners):
+        return rows, kind
+    return [{j: e for j, e in row.items() if e} for row in rows], kind
+
+
 def build_huckel(
     k: int, n: int, params: Mapping[str, object] | None = None
 ) -> PolyMatrix:
-    """Adjacency matrix of the trapezium with rows k..n (triangle if k=0).
+    """Adjacency matrix of the trapezium with rows k..n (triangle if k=0),
+    dense: int 1s on the bonds and each weight as it is given.
 
     ``params`` optionally assigns values to the boundary weights by name
     ("x3", "y3", ...); unassigned weights stay symbolic.
     """
-    g = TriangleGraph(k, n)
-    N = g.vertex_count
+    N = TriangleGraph(k, n).vertex_count
     rows = [[0] * N for _ in range(N)]
-    for a, b in g.edges:
-        rows[a][b] = 1
-        rows[b][a] = 1
-    for name, a, b in g.boundary_slots():
-        w = _weight(name, params)
-        if a == b:
-            rows[a][b] = rows[a][b] + w
-        else:
-            rows[a][b] = w
+    for dense, entries in zip(rows, _huckel_nonzeros(k, n, 1, *_corner_weights(k, n, params))):
+        for j, e in entries.items():
+            dense[j] = e
     return PolyMatrix(rows)
 
 

@@ -22,15 +22,18 @@ a triangle matrix of size (n+1)^2 to size n+1 and a trapezium of size
 A step never forms W.  For each kept row b of B it solves z T_m = S_m b
 for z = b W: two entries come from W's closed-form columns 0 and 1, and
 the tridiagonal interior gives the rest by z[u+1] = S_m b[u] - z[u-1].
-It then multiplies z back with the block's own entries and raises unless
-every one of the 2m+1 columns equals S_m b; z is the unique solution, so
+It then multiplies z back through T_m, by its shape (ones beside the
+diagonal, y_m and x_m in the corners; the block was checked against the
+nonzeros of T_m written from x_m and y_m), and raises unless every one of
+the 2m+1 columns equals S_m b; z is the unique solution, so
 that proves the very product the step goes on to use.
 
 A step works only where T_m couples to the rest.  Between steps the
 matrix is a dict of sparse rows (label -> {label: nonzero entry}) and a
-list of labels in position order, read from H by ``_ring_rows``, so
-every entry is in one ring; original vertices keep their labels and each
-border gets a fresh one at the front.  A kept row with no nonzero in B
+list of labels in position order.  They start as the rows of H that
+``matrices._huckel_rows`` writes from the row geometry, every entry in
+one ring, with no dense matrix built; original vertices keep their labels
+and each border gets a fresh one at the front.  A kept row with no nonzero in B
 has a zero row in B W C and v, and a kept column with no nonzero in C a
 zero column in B W C and w, so A - P equals A outside the coupled rows
 and columns, and every other row is left as it is, not copied.  On H_{k,n} the coupled rows (and columns) are the n - m borders
@@ -51,12 +54,19 @@ from fractions import Fraction
 from .linalg import (
     NUMERIC_ELIMINATION_ROWS,
     _divider,
-    _ring_rows,
     det,
     huckel_guard,
     symbolic_division_free_guard,
 )
-from .matrices import BadRange, PolyMatrix, _weight, build_huckel, build_T
+from .matrices import (
+    BadRange,
+    PolyMatrix,
+    _huckel_nonzeros,
+    _huckel_rows,
+    _ring_rows,
+    _weight,
+    build_T,
+)
 from .poly import MultiPoly
 
 
@@ -86,9 +96,14 @@ def invert_T(m: int, params=None) -> PolyMatrix:
 
 
 def _inverse_column(j: int, m: int, x, y) -> list:
-    """Column j of W = (x + y) * T_m^{-1}, from its two boundary values."""
+    """Column j of W = (x + y) * T_m^{-1}, from its two boundary values.
+
+    Away from row j + 1 the recurrence w[i+1] = S*delta_ij - w[i-1] only
+    negates, so the column repeats (w[0], w[1], -w[0], -w[1]) down to row
+    j, and (w[j], w[j+1], -w[j], -w[j+1]) from there: its two or three
+    distinct values and their negatives, each computed once.
+    """
     n = 2 * m + 1
-    s = x + y
     sgn = (-1) ** m
     sig_e = sgn * (-1) ** ((j + 1) // 2) if j % 2 == 1 else 0
     sig_o = 0
@@ -96,12 +111,14 @@ def _inverse_column(j: int, m: int, x, y) -> list:
         sig_o = -sgn * (-1) ** (j // 2)
     b0 = (1 if j == 0 else 0) - y * sig_e
     b1 = (1 if j == n - 1 else 0) - sig_o
-    w = [0] * n
-    w[0] = sgn * b0 + b1
-    w[1] = x * b0 - sgn * (y * b1)
-    for i in range(1, n - 1):
-        w[i + 1] = (s if i == j else 0) - w[i - 1]
-    return w
+    w0, w1 = sgn * b0 + b1, x * b0 - sgn * (y * b1)
+    head = (w0, w1, -w0, -w1)
+    if not 1 <= j <= n - 2:
+        return [head[i % 4] for i in range(n)]
+    # w[j + 1] = S - w[j - 1], and from w[j] on the pattern starts afresh
+    a, b = head[j % 4], (x + y) - head[(j - 1) % 4]
+    tail = (a, b, -a, -b)
+    return [head[i % 4] for i in range(j)] + [tail[(i - j) % 4] for i in range(j, n)]
 
 
 def _null_pair(m: int, x, y):
@@ -109,20 +126,12 @@ def _null_pair(m: int, x, y):
 
     Odd entries of the right vector carry y_m, of the left one x_m; the
     two agree modulo x_m + y_m but the mixed choice is what cancels the
-    coupling residue exactly.
+    coupling residue exactly.  Each repeats four values with period 4.
     """
-    n = 2 * m + 1
-    r = []
-    left = []
-    for t in range(n):
-        if t % 2 == 0:
-            r.append((-1) ** (t // 2))
-            left.append((-1) ** (t // 2))
-        else:
-            c = (-1) ** ((t - 1) // 2 + m + 1)
-            r.append(y * c)
-            left.append(x * c)
-    return r, left
+    c = -((-1) ** m)  # the sign of the entries at t = 1
+    ry, lx = y * c, x * c
+    right, left = (1, ry, -1, -ry), (1, lx, -1, -lx)
+    return [right[t % 4] for t in range(2 * m + 1)], [left[t % 4] for t in range(2 * m + 1)]
 
 
 def _is_negative(e) -> bool:
@@ -171,6 +180,13 @@ def _dense(rows: dict, pos: list) -> PolyMatrix:
     return PolyMatrix(out)
 
 
+def _block_nonzeros(m: int, x, y) -> list[dict]:
+    """T_m's nonzeros, one {column: entry} dict per row, written by the
+    geometry of H_{m,m} (which is T_m) with int 1s and x, y as given."""
+    return [{j: e for j, e in row.items() if e}
+            for row in _huckel_nonzeros(m, m, 1, [x], [y])]
+
+
 def _condense(rows: dict, pos: list, m: int, params, kind: str) -> None:
     """One Schur step in place on the sparse matrix (rows, pos) over the
     ring ``kind``: the block T_m at the last 2m+1 positions is deleted and
@@ -188,10 +204,10 @@ def _condense(rows: dict, pos: list, m: int, params, kind: str) -> None:
         row = rows[label]
         inner.append({at[j]: e for j, e in row.items() if j in at})
         outer.append([(j, e) for j, e in row.items() if j not in at])
-    if inner != _ring_rows(build_T(m, params))[0]:
-        raise BlockMismatch(f"trailing {n}x{n} block is not T_{m}")
     x = _weight(f"x{m}", params)
     y = _weight(f"y{m}", params)
+    if inner != _block_nonzeros(m, x, y):
+        raise BlockMismatch(f"trailing {n}x{n} block is not T_{m}")
     if x + y == 0:
         raise ZeroDivisionError(f"x_{m} + y_{m} vanishes at this specialization")
     border = -m
@@ -210,8 +226,6 @@ def _condense(rows: dict, pos: list, m: int, params, kind: str) -> None:
     w0, w1 = _inverse_column(0, m, x, y), _inverse_column(1, m, x, y)
     mu = w0[0]  # constant (-1)^m; the y -> -x residue scale
     r, left = _null_pair(m, x, y)
-    # the block's own nonzeros (row, column, entry), for the multiply-back
-    own = [(t, u, e) for t, entries in enumerate(inner) for u, e in entries.items()]
     w: dict = {}
     for t, entries in enumerate(outer):
         for j, e in entries:
@@ -230,10 +244,11 @@ def _condense(rows: dict, pos: list, m: int, params, kind: str) -> None:
              sum(e * w1[t] for t, e in b.items())]
         for u in range(1, n - 1):
             z.append(sb[u] - z[u - 1] if sb[u] else -z[u - 1])
-        back = [0] * n
-        for t, u, e in own:
-            p = z[t] if e == 1 else z[t] * e
-            back[u] = back[u] + p if back[u] else p
+        # z T_m, every column: T_m has ones beside its diagonal, x at
+        # (2m, 0) and y at (0, 2m)
+        back = [z[1] + z[-1] * x if x else z[1]]
+        back += [z[u - 1] + z[u + 1] for u in range(1, n - 1)]
+        back.append(z[-2] + z[0] * y if y else z[-2])
         if back != sb:
             raise ArithmeticError(f"row solve failed multiply-back at m={m}")
         vi = mu * sum(e * r[t] for t, e in b.items())
@@ -292,7 +307,7 @@ def condense(n: int, params=None) -> CondensationTrace:
         raise BadRange(f"condense needs n >= 1, got {n}")
     huckel_guard(0, n, NUMERIC_ELIMINATION_ROWS, "condensation trace")
     trace = CondensationTrace()
-    rows, kind = _ring_rows(build_huckel(0, n, params))
+    rows, kind = _huckel_rows(0, n, params)
     rows, pos = dict(enumerate(rows)), list(range(len(rows)))
     for m in range(n, 0, -1):
         _condense(rows, pos, m, params, kind)
@@ -312,15 +327,15 @@ def condensation_det(k: int, n: int, params=None):
     huckel_guard(k, n, NUMERIC_ELIMINATION_ROWS, "condensation")
     if params is None:
         symbolic_division_free_guard(n + 1 - k, 2 * (n + 1 - k))
-    return _condensed_det(build_huckel(k, n, params), k, n, params)
+    return _condensed_det(_huckel_rows(k, n, params), k, n, params)
 
 
-def _condensed_det(M: PolyMatrix, k: int, n: int, params):
-    """``condensation_det`` on H_{k,n} as built already, with no guard: for
-    a caller that has checked the caps and runs other routes on the same
-    matrix."""
-    rows, kind = _ring_rows(M)
-    rows, pos = dict(enumerate(rows)), list(range(len(rows)))
+def _condensed_det(h: tuple[list[dict], str], k: int, n: int, params):
+    """``condensation_det`` on the rows of H_{k,n} as ``_huckel_rows``
+    built them, with no guard: for a caller that has checked the caps and
+    runs other routes on the same rows, which are left as they are."""
+    rows, kind = h
+    rows, pos = {i: dict(row) for i, row in enumerate(rows)}, list(range(len(rows)))
     stop = 0 if k == 0 else k - 1
     for m in range(n, stop, -1):
         _condense(rows, pos, m, params, kind)

@@ -21,18 +21,19 @@ from .linalg import (
     NON_INTEGER_WALK_DIM,
     NUMERIC_ELIMINATION_ROWS,
     StrategyPrecondition,
+    _det_rows,
+    _parity_census,
+    _permanent_rows,
     charpoly,
     coefficient_list,
     det,
     huckel_guard,
-    permanent,
-    permutation_parity_census,
 )
 from .matrices import (
     PolyMatrix,
     TriangleGraph,
+    _huckel_rows,
     bivariate_params,
-    build_huckel,
     build_pascal,
     build_reduced,
     evaluate_matrix,
@@ -91,20 +92,26 @@ def _draw_params(rng: random.Random, k: int, n: int, lo: int, hi: int) -> dict:
     return params
 
 
-def _degree_bound(*matrices: PolyMatrix) -> int:
+def _degree_bound(*matrices) -> int:
     """A bound on the total degree of the determinant and the permanent of
-    each symbolic matrix: the sum over rows of the largest total degree of
-    that row's nonzero entries, taken over the matrices compared."""
+    each symbolic matrix, given as its rows of entries: the sum over rows of
+    the largest total degree of that row's nonzero entries, taken over the
+    matrices compared."""
     return max(
         sum(
             max(
                 (e.total_degree() for e in filter(None, row) if isinstance(e, MultiPoly)),
                 default=0,
             )
-            for row in M.rows
+            for row in M
         )
         for M in matrices
     )
+
+
+def _entries(h: tuple[list[dict], str]) -> list:
+    """The rows of entries of a matrix given as its nonzero rows."""
+    return [row.values() for row in h[0]]
 
 
 def _sz_bound(degree: int, domain: int, points: int) -> str:
@@ -152,7 +159,7 @@ def _verify_reduction(
         rhs = det(build_reduced(k, n), "sparse-minor-expansion")
         rng = random.Random(20260815 + 100 * k + n)
         point = _draw_params(rng, k, n, -999, 999)
-        spot_direct = det(build_huckel(k, n, point))
+        spot_direct = _det_rows(_huckel_rows(k, n, point))
         spot_lhs = lhs.evaluate(point) if isinstance(lhs, MultiPoly) else lhs
         spot_ok = spot_lhs == spot_direct
         ok = lhs == rhs and spot_ok
@@ -170,7 +177,7 @@ def _verify_reduction(
         huckel_guard(k, n, NUMERIC_ELIMINATION_ROWS, f"specialized {conjecture}")
         # the symbolic matrices, built once: the reduced one is evaluated at
         # every point, and both bound the degree
-        huckel_template, reduced_template = build_huckel(k, n), build_reduced(k, n)
+        huckel_template, reduced_template = _huckel_rows(k, n), build_reduced(k, n)
         rng = random.Random(seed)
         samples = []
         ok = True
@@ -178,8 +185,8 @@ def _verify_reduction(
             params = _draw_params(rng, k, n, -(10**6), 10**6)
             reduced = evaluate_matrix(reduced_template, params)
             # one H_{k,n} per point, read by elimination and by condensation
-            h = build_huckel(k, n, params)
-            lhs = det(h)
+            h = _huckel_rows(k, n, params)
+            lhs = _det_rows(h)
             lhs2 = _condensed_det(h, k, n, params)
             rhs = det(reduced)
             rhs2 = det(reduced, "division-free")
@@ -191,7 +198,9 @@ def _verify_reduction(
         details = {
             "samples": samples,
             "probability": _sz_bound(
-                _degree_bound(huckel_template, reduced_template), 2 * 10**6 + 1, 5
+                _degree_bound(_entries(huckel_template), reduced_template.rows),
+                2 * 10**6 + 1,
+                5,
             ),
         }
         if conjecture == "conj1":
@@ -223,7 +232,7 @@ def _unit_y_corollary(rng: random.Random, n: int) -> dict:
     for i, v in enumerate(xs):
         params[f"x{i}"] = v
         params[f"y{i}"] = 1
-    lhs = det(build_huckel(0, n, params))
+    lhs = _det_rows(_huckel_rows(0, n, params))
     q = build_pascal("symmetric", n)
     shifted = PolyMatrix(
         [
@@ -258,9 +267,9 @@ def verify_conjecture3(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     details: dict = {}
-    symbolic = build_huckel(k, n)  # for the census, the symbolic sides and the bound
+    symbolic = _huckel_rows(k, n)  # for the census, the symbolic sides and the bound
     if TriangleGraph(k, n).vertex_count <= 9:
-        even, odd = permutation_parity_census(symbolic)
+        even, odd = _parity_census(symbolic[0])
         details["parity_census"] = {
             "even": even,
             "odd": odd,
@@ -268,9 +277,9 @@ def verify_conjecture3(
         }
     perms, dets = [], []
     for params in points:
-        h = symbolic if params is None else build_huckel(k, n, params)
-        perms.append(permanent(h))
-        dets.append(det(h) if params is not None else condensation_det(k, n))
+        h = symbolic if params is None else _huckel_rows(k, n, params)
+        perms.append(_permanent_rows(h))
+        dets.append(_det_rows(h) if params is not None else condensation_det(k, n))
     census = details.get("parity_census")
     ok = perms == dets and (census is None or census["all_contributions_even"])
     if mode == "symbolic":
@@ -282,7 +291,7 @@ def verify_conjecture3(
             {"point": p, "perm": str(a), "det": str(b)}
             for p, a, b in zip(points, perms, dets)
         ]
-        details["probability"] = _sz_bound(_degree_bound(symbolic), 1999, 3)
+        details["probability"] = _sz_bound(_degree_bound(_entries(symbolic)), 1999, 3)
         lhs, rhs = str([str(a) for a in perms]), str([str(b) for b in dets])
     report = VerifyReport(
         conjecture="conj3",
@@ -380,8 +389,8 @@ def bivariate_row(n: int) -> tuple[MultiPoly, list[int]]:
     d = n + 1
 
     def sample(xv: int, yv: int) -> int:
-        return det(
-            build_huckel(0, n, bivariate_params(0, n, xv, yv)),
+        return _det_rows(
+            _huckel_rows(0, n, bivariate_params(0, n, xv, yv)),
             "fraction-free-elimination",
         )
 
@@ -422,10 +431,13 @@ def _deletion_recursion(k: int, n: int) -> dict:
     removes the two rows and columns carrying the weights x_n, y_n.  The
     left side runs condensation, the right side the signed frontier walk."""
     g = TriangleGraph(k, n)
-    h = build_huckel(k, n)
-    ends = [g.index(n, 0), g.index(n, 2 * n)]
+    rows, kind = _huckel_rows(k, n)
+    ends = {g.index(n, 0), g.index(n, 2 * n)}
     lhs = condensation_det(k, n)
-    inner = det(build_huckel(k, n - 1), "sparse-minor-expansion")
-    pruned = det(h.deleting(ends, ends), "sparse-minor-expansion")
+    inner = _det_rows(_huckel_rows(k, n - 1), "sparse-minor-expansion")
+    # H' on the sparse rows: the two rows and columns go, the rest renumber
+    kept = {v: i for i, v in enumerate(v for v in range(len(rows)) if v not in ends)}
+    pruned = [{kept[j]: e for j, e in rows[v].items() if j in kept} for v in kept]
+    pruned = _det_rows((pruned, kind), "sparse-minor-expansion")
     rhs = svar(n) * inner - xvar(n) * yvar(n) * pruned
     return {"pass": lhs == rhs}

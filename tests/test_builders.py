@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from huckelpascal.cyclotomic import CycInt, GaussInt
+from huckelpascal.cyclotomic import CycInt, GaussInt, theta_point
 from huckelpascal.matrices import (
     BadRange,
     PolyMatrix,
     TriangleGraph,
+    _huckel_rows,
+    _ring_rows,
     alternating_unit_vector,
     bivariate_params,
     build_bordered,
@@ -23,7 +25,7 @@ from huckelpascal.matrices import (
     permutation_sign,
     symmetric_block_form,
 )
-from huckelpascal.poly import MultiPoly, svar, xvar, yvar
+from huckelpascal.poly import MultiPoly, svar, xvar, yvar, zvar
 
 X, Y, S = xvar, yvar, svar
 
@@ -169,7 +171,84 @@ def test_huckel_params_evaluation_consistency():
     assert direct == lazy
 
 
+# weights for H_{k,n} by name of the case, None for symbolic: every ring,
+# MultiPoly values (props' z * x_i), and weights assigned in part
+HUCKEL_PARAMS = {
+    "symbolic": lambda k, n: None,
+    "int": lambda k, n: {f"{c}{m}": 3 * m - 7 if c == "x" else 2 - m
+                         for m in range(k, n + 1) for c in "xy"},
+    "cyc": lambda k, n: bivariate_params(k, n, *theta_point(1)),
+    "gauss": lambda k, n: {f"{c}{m}": GaussInt(m + 1, -2 if c == "x" else 3)
+                           for m in range(k, n + 1) for c in "xy"},
+    "poly": lambda k, n: {f"{c}{m}": zvar() * (xvar(m) if c == "x" else yvar(m))
+                          for m in range(k, n + 1) for c in "xy"},
+    "partial": lambda k, n: {f"x{m}": m + 2 for m in range(k, n + 1, 2)},
+    "fraction": lambda k, n: {f"{c}{m}": Fraction(1, m + 2) if c == "y" else m
+                              for m in range(k, n + 1) for c in "xy"},
+    # the apex weights cancel, so H_{0,n} has a zero there
+    "apex-cancel-int": lambda k, n: {"x0": 5, "y0": -5, **{
+        f"{c}{m}": m + 1 for m in range(1, n + 1) for c in "xy"}},
+    "apex-cancel-cyc": lambda k, n: {
+        **bivariate_params(k, n, *theta_point(2)), "x0": 5, "y0": -5},
+    "apex-cancel-poly": lambda k, n: {"x0": xvar(0), "y0": -xvar(0)},
+    "zero-corner": lambda k, n: {f"y{n}": CycInt(0), f"x{k}": 0},
+}
+
+
+def _entry_types(rows):
+    return [[(j, type(e), getattr(e, "varcount", None)) for j, e in row.items()]
+            for row in rows]
+
+
+@pytest.mark.parametrize("case", sorted(HUCKEL_PARAMS))
+def test_huckel_rows_equal_the_dense_read(case):
+    """The sparse builder gives what the reader makes of the dense view: the
+    same rows in the same column order, each entry of the same type at the
+    same varcount, and the same ring."""
+    for n in range(7):
+        for k in range(n + 1):
+            params = HUCKEL_PARAMS[case](k, n)
+            rows, kind = _huckel_rows(k, n, params)
+            want_rows, want_kind = _ring_rows(build_huckel(k, n, params))
+            assert (rows, kind) == (want_rows, want_kind), (k, n)
+            assert _entry_types(rows) == _entry_types(want_rows), (k, n)
+
+
+def test_huckel_rows_drop_a_cancelled_apex():
+    rows, kind = _huckel_rows(0, 2, HUCKEL_PARAMS["apex-cancel-cyc"](0, 2))
+    assert kind == "cyc" and 0 not in rows[0] and rows[0] == {2: 1}
+    rows, kind = _huckel_rows(0, 0, {"x0": 4, "y0": -4})
+    assert (rows, kind) == ([{}], "int")
+
+
+def test_dense_view_entry_types():
+    # symbolic: int 1s, each weight at its own varcount, x_0 + y_0 at the apex
+    g = TriangleGraph(0, 3)
+    h = build_huckel(0, 3)
+    corners = {(g.index(m, 0), g.index(m, 2 * m)): yvar(m) for m in range(1, 4)}
+    corners.update({(g.index(m, 2 * m), g.index(m, 0)): xvar(m) for m in range(1, 4)})
+    corners[0, 0] = svar(0)
+    for i, row in enumerate(h.rows):
+        for j, e in enumerate(row):
+            if (i, j) in corners:
+                want = corners[i, j]
+                assert type(e) is MultiPoly and e == want and e.varcount == want.varcount
+            else:
+                assert type(e) is int and e in (0, 1)
+    # CycInt weights: each entry is the very object given, the bonds int 1s
+    params = bivariate_params(1, 3, *theta_point(1))
+    g = TriangleGraph(1, 3)
+    h = build_huckel(1, 3, params)
+    for m in range(1, 4):
+        left, right = g.index(m, 0), g.index(m, 2 * m)
+        assert h[left, right] is params[f"y{m}"] and h[right, left] is params[f"x{m}"]
+    weights = {id(w) for w in params.values()}
+    assert {type(e) for row in h.rows for e in row if id(e) not in weights} == {int}
+
+
 def test_bad_ranges():
+    with pytest.raises(BadRange):
+        _huckel_rows(2, 1)
     with pytest.raises(BadRange):
         build_huckel(2, 1)
     with pytest.raises(BadRange):

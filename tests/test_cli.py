@@ -327,11 +327,12 @@ class TestGuards:
         ["oracle", "audit-squares", "--n", "8"],
     ])
     def test_huckel_guard_trips_before_the_matrix_is_built(self, capsys, monkeypatch, argv):
-        def build_huckel(*args):
-            raise AssertionError("build_huckel ran before the guard")
+        def build(*args):
+            raise AssertionError("H_{k,n} was built before the guard")
 
-        for module in (cli, verify, schur):
-            monkeypatch.setattr(module, "build_huckel", build_huckel)
+        monkeypatch.setattr(cli, "build_huckel", build)
+        for module in (verify, schur):
+            monkeypatch.setattr(module, "_huckel_rows", build)
         t0 = time.perf_counter()
         code, out = run(capsys, *argv)
         assert code == 2

@@ -14,6 +14,7 @@ from huckelpascal.linalg import (
     NotRankOne,
     StrategyPrecondition,
     TooLarge,
+    _det_rows,
     _ring_rows,
     charpoly,
     coefficient_list,
@@ -28,6 +29,7 @@ from huckelpascal.linalg import (
 from huckelpascal.matrices import (
     BadRange,
     PolyMatrix,
+    _huckel_rows,
     bivariate_params,
     build_huckel,
     build_pascal,
@@ -480,13 +482,13 @@ class TestInterpolationGuards:
     def test_inhomogeneous_rejected(self, monkeypatch):
         # perturb the (2, 2) sample, so the row read off the (1, t) samples
         # fails the homogeneity check
-        at_two = build_huckel(0, 2, bivariate_params(0, 2, 2, 2)).rows
+        at_two = _huckel_rows(0, 2, bivariate_params(0, 2, 2, 2))
 
-        def perturbed(m, strategy):
-            value = det(m, strategy)
-            return value + 1 if m.rows == at_two else value
+        def perturbed(h, strategy):
+            value = _det_rows(h, strategy)
+            return value + 1 if h == at_two else value
 
-        monkeypatch.setattr(verify, "det", perturbed)
+        monkeypatch.setattr(verify, "_det_rows", perturbed)
         with pytest.raises(StrategyPrecondition):
             bivariate_row(2)
 

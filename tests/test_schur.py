@@ -287,6 +287,25 @@ class TestSparseStepEdges:
         with pytest.raises(BlockMismatch):
             schur_det_step(PolyMatrix(rows), 2, params)
 
+    def test_tail_with_a_wrong_corner_weight(self):
+        params = _seeded_params(5, 0, 2)
+        rows = [list(r) for r in build_huckel(0, 2, params).rows]
+        rows[-1][len(rows) - 5] += 1  # x_2 + 1, bottom left of T_2
+        with pytest.raises(BlockMismatch):
+            schur_det_step(PolyMatrix(rows), 2, params)
+        rows = [list(r) for r in build_huckel(0, 2).rows]
+        rows[len(rows) - 5][-1] = yvar(1)  # y_1 where T_2 has y_2
+        with pytest.raises(BlockMismatch):
+            schur_det_step(PolyMatrix(rows), 2)
+
+    @pytest.mark.parametrize("params", [None, _seeded_params(8, 0, 3)])
+    def test_tail_with_a_wrong_off_diagonal_entry(self, params):
+        rows = [list(r) for r in build_huckel(0, 3, params).rows]
+        a = len(rows) - 7
+        rows[a + 3][a + 4] = 2  # T_3 has a 1 beside its diagonal there
+        with pytest.raises(BlockMismatch):
+            schur_det_step(PolyMatrix(rows), 3, params)
+
     def test_entry_cancelling_to_zero(self):
         # B = e_0 and C = e_1 give P = 1, so A - P = 1 - 1 cancels
         params = _theta_params(1, 1)
@@ -426,11 +445,11 @@ class TestCondensationDet:
         assert val.evaluate(point) == det(build_huckel(36, 37, point))
 
     def test_symbolic_guard(self, monkeypatch):
-        def build_huckel(*args):
-            raise AssertionError("build_huckel ran before the guard")
+        def build(*args):
+            raise AssertionError("H_{k,n} was built before the guard")
 
         # both caps trip before the matrix is built
-        monkeypatch.setattr(schur, "build_huckel", build_huckel)
+        monkeypatch.setattr(schur, "_huckel_rows", build)
         with pytest.raises(TooLarge, match="16 distinct variables"):
             condensation_det(0, 8)  # 9 rows over 18 weights
         with pytest.raises(TooLarge, match="condensation vertex count"):

@@ -136,10 +136,10 @@ class TestConjecture2:
         # elimination and condensation read the same H_{k,n} at each point
         built = []
         for owner in (verify, schur):
-            def recorded(*args, _fn=owner.build_huckel, **kwargs):
+            def recorded(*args, _fn=owner._huckel_rows, **kwargs):
                 built.append(args[2] if len(args) > 2 else kwargs.get("params"))
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(owner, "build_huckel", recorded)
+            monkeypatch.setattr(owner, "_huckel_rows", recorded)
         report = verify_conjecture2(k, n, "specialized", seed=2)
         assert report.passed()
         points = [sample["point"] for sample in report.details["samples"]]
@@ -221,10 +221,10 @@ class TestConjecture3:
 
     @pytest.mark.parametrize("mode", ["symbolic", "specialized"])
     def test_guard_trips_before_the_matrix_is_built(self, mode, monkeypatch):
-        def build_huckel(*args):
-            raise AssertionError("build_huckel ran before the guard")
+        def build(*args):
+            raise AssertionError("H_{k,n} was built before the guard")
 
-        monkeypatch.setattr(verify, "build_huckel", build_huckel)
+        monkeypatch.setattr(verify, "_huckel_rows", build)
         with pytest.raises(TooLarge, match="conj3 vertex count"):
             verify_conjecture3(500, 501, mode)
 
@@ -234,11 +234,11 @@ class TestConjecture3:
         # all read the one symbolic H_{0,2}
         built = []
 
-        def recorded(*args, _fn=verify.build_huckel, **kwargs):
+        def recorded(*args, _fn=verify._huckel_rows, **kwargs):
             built.append(args[2] if len(args) > 2 else kwargs.get("params"))
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "build_huckel", recorded)
+        monkeypatch.setattr(verify, "_huckel_rows", recorded)
         report = verify_conjecture3(0, 2, mode, seed=4)
         assert report.passed() and "parity_census" in report.details
         points = [sample["point"] for sample in report.details.get("samples", [])]
@@ -272,9 +272,10 @@ class TestIndependentSides:
     """Each symbolic check, and each specialized sample, runs its two sides
     through different routes.
 
-    The recorder wraps verify's bindings of det, condensation_det (and its
-    guard-free form, which takes an H_{k,n} built already) and permanent,
-    and condensation's own det, and notes the route of each call
+    The recorder wraps verify's bindings of det and of its form on rows
+    built already, condensation_det (and its guard-free form, which takes
+    the rows of an H_{k,n} built already) and the permanent on rows, and
+    condensation's own det, and notes the route of each call
     in order: the left side's calls come first, then the right side's, then
     any spot check at an integer point."""
 
@@ -293,9 +294,10 @@ class TestIndependentSides:
             return recorded
 
         for owner, name, label in ((verify, "det", "det"),
+                                   (verify, "_det_rows", "det"),
                                    (verify, "condensation_det", "condensation"),
                                    (verify, "_condensed_det", "condensation"),
-                                   (verify, "permanent", "permanent"),
+                                   (verify, "_permanent_rows", "permanent"),
                                    (schur, "det", "condensation.det")):
             monkeypatch.setattr(owner, name, recorder(label, getattr(owner, name)))
         return calls
