@@ -396,20 +396,11 @@ def _weight(name: str, params: Mapping[str, object] | None):
 
 def build_T(m: int, params: Mapping[str, object] | None = None) -> PolyMatrix:
     """Row block: tridiagonal 1s of size 2m+1 with the boundary weights in
-    the corners; T_0 degenerates to the 1x1 self-weight x_0 + y_0."""
+    the corners; T_0 degenerates to the 1x1 self-weight x_0 + y_0.  It is
+    H_{m,m}, the trapezium of row m alone."""
     if m < 0:
         raise BadRange("m must be >= 0")
-    x, y = _weight(f"x{m}", params), _weight(f"y{m}", params)
-    if m == 0:
-        return PolyMatrix([[x + y]])
-    d = 2 * m + 1
-    rows = [[0] * d for _ in range(d)]
-    for i in range(d - 1):
-        rows[i][i + 1] = 1
-        rows[i + 1][i] = 1
-    rows[0][d - 1] = y
-    rows[d - 1][0] = x
-    return PolyMatrix(rows)
+    return build_huckel(m, m, params)
 
 
 def build_R(m: int) -> PolyMatrix:
