@@ -10,7 +10,10 @@ collapses both onto the single apex, giving the self-weight x_0 + y_0.
 
 The adjacency ("Hueckel") matrix of the trapezium is block tridiagonal with
 row blocks T_k..T_n on the diagonal and vertical-edge blocks R_m below/above.
-Also built here: the symmetric Pascal family P_n, P_n^-1, Q_n, the reduced
+Its nonzeros are written in one place, ``_huckel_nonzeros``: the exact
+routes take them as sparse rows in one ring (``_huckel_rows``, the same
+rows ``_ring_rows`` reads from a dense matrix), and ``build_huckel`` and
+``build_T`` (T_m is H_{m,m}) are the dense views.  Also built here: the symmetric Pascal family P_n, P_n^-1, Q_n, the reduced
 binomial matrix conjectured to share the trapezium determinant, the
 general binomial matrix with a diagonal shift, and the bordered matrix
 produced by one Schur-complement step.
