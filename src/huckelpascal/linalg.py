@@ -74,7 +74,7 @@ from .matrices import (
     _ring_rows,
     permutation_sign,
 )
-from .poly import MultiPoly, NotDivisible, _difference
+from .poly import MultiPoly, NotDivisible
 
 DET_STRATEGIES = (
     "fraction-free-elimination",
@@ -167,8 +167,9 @@ def det(M: PolyMatrix, strategy: str | None = None):
 
 def _det_rows(ring_rows: tuple[list[dict], str], strategy: str | None = None):
     """``det`` of a square matrix read already: its nonzero rows and their
-    ring, as ``_ring_rows`` and ``matrices._huckel_rows`` return them.  The
-    rows are left as they are."""
+    ring, as ``_ring_rows`` and ``matrices._huckel_rows`` return them.
+    Fraction-free elimination updates the rows in place, so a caller that
+    reads them again passes a copy."""
     rows, kind = ring_rows
     if strategy is None:
         strategy = "division-free" if kind == "poly" else "fraction-free-elimination"
@@ -216,8 +217,8 @@ def _det_bareiss(a: list[dict], kind: str):
     """One-step Bareiss over sparse rows with a fill-reducing pivot order
     and lazy row scaling.
 
-    Each row is a copy of the given dict of its nonzero entries, updated in
-    place, so the caller's rows stay as they are.  Step s
+    Each row is a dict of its nonzero entries, updated in place: a caller
+    that reads the rows again passes a copy.  Step s
     eliminates the live column held by the fewest live rows, ties going to
     the lowest index (Markowitz's rule, by columns), and pivots on the
     lowest-index live row holding it.  Only the rows holding that column c are updated,
@@ -231,7 +232,6 @@ def _det_bareiss(a: list[dict], kind: str):
     """
     n = len(a)
     size_guard(n, NUMERIC_ELIMINATION_ROWS, "numeric elimination rows")
-    a = [dict(row) for row in a]
     # key[j] = n * (live rows holding column j) + j while column j is live,
     # and `dead` above every such key once it is eliminated, so min(key)
     # names the sparsest live column, ties to the lowest index
@@ -318,7 +318,6 @@ def _berkowitz(a: list[dict], kind: str) -> list:
     else:
         size_guard(n, NUMERIC_DIVISION_FREE_ROWS, "division-free rows")
         one = _lift(1, kind)
-    difference = _difference if kind == "poly" else _ring_difference
     coeffs = [one]  # None stands for a zero coefficient
     for r in range(n):
         # the rows of A_r and R, as (column, entry) pairs
@@ -332,23 +331,17 @@ def _berkowitz(a: list[dict], kind: str) -> list:
                 col = {i: v for i in range(r) if (v := _dot(block[i], col)) is not None}
         new = []
         for i in range(r + 2):
-            products = (
-                sk if c is one else sk * c
-                for k in range(max(1, i - r), i + 1)
-                if (sk := s[k - 1]) is not None and (c := coeffs[i - k]) is not None
-            )
-            new.append(difference(coeffs[i] if i <= r else None, products))
+            acc = coeffs[i] if i <= r else None
+            for k in range(max(1, i - r), i + 1):
+                sk, c = s[k - 1], coeffs[i - k]
+                if sk is None or c is None:
+                    continue
+                p = sk if c is one else sk * c
+                acc = -p if acc is None else acc - p
+            new.append(acc if acc is not None and _nz(acc) else None)
         coeffs = new
     zero = one - one
     return [zero if c is None else c for c in coeffs]
-
-
-def _ring_difference(first, products):
-    """first - sum(products) over any ring, None standing for zero."""
-    acc = first
-    for p in products:
-        acc = -p if acc is None else acc - p
-    return acc if acc is not None and _nz(acc) else None
 
 
 def _dot(entries, vec: dict):
@@ -380,7 +373,7 @@ def _parity_census(rows: list[dict]) -> tuple[int, int]:
     rows."""
     support = [dict.fromkeys(row, 1) for row in rows]
     total = _frontier_walk(support, "int", signed=False)
-    signed = _det_bareiss(support, "int")
+    signed = _det_bareiss(support, "int")  # last: it updates the rows
     return (total + signed) // 2, (total - signed) // 2
 
 

@@ -463,28 +463,6 @@ _set_varcount = MultiPoly.varcount.__set__
 _set_hash = MultiPoly._hash.__set__
 
 
-def _difference(first: MultiPoly | None, products) -> MultiPoly | None:
-    """first - sum(products), None standing for zero on both sides.  Every
-    operand shares one varcount; the sum builds one dict and wraps it once,
-    where repeated ``-`` copies the running difference for every product.
-    With no product ``first`` comes back as it is."""
-    out = None
-    for p in products:
-        if out is None:
-            out = dict(first.terms) if first is not None else {}
-            get = out.get
-            varcount = p.varcount
-        for k, c in p.terms.items():
-            v = get(k, 0) - c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-    if out is None:
-        return first
-    return MultiPoly._of(out, varcount) if out else None
-
-
 # -- packed monomials ---------------------------------------------------------
 
 
@@ -554,12 +532,9 @@ def _slot_name(slot: int, varcount: int) -> str:
 
 
 def _var_poly(name: str, varcount: int) -> MultiPoly:
-    slot = _var_slot(name, varcount)
-    # the packed field of that slot, counted from the low end: z is field
-    # 0, y_j field 1 + j, x_i field 1 + varcount + i
-    field = 0 if slot == 2 * varcount else 1 + (slot + varcount) % (2 * varcount)
-    degree = 1 << (FIELD_BITS * (2 * varcount + 1))
-    return MultiPoly._of({degree | (1 << (FIELD_BITS * field)): 1}, varcount)
+    exp = [0] * _exp_len(varcount)
+    exp[_var_slot(name, varcount)] = 1
+    return MultiPoly({tuple(exp): 1}, varcount)
 
 
 def xvar(i: int) -> MultiPoly:

@@ -332,10 +332,11 @@ def condensation_det(k: int, n: int, params=None):
 
 def _condensed_det(h: tuple[list[dict], str], k: int, n: int, params):
     """``condensation_det`` on the rows of H_{k,n} as ``_huckel_rows``
-    built them, with no guard: for a caller that has checked the caps and
-    runs other routes on the same rows, which are left as they are."""
+    built them, with no guard: for a caller that has checked the caps.
+    The rows are updated in place, so a caller that reads them again
+    passes a copy."""
     rows, kind = h
-    rows, pos = {i: dict(row) for i, row in enumerate(rows)}, list(range(len(rows)))
+    rows, pos = dict(enumerate(rows)), list(range(len(rows)))
     stop = 0 if k == 0 else k - 1
     for m in range(n, stop, -1):
         _condense(rows, pos, m, params, kind)

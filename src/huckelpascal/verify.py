@@ -186,7 +186,8 @@ def _verify_reduction(
             reduced = evaluate_matrix(reduced_template, params)
             # one H_{k,n} per point, read by elimination and by condensation
             h = _huckel_rows(k, n, params)
-            lhs = _det_rows(h)
+            # elimination updates the rows it is given: it gets a copy
+            lhs = _det_rows(([dict(row) for row in h[0]], h[1]))
             lhs2 = _condensed_det(h, k, n, params)
             rhs = det(reduced)
             rhs2 = det(reduced, "division-free")
@@ -279,6 +280,7 @@ def verify_conjecture3(
     for params in points:
         h = symbolic if params is None else _huckel_rows(k, n, params)
         perms.append(_permanent_rows(h))
+        # last: elimination updates the rows of h
         dets.append(_det_rows(h) if params is not None else condensation_det(k, n))
     census = details.get("parity_census")
     ok = perms == dets and (census is None or census["all_contributions_even"])

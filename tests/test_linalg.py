@@ -485,8 +485,10 @@ class TestInterpolationGuards:
         at_two = _huckel_rows(0, 2, bivariate_params(0, 2, 2, 2))
 
         def perturbed(h, strategy):
+            # compared first: elimination updates the rows it is given
+            hit = h == at_two
             value = _det_rows(h, strategy)
-            return value + 1 if h == at_two else value
+            return value + 1 if hit else value
 
         monkeypatch.setattr(verify, "_det_rows", perturbed)
         with pytest.raises(StrategyPrecondition):

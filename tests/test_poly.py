@@ -13,7 +13,6 @@ from huckelpascal.poly import (
     MultiPoly,
     NotDivisible,
     UnboundVariable,
-    _difference,
     poly_from_text,
     poly_properties,
     svar,
@@ -406,30 +405,3 @@ def test_degree_overflow_raises_before_any_term_is_formed():
     with pytest.raises(OverflowError):
         high * wide
     assert time.perf_counter() - t0 < 0.5
-
-
-class TestDifference:
-    """first - sum(products) in one dict, as repeated subtraction gives it."""
-
-    @given(st.lists(polys(varcount=2), max_size=4), st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_repeated_subtraction(self, products, from_zero):
-        first = None if from_zero else xvar(1) * yvar(0) + 3
-        want = first
-        for p in products:
-            want = -p if want is None else want - p
-        got = _difference(first, iter(products))
-        if want is None or want == 0:
-            assert got is None
-        else:
-            assert got == want and got.varcount == 2
-            assert list(got.terms) == list(want.terms)
-
-    def test_no_product_returns_first_itself(self):
-        first = svar(2)
-        assert _difference(first, iter(())) is first
-        assert _difference(None, iter(())) is None
-
-    def test_cancellation_to_zero_is_none(self):
-        a = svar(1)
-        assert _difference(a, iter([xvar(1), yvar(1)])) is None
