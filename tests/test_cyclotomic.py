@@ -314,6 +314,15 @@ def test_gauss_negative_power():
     assert GaussInt(0, 1) ** -1 == GaussInt(0, -1)
 
 
+def test_cyc_negative_power():
+    assert Z(1) ** -1 == Z(11)
+    assert Z(5) ** -3 == Z(-15)
+    unit = 2 + CycInt.sqrt3()  # (2 + sqrt 3)(2 - sqrt 3) = 1
+    assert unit ** -3 == (2 - CycInt.sqrt3()) ** 3
+    with pytest.raises(NotDivisible):
+        CycInt(2) ** -1
+
+
 # -- radical values ----------------------------------------------------------
 
 def test_radical_value_from_cyc():

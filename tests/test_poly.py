@@ -1,6 +1,7 @@
 """Polynomial ring: arithmetic, ordering, division, round-trips."""
 
 from fractions import Fraction
+from math import prod
 
 import time
 
@@ -366,6 +367,26 @@ def test_packed_promotion_matches_the_tuple_reference(a, extra):
     assert p.varcount == want[1]
     assert p.sorted_terms() == _ref_sorted(want)
     assert p == MultiPoly(*a) and hash(p) == hash(MultiPoly(*a))
+
+
+@given(tuple_polys())
+@settings(max_examples=100, deadline=None)
+def test_packed_swap_xy_matches_the_tuple_reference(a):
+    terms, v = a
+    want = {e[v : 2 * v] + e[:v] + e[-1:]: c for e, c in terms.items()}, v
+    got = MultiPoly(*a).swap_xy()
+    assert got.varcount == v
+    assert got.sorted_terms() == _ref_sorted(want)
+
+
+@given(tuple_polys(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_evaluate_matches_the_tuple_reference(a, data):
+    terms, v = a
+    names = [f"x{i}" for i in range(v)] + [f"y{i}" for i in range(v)] + ["z"]
+    values = data.draw(st.tuples(*[st.integers(-7, 7)] * len(names)))
+    want = sum(c * prod(t**e for t, e in zip(values, exp)) for exp, c in terms.items())
+    assert MultiPoly(*a).evaluate(dict(zip(names, values))) == want
 
 
 @given(tuple_polys(max_terms=4), tuple_polys(max_terms=3))
