@@ -28,7 +28,6 @@ from .linalg import (
     NUMERIC_DIVISION_FREE_ROWS,
     NUMERIC_ELIMINATION_ROWS,
     SYMBOLIC_DIVISION_FREE_ROWS,
-    NotRankOne,
     StrategyPrecondition,
     TooLarge,
     charpoly,
@@ -63,7 +62,6 @@ _DOMAIN_ERRORS = (
     CaseMismatch,
     TooLarge,
     StrategyPrecondition,
-    NotRankOne,
     NotDivisible,
 )
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 
-from .poly import NotDivisible
+from .poly import NotDivisible, _power
 
 _HALF_PI6 = cmath.exp(1j * cmath.pi / 6)
 
@@ -147,13 +147,7 @@ class CycInt:
     def __pow__(self, k: int) -> "CycInt":
         if k < 0:
             return CycInt(1).exact_div(self ** (-k))
-        acc, base = CycInt(1), self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+        return _power(self, k, CycInt(1))
 
     def __eq__(self, other):
         if isinstance(other, CycInt):
@@ -331,13 +325,7 @@ class GaussInt:
     def __pow__(self, k: int) -> "GaussInt":
         if k < 0:
             return GaussInt(1).exact_div(self ** (-k))
-        acc, base = GaussInt(1), self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+        return _power(self, k, GaussInt(1))
 
     def __eq__(self, other):
         if isinstance(other, GaussInt):

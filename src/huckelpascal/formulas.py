@@ -22,7 +22,7 @@ from math import factorial
 
 from .cyclotomic import CycInt, GaussInt, RadicalValue
 from .linalg import det
-from .matrices import BadRange, PolyMatrix, build_pascal
+from .matrices import BadRange, build_general_binomial
 
 PREDICTED_CASES = (
     "theta0",
@@ -180,17 +180,6 @@ def predicted_det(case: str, n: int) -> CycInt:
 # -- the pi/4 (Gaussian) column --------------------------------------------------
 
 
-def _gauss_shifted_pascal(n: int) -> PolyMatrix:
-    q = build_pascal("symmetric", n)
-    i = GaussInt(0, 1)
-    return PolyMatrix(
-        [
-            [GaussInt(q[r, c]) + (i if r == c else 0) for c in range(n + 1)]
-            for r in range(n + 1)
-        ]
-    )
-
-
 def pi4_magnitude(n: int) -> RadicalValue:
     """|det H_n(pi/4)| exactly, as an integer or an integer times sqrt 2.
 
@@ -198,7 +187,7 @@ def pi4_magnitude(n: int) -> RadicalValue:
     phase e^{-i(n+1)pi/4} (up to the real factor sqrt(2)^(n+1)), which
     must leave a plain integer behind - asserted, not assumed.
     """
-    d = det(_gauss_shifted_pascal(n))
+    d = det(build_general_binomial(0, n, GaussInt(0, 1)))
     va = d * (GaussInt(1, -1)) ** (n + 1)
     if va.im != 0:
         raise ArithmeticError(f"phase stripping failed at n={n}: {va}")
@@ -226,7 +215,7 @@ def mitra_ratio(L: int) -> float:
         raise BadParity(f"need even L, got {L}")
     if not 4 <= L <= 20:
         raise BadRange(f"L must be in [4, 20], got {L}")
-    d = det(_gauss_shifted_pascal(L - 1))
+    d = det(build_general_binomial(0, L - 1, GaussInt(0, 1)))
     r = d * GaussInt(0, -1) ** (L // 2)
     if r.im != 0 or r.re <= 0:
         raise ArithmeticError(f"phase stripping failed at L={L}: {r}")

@@ -261,6 +261,16 @@ def _ring_rows(M: PolyMatrix) -> tuple[list[dict], str]:
     return rows, kind
 
 
+def _dense(rows: Sequence[dict]) -> PolyMatrix:
+    """Square sparse rows, {column: entry} numbered 0..d-1, as a dense
+    matrix with int 0 off them."""
+    out = [[0] * len(rows) for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, e in row.items():
+            dense[j] = e
+    return PolyMatrix(out)
+
+
 # -- graph ---------------------------------------------------------------------
 
 
@@ -486,12 +496,8 @@ def build_huckel(
     ``params`` optionally assigns values to the boundary weights by name
     ("x3", "y3", ...); unassigned weights stay symbolic.
     """
-    N = TriangleGraph(k, n).vertex_count
-    rows = [[0] * N for _ in range(N)]
-    for dense, entries in zip(rows, _huckel_nonzeros(k, n, 1, *_corner_weights(k, n, params))):
-        for j, e in entries.items():
-            dense[j] = e
-    return PolyMatrix(rows)
+    TriangleGraph(k, n)  # raises BadRange
+    return _dense(_huckel_nonzeros(k, n, 1, *_corner_weights(k, n, params)))
 
 
 def bivariate_params(k: int, n: int, x, y) -> dict[str, object]:
@@ -552,12 +558,7 @@ def build_general_binomial(m: int, n: int, omega) -> PolyMatrix:
     """
     if m < 0 or n < 0:
         raise BadRange("m and n must be >= 0")
-    if isinstance(omega, CycInt):
-        lift: Callable = CycInt
-    elif isinstance(omega, GaussInt):
-        lift = GaussInt
-    else:
-        lift = int
+    lift = _LIFTS[_ring_of((omega,))]
     return PolyMatrix(
         [
             [

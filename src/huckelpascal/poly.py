@@ -15,7 +15,10 @@ the canonical graded lexicographic order with variable precedence
 
     x_{v-1} > ... > x_0 > y_{v-1} > ... > y_0 > z
 
-which is what printing and leading-term division use.  The top bit of every
+which is what printing and leading-term division use.  ``_split`` and its
+inverse ``_join`` own that layout: every rearrangement of the fields
+(packing, promotion, hashing, the x-y swap, evaluation) goes through them,
+and only the degree is read by a shift of its own.  The top bit of every
 field stays clear: a total degree, and so every exponent, is at most
 ``MAX_DEGREE`` = 2^(FIELD_BITS - 1) - 1.  Since no exponent exceeds the
 total degree, one check per product (the two degrees add up to at most
@@ -58,6 +61,19 @@ class UnboundVariable(KeyError):
 
 def _exp_len(varcount: int) -> int:
     return 2 * varcount + 1
+
+
+def _power(base, k: int, one):
+    """base ** k for k >= 0 by square-and-multiply, from the ring's ``one``;
+    the power of MultiPoly, CycInt and GaussInt, each of which keeps its own
+    rule for k < 0."""
+    acc = one
+    while k:
+        if k & 1:
+            acc = acc * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return acc
 
 
 class MultiPoly:
@@ -104,20 +120,10 @@ class MultiPoly:
         v0 = self.varcount
         if varcount <= v0:
             return self
-        # the y block and z keep their place; the x block and the degree
-        # move up by the width of the new fields
-        grow = FIELD_BITS * (varcount - v0)
-        low_bits = FIELD_BITS * (v0 + 1)
-        low = (1 << low_bits) - 1
-        block = FIELD_BITS * v0
-        xmask = (1 << block) - 1
+        # the blocks keep their fields; each gains zero fields at its top
+        top = FIELD_BITS * _exp_len(v0)
         return MultiPoly._of(
-            {
-                ((((k >> (low_bits + block)) << (block + grow))
-                  | ((k >> low_bits) & xmask)) << (low_bits + grow))
-                | (k & low): c
-                for k, c in self.terms.items()
-            },
+            {_join(k >> top, *_split(k, v0), varcount): c for k, c in self.terms.items()},
             varcount,
         )
 
@@ -202,14 +208,7 @@ class MultiPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        acc = MultiPoly.const(1, self.varcount)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+        return _power(self, k, MultiPoly.const(1, self.varcount))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -235,12 +234,7 @@ class MultiPoly:
                 h = hash(sum(self.terms.values()))
             else:
                 v = self.varcount
-                block = (1 << (FIELD_BITS * v)) - 1
-                xs = FIELD_BITS * (v + 1)
-                h = hash(frozenset(
-                    ((k >> xs) & block, (k >> FIELD_BITS) & block, k & _FIELD, c)
-                    for k, c in self.terms.items()
-                ))
+                h = hash(frozenset((*_split(k, v), c) for k, c in self.terms.items()))
             _set_hash(self, h)
         return h
 
@@ -277,14 +271,11 @@ class MultiPoly:
     def swap_xy(self) -> "MultiPoly":
         """Apply the involution x_i <-> y_i for every pair simultaneously."""
         v = self.varcount
-        block = FIELD_BITS * v
-        mask = (1 << block) - 1
-        xs = FIELD_BITS * (v + 1)
+        top = FIELD_BITS * _exp_len(v)
         out = {}
         for k, c in self.terms.items():
-            xy = (((k >> (xs + block)) << block | ((k >> FIELD_BITS) & mask)) << block
-                  | ((k >> xs) & mask))
-            out[(xy << FIELD_BITS) | (k & _FIELD)] = c
+            x, y, z = _split(k, v)
+            out[_join(k >> top, y, x, z, v)] = c
         return MultiPoly._of(out, v)
 
     def is_palindromic(self) -> bool:
@@ -356,15 +347,13 @@ class MultiPoly:
         """
         v = self.varcount
         names = _slot_names(v)
-        block = FIELD_BITS * v
-        mask = (1 << block) - 1
-        xs = FIELD_BITS * (v + 1)
         total = 0
         for key, coef in sorted(self.terms.items(), reverse=True):
             acc = coef
-            # rearranged so that field i from the bottom holds slot i
-            fields = ((((key & _FIELD) << block) | ((key >> FIELD_BITS) & mask)) << block
-                      | ((key >> xs) & mask))
+            # the blocks swapped under z, which takes the degree's place, and
+            # the empty z field shifted out: field i holds slot i
+            x, y, z = _split(key, v)
+            fields = _join(z, y, x, 0, v) >> FIELD_BITS
             while fields:
                 # the lowest nonzero field, found by the lowest set bit
                 slot = ((fields & -fields).bit_length() - 1) // FIELD_BITS
@@ -466,6 +455,20 @@ _set_hash = MultiPoly._hash.__set__
 # -- packed monomials ---------------------------------------------------------
 
 
+def _split(key: int, varcount: int) -> tuple[int, int, int]:
+    """A packed monomial's x block, y block and e(z); the degree is left
+    out.  Each block holds its v fields with index 0 at the bottom."""
+    block = FIELD_BITS * varcount
+    mask = (1 << block) - 1
+    return (key >> (block + FIELD_BITS)) & mask, (key >> FIELD_BITS) & mask, key & _FIELD
+
+
+def _join(degree: int, x: int, y: int, z: int, varcount: int) -> int:
+    """The packed monomial with these fields, the inverse of ``_split``."""
+    block = FIELD_BITS * varcount
+    return (((((degree << block) | x) << block) | y) << FIELD_BITS) | z
+
+
 def _pack(exp: tuple, varcount: int) -> int:
     """The packed monomial of an exponent tuple, checked against the layout."""
     if len(exp) != _exp_len(varcount):
@@ -476,22 +479,22 @@ def _pack(exp: tuple, varcount: int) -> int:
             f"exponent tuple {exp} needs exponents >= 0 and total degree "
             f"<= {MAX_DEGREE}"
         )
-    key = degree
+    x = y = 0
     for i in range(varcount - 1, -1, -1):
-        key = (key << FIELD_BITS) | exp[i]
-    for i in range(varcount - 1, -1, -1):
-        key = (key << FIELD_BITS) | exp[varcount + i]
-    return (key << FIELD_BITS) | exp[-1]
+        x = (x << FIELD_BITS) | exp[i]
+        y = (y << FIELD_BITS) | exp[varcount + i]
+    return _join(degree, x, y, exp[-1], varcount)
 
 
 def _unpack(key: int, varcount: int) -> tuple:
     """The exponent tuple of a packed monomial."""
+    x, y, z = _split(key, varcount)
     fields = []
-    for _ in range(_exp_len(varcount)):
-        fields.append(key & _FIELD)
-        key >>= FIELD_BITS
-    # fields run z, y_0..y_{v-1}, x_0..x_{v-1}
-    return (*fields[varcount + 1 :], *fields[1 : varcount + 1], fields[0])
+    for block in (x, y):
+        for _ in range(varcount):
+            fields.append(block & _FIELD)
+            block >>= FIELD_BITS
+    return (*fields, z)
 
 
 @lru_cache(maxsize=None)

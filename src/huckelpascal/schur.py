@@ -53,14 +53,15 @@ from fractions import Fraction
 
 from .linalg import (
     NUMERIC_ELIMINATION_ROWS,
+    _det_rows,
     _divider,
-    det,
     huckel_guard,
     symbolic_division_free_guard,
 )
 from .matrices import (
     BadRange,
     PolyMatrix,
+    _dense,
     _huckel_nonzeros,
     _huckel_rows,
     _ring_rows,
@@ -165,19 +166,14 @@ def schur_det_step(M: PolyMatrix, m: int, params=None):
     rows, kind = _ring_rows(M)
     rows, pos = dict(enumerate(rows)), list(range(len(rows)))
     _condense(rows, pos, m, params, kind)
-    return 1, _dense(rows, pos)
+    return 1, _dense(_renumbered(rows, pos))
 
 
-def _dense(rows: dict, pos: list) -> PolyMatrix:
-    """The sparse matrix as a dense one, rows and columns in position order."""
+def _renumbered(rows: dict, pos: list) -> list[dict]:
+    """The sparse matrix's rows in position order, each column renumbered
+    to its position."""
     at = {label: p for p, label in enumerate(pos)}
-    out = []
-    for label in pos:
-        row = [0] * len(pos)
-        for j, e in rows[label].items():
-            row[at[j]] = e
-        out.append(row)
-    return PolyMatrix(out)
+    return [{at[j]: e for j, e in rows[label].items()} for label in pos]
 
 
 def _block_nonzeros(m: int, x, y) -> list[dict]:
@@ -306,15 +302,11 @@ def condense(n: int, params=None) -> CondensationTrace:
     if n < 1:
         raise BadRange(f"condense needs n >= 1, got {n}")
     huckel_guard(0, n, NUMERIC_ELIMINATION_ROWS, "condensation trace")
-    trace = CondensationTrace()
-    rows, kind = _huckel_rows(0, n, params)
-    rows, pos = dict(enumerate(rows)), list(range(len(rows)))
-    for m in range(n, 0, -1):
-        _condense(rows, pos, m, params, kind)
-        border = rows[pos[0]][pos[0]]
-        trace.steps.append(CondensationStep(m=m, border=str(border), size=len(pos)))
-    trace.final = _dense(rows, pos)
-    return trace
+    (rows, _), steps = _condensation(_huckel_rows(0, n, params), 0, n, params)
+    return CondensationTrace(
+        steps=[CondensationStep(m=m, border=str(b), size=size) for m, b, size in steps],
+        final=_dense(rows),
+    )
 
 
 def condensation_det(k: int, n: int, params=None):
@@ -333,12 +325,23 @@ def condensation_det(k: int, n: int, params=None):
 def _condensed_det(h: tuple[list[dict], str], k: int, n: int, params):
     """``condensation_det`` on the rows of H_{k,n} as ``_huckel_rows``
     built them, with no guard: for a caller that has checked the caps.
-    The rows are updated in place, so a caller that reads them again
-    passes a copy."""
+    The n + 1 - k rows condensation leaves go straight to the determinant
+    on rows: division-free over MultiPoly entries, fraction-free
+    elimination over numbers.  The rows are updated in place, so a caller
+    that reads them again passes a copy."""
+    condensed, _ = _condensation(h, k, n, params)
+    return _det_rows(condensed, "division-free") if h[1] == "poly" else _det_rows(condensed)
+
+
+def _condensation(h: tuple[list[dict], str], k: int, n: int, params):
+    """Condense the rows of H_{k,n}, as ``_huckel_rows`` built them and in
+    place, by the blocks T_n, ..., T_max(k, 1), one step each.  Returns the
+    n + 1 - k rows left, numbered 0..n-k in position order, with their
+    ring, and each step's (m, border entry S_m, size after it)."""
     rows, kind = h
     rows, pos = dict(enumerate(rows)), list(range(len(rows)))
-    stop = 0 if k == 0 else k - 1
-    for m in range(n, stop, -1):
+    steps = []
+    for m in range(n, max(k - 1, 0), -1):
         _condense(rows, pos, m, params, kind)
-    M = _dense(rows, pos)
-    return det(M, "division-free") if kind == "poly" else det(M)
+        steps.append((m, rows[pos[0]][pos[0]], len(pos)))
+    return (_renumbered(rows, pos), kind), steps

@@ -275,9 +275,9 @@ class TestIndependentSides:
     The recorder wraps verify's bindings of det and of its form on rows
     built already, condensation_det (and its guard-free form, which takes
     the rows of an H_{k,n} built already) and the permanent on rows, and
-    condensation's own det, and notes the route of each call
-    in order: the left side's calls come first, then the right side's, then
-    any spot check at an integer point."""
+    condensation's det on the rows it condensed, and notes the route of
+    each call in order: the left side's calls come first, then the right
+    side's, then any spot check at an integer point."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
@@ -298,7 +298,7 @@ class TestIndependentSides:
                                    (verify, "condensation_det", "condensation"),
                                    (verify, "_condensed_det", "condensation"),
                                    (verify, "_permanent_rows", "permanent"),
-                                   (schur, "det", "condensation.det")):
+                                   (schur, "_det_rows", "condensation.det")):
             monkeypatch.setattr(owner, name, recorder(label, getattr(owner, name)))
         return calls
 
