@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .formulas import (
     BadParity,
@@ -178,7 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--mode", choices=("symbolic", "specialized"), default="symbolic")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     add_json(p)
 
     p = sub.add_parser(
@@ -213,8 +211,6 @@ def _validate(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
             parser.error(f"{ns.conjecture} runs on the triangle (k = 0); drop --k")
         if ns.k is not None and ns.n is None:
             parser.error("--k requires --n")
-        if ns.jobs < 1:
-            parser.error("--jobs must be >= 1")
         if ns.conjecture == "props" and ns.mode == "specialized":
             parser.error("props checks polynomial identities; it has no specialized mode")
     for name in ("n", "k"):
@@ -422,18 +418,16 @@ _DEFAULT_INSTANCES = {
 }
 
 
-def _verify_task(task: tuple):
-    conjecture, kwargs = task
-    if conjecture == "conj1":
-        return verify_conjecture1(**kwargs)
-    if conjecture == "conj2":
-        return verify_conjecture2(**kwargs)
-    if conjecture == "conj3":
-        return verify_conjecture3(**kwargs)
-    return verify_props(**kwargs)
+_VERIFIERS = {
+    "conj1": verify_conjecture1,
+    "conj2": verify_conjecture2,
+    "conj3": verify_conjecture3,
+    "props": verify_props,
+}
 
 
-def _verify_instances(ns: argparse.Namespace) -> list[tuple]:
+def _verify_instances(ns: argparse.Namespace) -> list[dict]:
+    """The keyword arguments of each report the verify command runs."""
     name = ns.conjecture
     if ns.n is None:
         instances = _DEFAULT_INSTANCES[(name, ns.mode)]
@@ -448,17 +442,13 @@ def _verify_instances(ns: argparse.Namespace) -> list[tuple]:
             kwargs["mode"] = ns.mode
             if ns.mode == "specialized":
                 kwargs["seed"] = ns.seed
-        tasks.append((name, kwargs))
+        tasks.append(kwargs)
     return tasks
 
 
 def _cmd_verify(ns: argparse.Namespace):
-    tasks = _verify_instances(ns)
-    if ns.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            reports = list(pool.map(_verify_task, tasks))
-    else:
-        reports = [_verify_task(t) for t in tasks]
+    verifier = _VERIFIERS[ns.conjecture]
+    reports = [verifier(**kwargs) for kwargs in _verify_instances(ns)]
     reports.sort(key=lambda r: (r.conjecture, sorted(r.instance.items())))
     for r in reports:
         inst = ",".join(f"{k}={v}" for k, v in sorted(r.instance.items()))

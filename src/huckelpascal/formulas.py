@@ -207,27 +207,31 @@ def _exact_shift(v: int, halves: int) -> int:
 def mitra_ratio(L: int) -> float:
     """Rescaled i-shifted Pascal determinant det(Q_{L-1} + i I_L).
 
-    Strips the i^{L/2} phase exactly, divides by AHT(L)^2 in exact
-    rational arithmetic, and returns the float ratio times L^{5/48};
-    the sequence approaches MITRA_CONSTANT from its asymptotic series.
+    Its modulus, from ``pi4_magnitude(L - 1)`` (a plain positive integer
+    for even L, asserted), is divided by AHT(L)^2 in exact rational
+    arithmetic, and the float ratio times L^{5/48} is returned; the
+    sequence approaches MITRA_CONSTANT from its asymptotic series.
     """
     if L % 2 != 0:
         raise BadParity(f"need even L, got {L}")
     if not 4 <= L <= 20:
         raise BadRange(f"L must be in [4, 20], got {L}")
-    d = det(build_general_binomial(0, L - 1, GaussInt(0, 1)))
-    r = d * GaussInt(0, -1) ** (L // 2)
-    if r.im != 0 or r.re <= 0:
+    r = pi4_magnitude(L - 1)
+    if r.radical != 1 or r.scale <= 0:
         raise ArithmeticError(f"phase stripping failed at L={L}: {r}")
-    return float(Fraction(r.re, formula_AHT(L) ** 2)) * L ** (5 / 48)
+    return float(Fraction(r.scale, formula_AHT(L) ** 2)) * L ** (5 / 48)
 
 
-def mitra_estimate(L: int) -> float:
-    """Three-term asymptotic value of |det(Q_{L-1} + i I_L)|."""
+def mitra_estimate(L: int) -> float | None:
+    """Three-term asymptotic value of |det(Q_{L-1} + i I_L)|, or None once
+    AHT(L)^2 is past the float range (from L = 54 on)."""
     if L % 2 != 0:
         raise BadParity(f"need even L, got {L}")
     bracket = MITRA_CONSTANT + _MITRA_C3 * L**-1.5 + _MITRA_C4 * L**-2
-    return L ** (-5 / 48) * formula_AHT(L) ** 2 * bracket
+    try:
+        return L ** (-5 / 48) * formula_AHT(L) ** 2 * bracket
+    except OverflowError:
+        return None
 
 
 # -- table assembly ---------------------------------------------------------------

@@ -167,9 +167,7 @@ def det(M: PolyMatrix, strategy: str | None = None):
 
 def _det_rows(ring_rows: tuple[list[dict], str], strategy: str | None = None):
     """``det`` of a square matrix read already: its nonzero rows and their
-    ring, as ``_ring_rows`` and ``matrices._huckel_rows`` return them.
-    Fraction-free elimination updates the rows in place, so a caller that
-    reads them again passes a copy."""
+    ring, as ``_ring_rows`` and ``matrices._huckel_rows`` return them."""
     rows, kind = ring_rows
     if strategy is None:
         strategy = "division-free" if kind == "poly" else "fraction-free-elimination"
@@ -217,8 +215,8 @@ def _det_bareiss(a: list[dict], kind: str):
     """One-step Bareiss over sparse rows with a fill-reducing pivot order
     and lazy row scaling.
 
-    Each row is a dict of its nonzero entries, updated in place: a caller
-    that reads the rows again passes a copy.  Step s
+    Each row is a dict of its nonzero entries; the elimination runs on
+    copies, so the rows given never change.  Step s
     eliminates the live column held by the fewest live rows, ties going to
     the lowest index (Markowitz's rule, by columns), and pivots on the
     lowest-index live row holding it.  Only the rows holding that column c are updated,
@@ -232,6 +230,7 @@ def _det_bareiss(a: list[dict], kind: str):
     """
     n = len(a)
     size_guard(n, NUMERIC_ELIMINATION_ROWS, "numeric elimination rows")
+    a = [dict(row) for row in a]
     # key[j] = n * (live rows holding column j) + j while column j is live,
     # and `dead` above every such key once it is eliminated, so min(key)
     # names the sparsest live column, ties to the lowest index
@@ -373,7 +372,7 @@ def _parity_census(rows: list[dict]) -> tuple[int, int]:
     rows."""
     support = [dict.fromkeys(row, 1) for row in rows]
     total = _frontier_walk(support, "int", signed=False)
-    signed = _det_bareiss(support, "int")  # last: it updates the rows
+    signed = _det_bareiss(support, "int")
     return (total + signed) // 2, (total - signed) // 2
 
 

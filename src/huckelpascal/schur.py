@@ -1,8 +1,9 @@
 """Exact block condensation of the triangle/trapezium matrices.
 
 The cyclic blocks T_m are invertible up to the scalar S_m = x_m + y_m:
-W = S_m * T_m^{-1} has a closed form (period-4 column patterns), which
-``invert_T`` returns and validates by multiplying back.  Since det T_m =
+W = S_m * T_m^{-1} has closed-form columns 0 and 1 (period-4 patterns),
+from which one row solve gives any row of W and checks it by multiplying
+back; ``invert_T`` builds W row by row that way.  Since det T_m =
 S_m (the two orientations of an odd cycle), a Schur complement that
 eliminates a trailing T_m block can be re-bordered into a matrix of the
 same determinant with no prefactor at all:
@@ -19,14 +20,10 @@ survives untouched, so the step iterates.  Iterating down the rows shrinks
 a triangle matrix of size (n+1)^2 to size n+1 and a trapezium of size
 (n+1)^2 - k^2 to size n+1-k, exactly.
 
-A step never forms W.  For each kept row b of B it solves z T_m = S_m b
-for z = b W: two entries come from W's closed-form columns 0 and 1, and
-the tridiagonal interior gives the rest by z[u+1] = S_m b[u] - z[u-1].
-It then multiplies z back through T_m, by its shape (ones beside the
-diagonal, y_m and x_m in the corners; the block was checked against the
-nonzeros of T_m written from x_m and y_m), and raises unless every one of
-the 2m+1 columns equals S_m b; z is the unique solution, so
-that proves the very product the step goes on to use.
+A step never forms W.  For each kept row b of B the same row solve gives
+z = b W from z T_m = S_m b and multiplies z back through T_m by its shape
+(the block was checked against the nonzeros of T_m written from x_m and
+y_m), so the check proves the very product the step goes on to use.
 
 A step works only where T_m couples to the rest.  Between steps the
 matrix is a dict of sparse rows (label -> {label: nonzero entry}) and a
@@ -36,7 +33,9 @@ one ring, with no dense matrix built; original vertices keep their labels
 and each border gets a fresh one at the front.  A kept row with no nonzero in B
 has a zero row in B W C and v, and a kept column with no nonzero in C a
 zero column in B W C and w, so A - P equals A outside the coupled rows
-and columns, and every other row is left as it is, not copied.  On H_{k,n} the coupled rows (and columns) are the n - m borders
+and columns.  Each coupled row is replaced by an updated copy and every
+other row is left as it is, so the rows a caller passes in never change.
+On H_{k,n} the coupled rows (and columns) are the n - m borders
 of earlier steps and the m vertices of row m-1 bonded to the block, at
 most n in all.  So a step costs O(n m) ring operations for the solves and
 at most n^2 exact divisions, where the dense formula made one division
@@ -66,7 +65,6 @@ from .matrices import (
     _huckel_rows,
     _ring_rows,
     _weight,
-    build_T,
 )
 from .poly import MultiPoly
 
@@ -79,47 +77,52 @@ class BlockMismatch(ValueError):
 
 
 def invert_T(m: int, params=None) -> PolyMatrix:
-    """W = (x_m + y_m) * T_m^{-1}, size 2m+1, validated by multiply-back.
-
-    Columns follow a period-4 pattern seeded by two boundary values and
-    the three-term recurrence w[i+1] = S*delta_ij - w[i-1]; the first row
-    repeats (-1, y, 1, -y) for odd m and (1, y, -1, -y) for even m.
-    """
+    """W = (x_m + y_m) * T_m^{-1}, size 2m+1, row i solved from e_i by
+    ``_solve``: two entries from W's closed-form columns 0 and 1, the rest
+    by the tridiagonal recurrence, each row checked by multiply-back."""
     if m < 1:
         raise BadRange(f"invert_T needs m >= 1, got {m}")
     x = _weight(f"x{m}", params)
     y = _weight(f"y{m}", params)
+    seeds = _seeds(m, x, y)
+    return PolyMatrix([_solve({i: 1}, m, x, y, seeds) for i in range(2 * m + 1)])
+
+
+def _seeds(m: int, x, y) -> tuple[list, list]:
+    """Columns 0 and 1 of W = (x + y) * T_m^{-1} in closed form.  With
+    s = (-1)^m, column 0 repeats (s, x, -s, -x); column 1 is y, then
+    repeats (s xy, x, -s xy, -x)."""
+    s = (-1) ** m
+    sxy = s * (x * y)
+    c0, c1 = (s, x, -s, -x), (sxy, x, -sxy, -x)
     n = 2 * m + 1
-    result = PolyMatrix(zip(*(_inverse_column(j, m, x, y) for j in range(n))))
-    if build_T(m, params) * result != PolyMatrix.identity(n, one=x + y):
-        raise ArithmeticError(f"closed-form inverse failed multiply-back at m={m}")
-    return result
+    return [c0[i % 4] for i in range(n)], [y] + [c1[i % 4] for i in range(n - 1)]
 
 
-def _inverse_column(j: int, m: int, x, y) -> list:
-    """Column j of W = (x + y) * T_m^{-1}, from its two boundary values.
+def _solve(b: dict, m: int, x, y, seeds) -> list:
+    """z = b W for a sparse row b ({column: entry}), from z T_m = S_m b.
 
-    Away from row j + 1 the recurrence w[i+1] = S*delta_ij - w[i-1] only
-    negates, so the column repeats (w[0], w[1], -w[0], -w[1]) down to row
-    j, and (w[j], w[j+1], -w[j], -w[j+1]) from there: its two or three
-    distinct values and their negatives, each computed once.
-    """
+    Two entries come from W's columns 0 and 1 (``seeds``), and the
+    tridiagonal interior gives the rest by z[u+1] = S_m b[u] - z[u-1].
+    Then z goes back through T_m, by its shape (ones beside the diagonal,
+    x at (2m, 0) and y at (0, 2m)); unless every column equals S_m b the
+    solve raises, and as z is the unique solution that proves it."""
+    w0, w1 = seeds
     n = 2 * m + 1
-    sgn = (-1) ** m
-    sig_e = sgn * (-1) ** ((j + 1) // 2) if j % 2 == 1 else 0
-    sig_o = 0
-    if j % 2 == 0 and 2 <= j <= 2 * (m - 1):
-        sig_o = -sgn * (-1) ** (j // 2)
-    b0 = (1 if j == 0 else 0) - y * sig_e
-    b1 = (1 if j == n - 1 else 0) - sig_o
-    w0, w1 = sgn * b0 + b1, x * b0 - sgn * (y * b1)
-    head = (w0, w1, -w0, -w1)
-    if not 1 <= j <= n - 2:
-        return [head[i % 4] for i in range(n)]
-    # w[j + 1] = S - w[j - 1], and from w[j] on the pattern starts afresh
-    a, b = head[j % 4], (x + y) - head[(j - 1) % 4]
-    tail = (a, b, -a, -b)
-    return [head[i % 4] for i in range(j)] + [tail[(i - j) % 4] for i in range(j, n)]
+    s = x + y
+    sb = [0] * n
+    for t, e in b.items():
+        sb[t] = s * e
+    z = [sum(e * w0[t] for t, e in b.items()),
+         sum(e * w1[t] for t, e in b.items())]
+    for u in range(1, n - 1):
+        z.append(sb[u] - z[u - 1] if sb[u] else -z[u - 1])
+    back = [z[1] + z[-1] * x if x else z[1]]
+    back += [z[u - 1] + z[u + 1] for u in range(1, n - 1)]
+    back.append(z[-2] + z[0] * y if y else z[-2])
+    if back != sb:
+        raise ArithmeticError(f"row solve failed multiply-back at m={m}")
+    return z
 
 
 def _null_pair(m: int, x, y):
@@ -184,9 +187,10 @@ def _block_nonzeros(m: int, x, y) -> list[dict]:
 
 
 def _condense(rows: dict, pos: list, m: int, params, kind: str) -> None:
-    """One Schur step in place on the sparse matrix (rows, pos) over the
-    ring ``kind``: the block T_m at the last 2m+1 positions is deleted and
-    its border, labelled -m, goes to the front."""
+    """One Schur step on the sparse matrix (rows, pos) over the ring
+    ``kind``: the block T_m at the last 2m+1 positions is deleted and its
+    border, labelled -m, goes to the front.  The dict and the list change
+    in place; a row dict never does, since a coupled row is replaced."""
     n = 2 * m + 1
     a = len(pos) - n
     if a < 0:
@@ -219,8 +223,8 @@ def _condense(rows: dict, pos: list, m: int, params, kind: str) -> None:
     x, y = inner[-1].get(0, 0), inner[0].get(n - 1, 0)
     s = x + y
     divide = _divider(s, kind)
-    w0, w1 = _inverse_column(0, m, x, y), _inverse_column(1, m, x, y)
-    mu = w0[0]  # constant (-1)^m; the y -> -x residue scale
+    seeds = _seeds(m, x, y)
+    mu = seeds[0][0]  # constant (-1)^m; the y -> -x residue scale
     r, left = _null_pair(m, x, y)
     w: dict = {}
     for t, entries in enumerate(outer):
@@ -228,25 +232,12 @@ def _condense(rows: dict, pos: list, m: int, params, kind: str) -> None:
             w[j] = w[j] + e * left[t] if j in w else e * left[t]
     v = {}  # nonzero v in position order
     for i in kept:
-        row = rows[i]
-        if row.keys().isdisjoint(in_block):
+        if rows[i].keys().isdisjoint(in_block):
             continue
-        b = {at[j]: row.pop(j) for j in row.keys() & in_block}
-        sb = [0] * n
-        for t, e in b.items():
-            sb[t] = s * e
-        # z = b W from z T_m = S_m b: two seeds, then the interior columns
-        z = [sum(e * w0[t] for t, e in b.items()),
-             sum(e * w1[t] for t, e in b.items())]
-        for u in range(1, n - 1):
-            z.append(sb[u] - z[u - 1] if sb[u] else -z[u - 1])
-        # z T_m, every column: T_m has ones beside its diagonal, x at
-        # (2m, 0) and y at (0, 2m)
-        back = [z[1] + z[-1] * x if x else z[1]]
-        back += [z[u - 1] + z[u + 1] for u in range(1, n - 1)]
-        back.append(z[-2] + z[0] * y if y else z[-2])
-        if back != sb:
-            raise ArithmeticError(f"row solve failed multiply-back at m={m}")
+        # the coupled row is replaced by an updated copy, never changed
+        b = {at[j]: e for j, e in rows[i].items() if j in at}
+        row = rows[i] = {j: e for j, e in rows[i].items() if j not in at}
+        z = _solve(b, m, x, y, seeds)
         vi = mu * sum(e * r[t] for t, e in b.items())
         # numerators of P's row: (b W) C - v_i w; the sign rule below flips
         # v and w together, so it leaves v_i w_j alone
@@ -327,15 +318,14 @@ def _condensed_det(h: tuple[list[dict], str], k: int, n: int, params):
     built them, with no guard: for a caller that has checked the caps.
     The n + 1 - k rows condensation leaves go straight to the determinant
     on rows: division-free over MultiPoly entries, fraction-free
-    elimination over numbers.  The rows are updated in place, so a caller
-    that reads them again passes a copy."""
+    elimination over numbers."""
     condensed, _ = _condensation(h, k, n, params)
     return _det_rows(condensed, "division-free") if h[1] == "poly" else _det_rows(condensed)
 
 
 def _condensation(h: tuple[list[dict], str], k: int, n: int, params):
-    """Condense the rows of H_{k,n}, as ``_huckel_rows`` built them and in
-    place, by the blocks T_n, ..., T_max(k, 1), one step each.  Returns the
+    """Condense the rows of H_{k,n}, as ``_huckel_rows`` built them, by the
+    blocks T_n, ..., T_max(k, 1), one step each.  Returns the
     n + 1 - k rows left, numbered 0..n-k in position order, with their
     ring, and each step's (m, border entry S_m, size after it)."""
     rows, kind = h

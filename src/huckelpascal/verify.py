@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .linalg import (
@@ -61,21 +61,17 @@ class VerifyReport:
     def to_json(self) -> dict:
         # elapsed time stays on the object (console display only) so that
         # JSON artifacts are byte-identical across reruns
-        return {
-            "conjecture": self.conjecture,
-            "instance": self.instance,
-            "mode": self.mode,
-            "method": self.method,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "details": self.details,
-        }
+        out = asdict(self)
+        del out["elapsed_s"]
+        return out
 
 
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "fail"
+def _report(t0: float, ok: bool, **fields) -> VerifyReport:
+    """The report of a check that started at perf_counter() t0 and found
+    ``ok``; ``fields`` are the other fields of ``VerifyReport``."""
+    return VerifyReport(
+        verdict="pass" if ok else "fail", elapsed_s=time.perf_counter() - t0, **fields
+    )
 
 
 def _draw_params(rng: random.Random, k: int, n: int, lo: int, hi: int) -> dict:
@@ -186,8 +182,7 @@ def _verify_reduction(
             reduced = evaluate_matrix(reduced_template, params)
             # one H_{k,n} per point, read by elimination and by condensation
             h = _huckel_rows(k, n, params)
-            # elimination updates the rows it is given: it gets a copy
-            lhs = _det_rows(([dict(row) for row in h[0]], h[1]))
+            lhs = _det_rows(h)
             lhs2 = _condensed_det(h, k, n, params)
             rhs = det(reduced)
             rhs2 = det(reduced, "division-free")
@@ -210,19 +205,8 @@ def _verify_reduction(
             details["unit_y_corollary"] = corr
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    report = VerifyReport(
-        conjecture=conjecture,
-        instance={"k": k, "n": n},
-        mode=mode,
-        method=method,
-        lhs=lhs,
-        rhs=rhs,
-        verdict=_verdict(ok),
-        seed=seed,
-        details=details,
-    )
-    report.elapsed_s = time.perf_counter() - t0
-    return report
+    return _report(t0, ok, conjecture=conjecture, instance={"k": k, "n": n}, mode=mode,
+                   method=method, lhs=lhs, rhs=rhs, seed=seed, details=details)
 
 
 def _unit_y_corollary(rng: random.Random, n: int) -> dict:
@@ -280,7 +264,6 @@ def verify_conjecture3(
     for params in points:
         h = symbolic if params is None else _huckel_rows(k, n, params)
         perms.append(_permanent_rows(h))
-        # last: elimination updates the rows of h
         dets.append(_det_rows(h) if params is not None else condensation_det(k, n))
     census = details.get("parity_census")
     ok = perms == dets and (census is None or census["all_contributions_even"])
@@ -295,19 +278,8 @@ def verify_conjecture3(
         ]
         details["probability"] = _sz_bound(_degree_bound(_entries(symbolic)), 1999, 3)
         lhs, rhs = str([str(a) for a in perms]), str([str(b) for b in dets])
-    report = VerifyReport(
-        conjecture="conj3",
-        instance={"k": k, "n": n},
-        mode=mode,
-        method=method,
-        lhs=lhs,
-        rhs=rhs,
-        verdict=_verdict(ok),
-        seed=seed,
-        details=details,
-    )
-    report.elapsed_s = time.perf_counter() - t0
-    return report
+    return _report(t0, ok, conjecture="conj3", instance={"k": k, "n": n}, mode=mode,
+                   method=method, lhs=lhs, rhs=rhs, seed=seed, details=details)
 
 
 # -- structural propositions -------------------------------------------------------
@@ -365,18 +337,9 @@ def verify_props(n: int) -> VerifyReport:
     if "multivariate_shape" in checks:
         ok = ok and all(checks["multivariate_shape"].values())
         ok = ok and checks["t_scaling"]["pass"]
-    report = VerifyReport(
-        conjecture="props",
-        instance={"k": 0, "n": n},
-        mode="symbolic",
-        method="interpolated/condensed determinants vs direct structure checks",
-        lhs=str(row),
-        rhs=str(cs),
-        verdict=_verdict(ok),
-        details=checks,
-    )
-    report.elapsed_s = time.perf_counter() - t0
-    return report
+    return _report(t0, ok, conjecture="props", instance={"k": 0, "n": n}, mode="symbolic",
+                   method="interpolated/condensed determinants vs direct structure checks",
+                   lhs=str(row), rhs=str(cs), details=checks)
 
 
 def bivariate_row(n: int) -> tuple[MultiPoly, list[int]]:

@@ -134,6 +134,13 @@ class TestFormulasAndTables:
         assert "345744*sqrt(3)" in out.out
         assert "280772*sqrt(2)" in out.out
 
+    @pytest.mark.slow
+    def test_table_past_the_float_range_of_mitra(self, capsys):
+        # rows 53 and 55 leave the mitra cell empty instead of overflowing
+        code, out = run(capsys, "formulas", "--table", "--max-n", "55")
+        assert code == 0
+        assert out.out.splitlines()[-1].split()[0] == "55"
+
     def test_tables_reproduce_determinant_rows(self, capsys):
         code, out = run(capsys, "tables", "--max-n", "5")
         assert code == 0
@@ -183,18 +190,12 @@ class TestVerify:
             "--seed", "3", "--json", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_parallel_jobs_match_serial(self, capsys, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(capsys, "verify", "conj3", "--json", str(a))
-        run(capsys, "verify", "conj3", "--jobs", "2", "--json", str(b))
-        assert a.read_bytes() == b.read_bytes()
-
     def test_failed_verdict_exits_one(self, capsys, monkeypatch):
         fake = VerifyReport(
             conjecture="conj1", instance={"k": 0, "n": 1}, mode="symbolic",
             method="stub", lhs="0", rhs="1", verdict="fail",
         )
-        monkeypatch.setattr(cli, "_verify_task", lambda task: fake)
+        monkeypatch.setitem(cli._VERIFIERS, "conj1", lambda **kwargs: fake)
         code, out = run(capsys, "verify", "conj1", "--n", "1")
         assert code == 1
         assert "fail" in out.out
@@ -266,11 +267,6 @@ class TestUsageErrors:
                         "--json", "/nonexistent-dir/x.json")
         assert code == 2
         assert "cannot write" in out.err
-
-    def test_zero_jobs_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "conj1", "--n", "2", "--jobs", "0"])
-        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
         ["det", "--pascal", "foo", "3"],
@@ -384,7 +380,7 @@ _OPTIONS = {
     "oracle": {"--n": st.tuples(_small)},
     "verify": {"--n": st.tuples(_small), "--k": st.tuples(_small),
                "--mode": st.tuples(st.sampled_from(["symbolic", "specialized"])),
-               "--seed": st.tuples(_small), "--jobs": st.tuples(_small)},
+               "--seed": st.tuples(_small)},
     "tables": {"--max-n": st.tuples(_small)},
 }
 _HEADS = (

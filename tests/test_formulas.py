@@ -215,6 +215,11 @@ class TestMitra:
         assert abs(mitra_estimate(4) - 70) < 0.1
         assert abs(mitra_estimate(6) - 13167) < 1.0
 
+    def test_estimate_past_the_float_range_is_none(self):
+        # AHT(54)^2 is the first square over the float range
+        assert mitra_estimate(52) > 1e300
+        assert mitra_estimate(54) is None
+
 
 class TestThetaTable:
     def test_rows_match_transcribed_values(self):
@@ -232,6 +237,9 @@ class TestThetaTable:
         assert row3["mitra"] is not None
         assert abs(row3["mitra"] - 70) < 0.1
         assert theta_table_row(2)["mitra"] is None
+
+    def test_mitra_cell_past_the_float_range_is_empty(self):
+        assert theta_table_row(53)["mitra"] is None
 
     def test_table_spans_requested_rows(self):
         rows = theta_table(6)

@@ -6,10 +6,19 @@ import pytest
 
 import huckelpascal.schur as schur
 from huckelpascal.cyclotomic import CycInt, GaussInt, theta_point
-from huckelpascal.linalg import TooLarge, _divider, _lift, det, rank1_factor, ring_kind
+from huckelpascal.linalg import (
+    TooLarge,
+    _det_rows,
+    _divider,
+    _lift,
+    det,
+    rank1_factor,
+    ring_kind,
+)
 from huckelpascal.matrices import (
     BadRange,
     PolyMatrix,
+    _huckel_rows,
     _weight,
     alternating_unit_vector,
     build_bordered,
@@ -22,6 +31,7 @@ from huckelpascal.matrices import (
 from huckelpascal.poly import svar, xvar, yvar
 from huckelpascal.schur import (
     BlockMismatch,
+    _condensed_det,
     _is_negative,
     _null_pair,
     condensation_det,
@@ -114,18 +124,18 @@ class TestInvertT:
         assert build_T(m) * w == PolyMatrix.identity(n, one=svar(m))
 
     def test_multiply_back_catches_a_wrong_entry(self, monkeypatch):
-        # one wrong corner in the check's T_m: the closed-form W no longer
-        # multiplies back to S * I, and the numeric path must say so
-        original = schur.build_T
+        # one wrong entry in a closed-form column: the row it seeds no
+        # longer multiplies back to S * e_i, and the numeric path must say so
+        original = schur._seeds
 
-        def wrong_corner(m, params=None):
-            rows = [list(r) for r in original(m, params).rows]
-            rows[0][-1] += 1
-            return PolyMatrix(rows)
+        def wrong_entry(m, x, y):
+            w0, w1 = original(m, x, y)
+            w0[5] += 1
+            return w0, w1
 
         params = {"x11": 3, "y11": -7}
         invert_T(11, params)
-        monkeypatch.setattr(schur, "build_T", wrong_corner)
+        monkeypatch.setattr(schur, "_seeds", wrong_entry)
         with pytest.raises(ArithmeticError, match="multiply-back at m=11"):
             invert_T(11, params)
 
@@ -343,15 +353,31 @@ class TestSparseStepEdges:
 
     @pytest.mark.parametrize("params", [None, _seeded_params(7, 0, 3)])
     def test_corrupted_seed_column_fails_multiply_back(self, monkeypatch, params):
-        original = schur._inverse_column
+        original = schur._seeds
 
-        def corrupted(j, m, x, y):
-            w = original(j, m, x, y)
-            return [e + 1 for e in w] if j == 0 else w
+        def corrupted(m, x, y):
+            w0, w1 = original(m, x, y)
+            return [e + 1 for e in w0], w1
 
-        monkeypatch.setattr(schur, "_inverse_column", corrupted)
+        monkeypatch.setattr(schur, "_seeds", corrupted)
         with pytest.raises(ArithmeticError, match="multiply-back at m=3"):
             condensation_det(0, 3, params)
+
+
+class TestRowsLeftAlone:
+    """No determinant route changes the rows it is given."""
+
+    @pytest.mark.parametrize("params", [None, _seeded_params(9, 0, 5)])
+    def test_rows_of_h_are_unchanged(self, params):
+        h = _huckel_rows(0, 5, params)
+        before = [dict(row) for row in h[0]]
+        _condensed_det(h, 0, 5, params)
+        assert h[0] == before
+        if params is not None:  # every symbolic strategy refuses 36 rows
+            for strategy in ("fraction-free-elimination", "sparse-minor-expansion",
+                             "division-free"):
+                _det_rows(h, strategy)
+                assert h[0] == before, strategy
 
 
 class TestCondense:
