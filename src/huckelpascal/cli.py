@@ -213,10 +213,10 @@ def _validate(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
             parser.error("--k requires --n")
         if ns.conjecture == "props" and ns.mode == "specialized":
             parser.error("props checks polynomial identities; it has no specialized mode")
-    for name in ("n", "k"):
+    for name in ("n", "k", "max_n"):
         value = getattr(ns, name, None)
         if value is not None and value < 0:
-            parser.error(f"--{name} must be >= 0")
+            parser.error(f"--{name.replace('_', '-')} must be >= 0")
 
 
 # -- subcommand handlers ----------------------------------------------------------

@@ -23,8 +23,13 @@ field stays clear: a total degree, and so every exponent, is at most
 ``MAX_DEGREE`` = 2^(FIELD_BITS - 1) - 1.  Since no exponent exceeds the
 total degree, one check per product (the two degrees add up to at most
 ``MAX_DEGREE``) keeps every field from overflowing; it runs before any term
-is formed and raises OverflowError.  The clear top bits also let exact
-division test whether one monomial divides another by one subtraction.
+is formed and raises OverflowError.  A product with the constant 1 or -1,
+and a sum or difference with zero, returns the other operand or its
+negation (promoted to the larger varcount) without a term loop; such a
+product skips the check, since a constant factor cannot raise the total
+degree, and every product that can raise it is checked.  The clear top
+bits also let exact division test whether one monomial divides another by
+one subtraction.
 
 The public surface speaks exponent tuples of length ``2*v + 1``,
 
@@ -139,8 +144,15 @@ class MultiPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (MultiPoly, int)):
+        if isinstance(other, int):
+            if not other:
+                return self
+        elif not isinstance(other, MultiPoly):
             return NotImplemented
+        elif not other.terms:
+            return self.promoted(other.varcount)
+        elif not self.terms:
+            return other.promoted(self.varcount)
         a, b = self._pair(other)
         out = dict(a.terms)
         for k, c in b.terms.items():
@@ -157,8 +169,15 @@ class MultiPoly:
         return MultiPoly._of({k: -c for k, c in self.terms.items()}, self.varcount)
 
     def __sub__(self, other):
-        if not isinstance(other, (MultiPoly, int)):
+        if isinstance(other, int):
+            if not other:
+                return self
+        elif not isinstance(other, MultiPoly):
             return NotImplemented
+        elif not other.terms:
+            return self.promoted(other.varcount)
+        elif not self.terms:
+            return (-other).promoted(self.varcount)
         a, b = self._pair(other)
         out = dict(a.terms)
         for k, c in b.terms.items():
@@ -173,8 +192,15 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, (MultiPoly, int)):
+        if isinstance(other, int):
+            if other == 1 or other == -1:
+                return self if other > 0 else -self
+        elif not isinstance(other, MultiPoly):
             return NotImplemented
+        elif u := _unit(other):
+            return (self if u > 0 else -self).promoted(other.varcount)
+        elif u := _unit(self):
+            return (other if u > 0 else -other).promoted(self.varcount)
         a, b = self._pair(other)
         at, bt = a.terms, b.terms
         if not at or not bt:
@@ -444,6 +470,16 @@ class MultiPoly:
             exp = tuple(int(e) for e in item["exp"])
             terms[exp] = terms.get(exp, 0) + int(item["coef"])
         return MultiPoly(terms, varcount)
+
+
+def _unit(p: MultiPoly) -> int:
+    """1 or -1 when p is that constant, else 0."""
+    t = p.terms
+    if len(t) == 1:
+        c = t.get(0)
+        if c == 1 or c == -1:
+            return c
+    return 0
 
 
 _new = object.__new__

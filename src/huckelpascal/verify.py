@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from .linalg import (
     NON_INTEGER_WALK_DIM,
@@ -347,9 +348,9 @@ def bivariate_row(n: int) -> tuple[MultiPoly, list[int]]:
     coefficients from x0^(n+1) down to y0^(n+1): row n of the golden table.
 
     The determinant is homogeneous of degree d = n + 1, so it is sampled at
-    (1, t) for t = 0..d by integer elimination and recovered from the
-    Vandermonde system; a sample at (2, 2) must equal 2^d times the sum of
-    the coefficients."""
+    (1, t) for t = 0..d by integer elimination and recovered by Newton's
+    forward differences; a sample at (2, 2) must equal 2^d times the sum
+    of the coefficients."""
     huckel_guard(0, n, NUMERIC_ELIMINATION_ROWS, "bivariate row")
     d = n + 1
 
@@ -359,36 +360,38 @@ def bivariate_row(n: int) -> tuple[MultiPoly, list[int]]:
             "fraction-free-elimination",
         )
 
-    row = _solve_vandermonde([sample(1, t) for t in range(d + 1)])
+    row = _interpolate([sample(1, t) for t in range(d + 1)])
     if sample(2, 2) != 2**d * sum(row):
         raise StrategyPrecondition(f"determinant is not homogeneous of degree {d}")
     p = MultiPoly({(d - j, j, 0): c for j, c in enumerate(row) if c}, 1)
     return p, row
 
 
-def _solve_vandermonde(values: list[int]) -> list[int]:
-    """Coefficients of the unique degree<len polynomial with p(t)=values[t]."""
-    d = len(values) - 1
-    rows = [
-        [Fraction(t**k) for k in range(d + 1)] + [Fraction(values[t])]
-        for t in range(d + 1)
-    ]
-    for c in range(d + 1):
-        piv = next(r for r in range(c, d + 1) if rows[r][c])
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = 1 / rows[c][c]
-        rows[c] = [v * inv for v in rows[c]]
-        for r in range(d + 1):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    out = []
-    for r in range(d + 1):
-        v = rows[r][-1]
-        if v.denominator != 1:
-            raise StrategyPrecondition(f"non-integer coefficient {v} recovered")
-        out.append(int(v))
-    return out
+def _interpolate(values: list[int]) -> list[int]:
+    """Coefficients [c_0..c_d] of the unique polynomial of degree <= d with
+    p(t) = values[t] for t = 0..d, by Newton's forward differences in
+    integers: p(t) = sum_j a_j t(t-1)...(t-j+1) with a_j = Δ^j p(0) / j!,
+    expanded by Horner's rule.  A non-integer a_j (exactly when some c_k is
+    not an integer) raises StrategyPrecondition."""
+    newton = []
+    diffs = list(values)
+    for j in range(len(values)):
+        a, r = divmod(diffs[0], factorial(j))
+        if r:
+            raise StrategyPrecondition(
+                f"non-integer coefficient {diffs[0]}/{j}! recovered"
+            )
+        newton.append(a)
+        diffs = [q - p for p, q in zip(diffs, diffs[1:])]
+    # Horner: c <- c * (t - j) + a_j for j = d - 1, ..., 0
+    coeffs = [newton[-1]]
+    for j in range(len(values) - 2, -1, -1):
+        shifted = [0] + coeffs
+        for k, c in enumerate(coeffs):
+            shifted[k] -= j * c
+        shifted[0] += newton[j]
+        coeffs = shifted
+    return coeffs
 
 
 def _deletion_recursion(k: int, n: int) -> dict:

@@ -305,6 +305,18 @@ class TestGuards:
         assert time.perf_counter() - t0 < 5
 
     @pytest.mark.parametrize("argv", [
+        ["tables", "--max-n", "-1"],
+        ["formulas", "--table", "--max-n", "-1"],
+    ])
+    def test_negative_max_n_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert "--max-n must be >= 0" in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize("argv", [
         ["det", "--huckel", "500", "501", "--x", "1", "--y", "1"],
         ["det", "--huckel", "0", "9"],
         ["det", "--huckel", "0", "4"],

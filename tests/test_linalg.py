@@ -220,7 +220,8 @@ class TestSparseElimination:
     def test_pivot_entry_is_read_after_catch_up(self):
         # column 0 (rows 0, 3) pivots first on row 0; rows 1 and 2 miss that
         # step, and at step 1 row 1 pivots on column 1 while row 2, still
-        # unscaled, is updated: its column-1 entry must be scaled by 2 first
+        # unscaled, is updated: it divides by the pivot it was last current
+        # at, and row 1, caught up as it pivots, must be scaled by 2 first
         rows = [[2, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1]]
         assert det(PolyMatrix(rows)) == _brute_det(rows) == -3
 
@@ -232,6 +233,39 @@ def _lifted(rows, ring):
     """The integer matrix with each nonzero entry embedded in the ring."""
     make = RING_ELEMENTS[ring]
     return [[make(e, 0) if e else 0 for e in row] for row in rows]
+
+
+class TestUpdateWithoutCatchUp:
+    # pivots (row, column): (2, 1), (0, 2), (1, 0), (3, 3), with pivots
+    # 3, -3, -33, -15.  Row 3 is updated at step 0, skipped at step 1 and
+    # updated at step 2, still at level 1: that update divides by
+    # pivots[1] = 3, not by pivots[2] = -3
+    ROWS = [[3, 0, -1, 0], [2, 0, 3, 3], [0, 3, 0, 3], [2, 1, 0, 2]]
+
+    @pytest.mark.parametrize("ring", ELIMINATION_RINGS)
+    def test_stale_row_divides_by_the_pivot_it_was_current_at(self, ring):
+        rows = _lifted(self.ROWS, ring)
+        value, order = _det_and_order(rows)
+        assert value == _brute_det(rows) == _lifted([[-15]], ring)[0][0]
+        assert order == ([2, 0, 1, 3], [1, 2, 0, 3])
+
+    def test_no_update_divides_by_the_later_pivot(self, monkeypatch):
+        divisors = []
+        original = linalg._divider
+
+        def recorded(b, kind):
+            divide = original(b, kind)
+
+            def div(a):
+                divisors.append(b)
+                return divide(a)
+            return div
+
+        monkeypatch.setattr(linalg, "_divider", recorded)
+        assert det(PolyMatrix(self.ROWS)) == -15
+        # steps 0 and 1 divide by pivots[0] = 1, step 2 by pivots[1] = 3
+        assert sorted(set(divisors)) == [1, 3]
+        assert divisors == sorted(divisors)
 
 
 def _det_and_order(rows):
@@ -375,8 +409,9 @@ class TestPivotOrder:
         expected = det(h)
         monkeypatch.setattr(linalg, "_divider", counted_divider)
         assert det(h) == expected
-        # index-order pivots made 12 606 exact divisions here
-        assert calls == 4865
+        # catching up each updated row first made 4 865 exact divisions
+        # here, and index-order pivots 12 606
+        assert calls == 3636
 
     def test_400_vertex_triangle_matches_condensation(self, monkeypatch):
         monkeypatch.setenv("HUCKEL_MAX_SIZE", "400")

@@ -344,6 +344,34 @@ def test_packed_arithmetic_matches_the_tuple_reference(a, b, c):
     assert (p + c) == MultiPoly(*_ref_combine(a, const, "+"))
 
 
+@given(tuple_polys(), st.integers(0, 4), st.sampled_from([1, -1]))
+@settings(max_examples=100, deadline=None)
+def test_unit_and_zero_shortcuts_match_the_tuple_reference(a, w, u):
+    # the operand of varcount w is the unit u, or zero, as a MultiPoly
+    p = MultiPoly(*a)
+    unit = ({(0,) * (2 * w + 1): u}, w)
+    zero = ({}, w)
+    cases = [
+        (p * MultiPoly.const(u, w), a, unit, "*"),
+        (MultiPoly.const(u, w) * p, unit, a, "*"),
+        (p * u, a, ({(0,) * (2 * a[1] + 1): u}, a[1]), "*"),
+        (u * p, a, ({(0,) * (2 * a[1] + 1): u}, a[1]), "*"),
+        (p + MultiPoly.zero(w), a, zero, "+"),
+        (MultiPoly.zero(w) + p, zero, a, "+"),
+        (p - MultiPoly.zero(w), a, zero, "-"),
+        (MultiPoly.zero(w) - p, zero, a, "-"),
+        (p + 0, a, ({}, a[1]), "+"),
+        (0 + p, ({}, a[1]), a, "+"),
+        (sum([p]), ({}, a[1]), a, "+"),
+        (p - 0, a, ({}, a[1]), "-"),
+        (0 - p, ({}, a[1]), a, "-"),
+    ]
+    for got, left, right, op in cases:
+        want = _ref_combine(left, right, op)
+        assert got.varcount == want[1] == max(left[1], right[1])
+        assert got.sorted_terms() == _ref_sorted(want)
+
+
 @given(tuple_polys())
 @settings(max_examples=100, deadline=None)
 def test_packed_order_and_formats_match_the_tuple_reference(a):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from huckelpascal import linalg, schur, verify
-from huckelpascal.linalg import TooLarge
+from huckelpascal.linalg import StrategyPrecondition, TooLarge
 from huckelpascal.matrices import build_pascal
 from huckelpascal.poly import svar, xvar, yvar
 from huckelpascal.verify import (
@@ -360,6 +360,23 @@ class TestIndependentSides:
         p = linalg.charpoly(build_pascal("symmetric", n))
         assert calls == [n + 1]
         assert row == linalg.coefficient_list(p, "z", n + 1)
+
+
+class TestInterpolate:
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9))
+    @settings(max_examples=100, deadline=None)
+    def test_recovers_an_integer_polynomial(self, coeffs):
+        values = [sum(c * t**k for k, c in enumerate(coeffs)) for t in range(len(coeffs))]
+        assert verify._interpolate(values) == coeffs
+
+    @pytest.mark.parametrize("values", [
+        [0, 0, 1],  # t(t - 1) / 2
+        [0, 1, 0, 0],
+        [5, 5, 5, 6, 5],
+    ])
+    def test_non_integer_coefficient_is_refused(self, values):
+        with pytest.raises(StrategyPrecondition, match="non-integer coefficient"):
+            verify._interpolate(values)
 
 
 class TestProps:
