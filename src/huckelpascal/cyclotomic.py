@@ -12,7 +12,10 @@ divide by the integer norm, and verify by multiplying back, so a wrong
 conjugate can only make a division fail, never return a wrong quotient.
 ``divider`` computes the conjugate product and the norm once per divisor
 and returns the division as a function of the dividend; ``exact_div`` is
-that function applied once.
+that function applied once.  A unit (norm 1) divides every element, so its
+division is multiplication by the conjugate product, its inverse, checked
+once to multiply back to 1: the quotients then multiply back by
+construction, and a wrong conjugate still only makes a division fail.
 
 ``GaussInt`` is the analogous two-coordinate ring Z[i], used where the angle
 pi/4 leaves Z[zeta_12].
@@ -25,6 +28,8 @@ plain ``int`` operand as it is.
 from __future__ import annotations
 
 import cmath
+import operator
+from functools import partial
 
 from .poly import NotDivisible, _power
 
@@ -201,14 +206,19 @@ class CycInt:
         """Exact division by this element, as a function of the dividend.
 
         The product of the three other Galois conjugates and the integer
-        norm are computed here, once; each call multiplies by that product,
-        tests divisibility by the norm and multiplies the quotient back,
-        raising NotDivisible on a non-multiple.  Zero raises
+        norm are computed here, once.  A unit (norm 1: z^k, or 2 + sqrt(3))
+        divides by multiplying with that product, its inverse, once the
+        inverse has been checked here to multiply back to 1 (NotDivisible
+        otherwise).  Any other divisor's division multiplies by the product,
+        tests divisibility by the norm and multiplies the quotient back on
+        every call, raising NotDivisible on a non-multiple.  Zero raises
         ZeroDivisionError."""
         if not self:
             raise ZeroDivisionError("division by zero in Z[zeta_12]")
         aux = self.galois(5) * self.galois(7) * self.galois(11)
         n = (self * aux).coords[0]
+        if n == 1:
+            return _unit_divider(self, aux)
 
         def div(a) -> "CycInt":
             t0, t1, t2, t3 = (a * aux).coords
@@ -253,6 +263,15 @@ _set_coords = CycInt.coords.__set__
 # the images of z, z^2, z^3 under z -> z^k, by unit k mod 12: the Galois
 # action as a linear map on the power basis
 _GALOIS = {k: tuple(CycInt.zeta(k * i).coords for i in (1, 2, 3)) for k in (1, 5, 7, 11)}
+
+
+def _unit_divider(unit, inverse):
+    """Exact division by ``unit`` as multiplication by ``inverse``, which
+    must multiply back to 1: then every quotient q = a * inverse satisfies
+    q * unit = a, so a wrong inverse can only refuse, never misdivide."""
+    if unit * inverse != 1:
+        raise NotDivisible(f"{inverse!r} is not the inverse of {unit!r}")
+    return partial(operator.mul, inverse)
 
 
 def theta_point(s: int) -> tuple[CycInt, CycInt]:
@@ -355,14 +374,19 @@ class GaussInt:
 
     def divider(self):
         """Exact division by this element, as a function of the dividend:
-        the conjugate and the norm are computed once; each call multiplies
-        by the conjugate, tests divisibility by the norm and multiplies the
-        quotient back, raising NotDivisible on a non-multiple.  Zero raises
-        ZeroDivisionError."""
+        the conjugate and the norm are computed once.  A unit (norm 1: ±1,
+        ±i) divides by multiplying with its conjugate, its inverse, once the
+        inverse has been checked here to multiply back to 1 (NotDivisible
+        otherwise).  Any other divisor's division multiplies by the
+        conjugate, tests divisibility by the norm and multiplies the
+        quotient back on every call, raising NotDivisible on a non-multiple.
+        Zero raises ZeroDivisionError."""
         if not self:
             raise ZeroDivisionError("division by zero in Z[i]")
         n = self.norm()
         conj = self.conjugate()
+        if n == 1:
+            return _unit_divider(self, conj)
 
         def div(a) -> "GaussInt":
             t = a * conj

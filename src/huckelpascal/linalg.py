@@ -6,12 +6,14 @@ a ring must provide beyond +,-,* is exact division, and the division-free
 algorithm does without it.  Every route reads its matrix as a {column:
 nonzero entry} dict per row, every entry in one ring (ints lifted,
 MultiPoly entries at one varcount): ``matrices._ring_rows`` reads them from
-a dense matrix, and ``matrices._huckel_rows`` writes those of H_{k,n}
-straight from its geometry, for the private ``_det_rows`` and
-``_permanent_rows``.  ``_divider`` builds the exact division by one
-divisor once, for every entry divided by it: integers test the remainder
-of divmod, CycInt and GaussInt compute the divisor's conjugate product and
-norm once and test norm divisibility and multiply back on every entry.
+a dense matrix, and ``matrices._huckel_rows`` and ``_reduced_rows`` write
+those of H_{k,n} and of its reduced matrix straight from their patterns,
+for the private ``_det_rows`` and ``_permanent_rows``.  ``_divider``
+builds the exact division by one divisor once, for every entry divided by
+it.  A unit (norm 1) divides by multiplying with its inverse, checked once
+to multiply back to 1.  Otherwise integers test the remainder of divmod,
+and CycInt and GaussInt compute the divisor's conjugate product and norm
+once and test norm divisibility and multiply back on every entry.
 
 Determinant strategies, each taking the matrix alone (all return identical
 values where applicable):
@@ -19,10 +21,11 @@ values where applicable):
 * ``fraction-free-elimination``: one-step Bareiss over sparse rows, every
   division exact by construction.  Each row keeps only its nonzero entries,
   and a step updates only the rows holding the pivot column, never forming
-  a product with a zero operand.  Each step eliminates the live column held
-  by the fewest live rows (ties to the lowest index), kept as a count per
-  column that follows fill, cancellation and the removal of pivot rows, and
-  pivots on the lowest-index live row holding it (after Markowitz, 1957);
+  a product with a zero operand.  Each column keeps the set of live rows
+  holding it, which follows fill, cancellation and the removal of pivot
+  rows, so no step scans the rows.  Each step eliminates the live column
+  held by the fewest live rows (ties to the lowest index), and pivots on
+  the lowest-index row of its set (after Markowitz, 1957);
   the sign is that of the row order times that of the column order.  A row
   skipped by a step would only have been scaled by pivot / previous pivot,
   so that scaling is deferred: a skipped row is caught up only when it
@@ -37,7 +40,7 @@ values where applicable):
   the very sparse adjacency matrices.
 * ``division-free``: Berkowitz's algorithm, O(n^4) ring products and no
   division, which also yields the whole characteristic polynomial; for the
-  small dense matrices (the reduced matrices, symbolic and evaluated at the
+  small dense matrices (the reduced matrices, symbolic and written at the
   specialized sample points, the last step of symbolic condensation,
   ``charpoly``).
 
@@ -64,7 +67,9 @@ so over non-integer entries the walk is also capped at dimension 16
 
 from __future__ import annotations
 
+import operator
 import os
+from functools import partial
 from itertools import chain
 from math import comb
 
@@ -77,7 +82,7 @@ from .matrices import (
     _ring_rows,
     permutation_sign,
 )
-from .poly import MultiPoly, NotDivisible
+from .poly import MultiPoly, NotDivisible, _unit
 
 DET_STRATEGIES = (
     "fraction-free-elimination",
@@ -138,12 +143,18 @@ def ring_kind(M: PolyMatrix) -> str:
 
 def _divider(b, kind: str):
     """Exact division by ``b`` as a function of the dividend, built once per
-    divisor and applied to every entry divided by it.  Integers test the
-    remainder of divmod; CycInt and GaussInt compute their conjugate product
-    and norm here and test norm divisibility and multiply back on every
-    call; MultiPoly divides with remainder check.  A non-multiple raises
-    NotDivisible."""
+    divisor and applied to every entry divided by it.  A unit divides by
+    multiplying with its inverse: an int ±1 is ``operator.pos`` or
+    ``operator.neg``, a MultiPoly constant ±1 multiplies by itself, and a
+    CycInt or GaussInt unit is handled by its ``divider``.  Otherwise
+    integers test the remainder of divmod; CycInt and GaussInt compute their
+    conjugate product and norm here and test norm divisibility and multiply
+    back on every call; MultiPoly divides with remainder check.  A
+    non-multiple raises NotDivisible."""
     if kind == "int":
+        if b == 1 or b == -1:
+            return operator.pos if b > 0 else operator.neg
+
         def div(a):
             q, r = divmod(a, b)
             if r:
@@ -153,6 +164,8 @@ def _divider(b, kind: str):
     if kind == "fraction":
         return lambda a: a / b
     if kind == "poly":
+        if _unit(b):  # ±1 is its own inverse
+            return partial(operator.mul, b)
         return lambda a: a.exact_div(b)
     return b.divider()
 
@@ -219,14 +232,16 @@ def _det_bareiss(a: list[dict], kind: str):
     and lazy row scaling.
 
     Each row is a dict of its nonzero entries; the elimination runs on
-    copies, so the rows given never change.  Step s eliminates the live
-    column held by the fewest live rows, ties going to the lowest index
-    (Markowitz's rule, by columns), and pivots on the lowest-index live row
-    holding it.  Only the rows holding that column c are updated, over the
-    union of the two supports; a row with a zero there would just be
-    multiplied by pivots[s + 1] / pivots[s], so it is left alone.  A row
-    last current at step t < s is thus stored as the true row r_s times
-    pivots[t] / pivots[s], and its update
+    copies, so the rows given never change.  Each column keeps its holder
+    set, the live rows holding it: a row joins on fill, leaves on
+    cancellation, and leaves every column it still holds when it pivots.
+    Step s eliminates the live column held by the fewest live rows, ties
+    going to the lowest index (Markowitz's rule, by columns), and pivots on
+    the lowest-index row of its holder set.  Only the other rows of that
+    set are updated, over the union of the two supports; a row with a zero
+    there would just be multiplied by pivots[s + 1] / pivots[s], so it is
+    left alone.  A row last current at step t < s is thus stored as the
+    true row r_s times pivots[t] / pivots[s], and its update
 
         (pc * r_s - r_s[c] * p) / pivots[s] = (pc * r - r[c] * p) / pivots[t]
 
@@ -234,26 +249,28 @@ def _det_bareiss(a: list[dict], kind: str):
     (exact: the true updated entries are minors).  A skipped row is caught
     up, by pivots[s] / pivots[t], only when it pivots.  Each pivot gets one
     exact divider, used by its step and by every later update or catch-up
-    of a row last current at it.  The determinant is the last pivot, signed
-    by the row and column orders of the pivots.
+    of a row last current at it; a unit pivot's divider multiplies by its
+    inverse.  The determinant is the last pivot, signed by the row and
+    column orders of the pivots.
     """
     n = len(a)
     size_guard(n, NUMERIC_ELIMINATION_ROWS, "numeric elimination rows")
     a = [dict(row) for row in a]
-    # key[j] = n * (live rows holding column j) + j while column j is live,
-    # and `dead` above every such key once it is eliminated, so min(key)
-    # names the sparsest live column, ties to the lowest index
-    key = list(range(n))
-    for row in a:
+    # holders[j] is the set of live rows holding column j, and key[j] =
+    # n * len(holders[j]) + j while column j is live, and `dead` above every
+    # such key once it is eliminated, so min(key) names the sparsest live
+    # column, ties to the lowest index
+    holders = [set() for _ in range(n)]
+    for i, row in enumerate(a):
         for j in row:
-            key[j] += n
+            holders[j].add(i)
+    key = [n * len(users) + j for j, users in enumerate(holders)]
     dead = n * (n + 1)
     # pivots[t] is the divisor after t steps, divide[t] its exact divider; a
     # row at level t is current through step t - 1
     pivots = [_lift(1, kind)]
     divide = []
     level = [0] * n
-    live = list(range(n))
     pivot_rows, pivot_cols = [], []
 
     for s in range(n):
@@ -262,9 +279,9 @@ def _det_bareiss(a: list[dict], kind: str):
             return _lift(0, kind)
         c %= n
         key[c] = dead
-        users = [i for i in live if c in a[i]]
-        p = users[0]
-        live.remove(p)
+        users = holders[c]
+        p = min(users)
+        users.remove(p)
         pivot_rows.append(p)
         pivot_cols.append(c)
         divide.append(_divider(pivots[s], kind))
@@ -275,8 +292,9 @@ def _det_bareiss(a: list[dict], kind: str):
                 prow[j] = down(e * up)
         pc = prow.pop(c)
         for j in prow:  # the pivot row holds no live column any more
+            holders[j].remove(p)
             key[j] -= n
-        for i in users[1:]:
+        for i in users:
             row = a[i]
             div = divide[level[i]]  # the pivot it was last current at
             ric = row.pop(c)
@@ -291,11 +309,14 @@ def _det_bareiss(a: list[dict], kind: str):
             for j, pe in prow.items():
                 if j not in row:  # fill: a product of two nonzeros
                     row[j] = div(-(ric * pe))
+                    holders[j].add(i)
                     key[j] += n
             for j in cancelled:
                 del row[j]
+                holders[j].remove(i)
                 key[j] -= n
             level[i] = s + 1
+        holders[c] = a[p] = None  # neither is read again
         pivots.append(pc)
     last = pivots[n]
     sign = permutation_sign(pivot_rows) * permutation_sign(pivot_cols)

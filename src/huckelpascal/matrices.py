@@ -525,29 +525,49 @@ def build_pascal(kind: str, n: int) -> PolyMatrix:
     return PolyMatrix([[f(i, j) for j in range(n + 1)] for i in range(n + 1)])
 
 
-def build_reduced(k: int, n: int) -> PolyMatrix:
+def _reduced_rows(
+    k: int, n: int, params: Mapping[str, object] | None = None
+) -> tuple[list[dict], str]:
     """The binomial matrix of size n+1-k conjectured to share the trapezium
-    determinant: diagonal x_{n-i} + y_{n-i}, upper entries alternating-sign
-    binomials times y, lower entries positive binomials times x.
+    determinant, as its nonzero rows in one ring and that ring, as
+    ``_huckel_rows`` gives H_{k,n}: row i carries the weights of row
+    m = n - i of the trapezium, x_m + y_m on the diagonal, upper entries
+    (-1)^(j-i) C(m, j-i) y_m and lower entries C(n-j, i-j) x_{n-j}.  An
+    entry whose weight is zero is left out.
 
-    Sign convention: entry (i, j) for i < j is (-1)^(j-i) C(n-i, j-i) y_{n-i},
-    so the first superdiagonal is negative, matching (0,1) = -C(n,1) y_n.
+    Sign convention: the first superdiagonal is negative, matching
+    (0,1) = -C(n,1) y_n.
     """
     if not 0 <= k <= n:
         raise BadRange(f"need 0 <= k <= n, got ({k}, {n})")
+    x, y = _corner_weights(k, n, params)
+    # row i, and column i below the diagonal, take the weights of row n - i
+    x.reverse()
+    y.reverse()
+    diagonal = [a + b for a, b in zip(x, y)]
+    # the last row's weights stand only in its diagonal
+    weights = [*filter(None, x[:-1] + y[:-1] + diagonal)]
+    kind = _ring_of(weights)
+    if kind != "int":
+        lift = _lifter(kind, weights)
+        x, y, diagonal = [*map(lift, x)], [*map(lift, y)], [*map(lift, diagonal)]
     d = n + 1 - k
     rows = []
     for i in range(d):
-        row = []
-        for j in range(d):
-            if i == j:
-                row.append(svar(n - i))
-            elif i < j:
-                row.append((-1) ** (j - i) * comb(n - i, j - i) * yvar(n - i))
-            else:
-                row.append(comb(n - j, i - j) * xvar(n - j))
+        row = {j: comb(n - j, i - j) * x[j] for j in range(i) if x[j]}
+        if diagonal[i]:
+            row[i] = diagonal[i]
+        if y[i]:
+            m = n - i
+            for j in range(i + 1, d):
+                row[j] = (-1) ** (j - i) * comb(m, j - i) * y[i]
         rows.append(row)
-    return PolyMatrix(rows)
+    return rows, kind
+
+
+def build_reduced(k: int, n: int) -> PolyMatrix:
+    """``_reduced_rows(k, n)`` as a dense symbolic matrix."""
+    return _dense(_reduced_rows(k, n)[0])
 
 
 def build_general_binomial(m: int, n: int, omega) -> PolyMatrix:

@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .linalg import (
     NON_INTEGER_WALK_DIM,
@@ -31,13 +31,12 @@ from .linalg import (
     huckel_guard,
 )
 from .matrices import (
-    PolyMatrix,
     TriangleGraph,
     _huckel_rows,
+    _reduced_rows,
     bivariate_params,
     build_pascal,
     build_reduced,
-    evaluate_matrix,
 )
 from .poly import MultiPoly, poly_properties, svar, xvar, yvar, zvar
 from .schur import _condensed_det, condensation_det
@@ -140,9 +139,9 @@ def verify_conjecture2(
     five seeded points, four values from four different codes must agree:
     fraction-free elimination on H_{k,n} and condensation on the left,
     fraction-free elimination and the division-free (Berkowitz) algorithm
-    on the evaluated reduced matrix on the right; conj1 adds the unit-y
-    corollary.  The caps of these routes, checked before anything is built,
-    allow 144 vertices, and symbolically 8 rows."""
+    on the reduced matrix written at the point on the right; conj1 adds the
+    unit-y corollary.  The caps of these routes, checked before anything is
+    built, allow 144 vertices, and symbolically 8 rows."""
     return _verify_reduction("conj2", k, n, mode, seed)
 
 
@@ -172,21 +171,21 @@ def _verify_reduction(
         }
     elif mode == "specialized":
         huckel_guard(k, n, NUMERIC_ELIMINATION_ROWS, f"specialized {conjecture}")
-        # the symbolic matrices, built once: the reduced one is evaluated at
-        # every point, and both bound the degree
-        huckel_template, reduced_template = _huckel_rows(k, n), build_reduced(k, n)
+        # the symbolic matrices, built once, bound the degree
+        templates = _entries(_huckel_rows(k, n)), _entries(_reduced_rows(k, n))
         rng = random.Random(seed)
         samples = []
         ok = True
         for _ in range(5):
             params = _draw_params(rng, k, n, -(10**6), 10**6)
-            reduced = evaluate_matrix(reduced_template, params)
-            # one H_{k,n} per point, read by elimination and by condensation
+            # one H_{k,n} per point, read by elimination and by condensation,
+            # and one reduced matrix, read by elimination and by Berkowitz
             h = _huckel_rows(k, n, params)
+            reduced = _reduced_rows(k, n, params)
             lhs = _det_rows(h)
             lhs2 = _condensed_det(h, k, n, params)
-            rhs = det(reduced)
-            rhs2 = det(reduced, "division-free")
+            rhs = _det_rows(reduced)
+            rhs2 = _det_rows(reduced, "division-free")
             ok = ok and lhs == lhs2 == rhs == rhs2
             samples.append({"point": params, "lhs": str(lhs), "rhs": str(rhs)})
         lhs = str([s["lhs"] for s in samples])
@@ -195,7 +194,7 @@ def _verify_reduction(
         details = {
             "samples": samples,
             "probability": _sz_bound(
-                _degree_bound(_entries(huckel_template), reduced_template.rows),
+                _degree_bound(*templates),
                 2 * 10**6 + 1,
                 5,
             ),
@@ -219,14 +218,11 @@ def _unit_y_corollary(rng: random.Random, n: int) -> dict:
         params[f"x{i}"] = v
         params[f"y{i}"] = 1
     lhs = _det_rows(_huckel_rows(0, n, params))
-    q = build_pascal("symmetric", n)
-    shifted = PolyMatrix(
-        [
-            [q[i, j] * xs[j] + (1 if i == j else 0) for j in range(n + 1)]
-            for i in range(n + 1)
-        ]
-    )
-    rhs = det(shifted)
+    shifted = [
+        {j: comb(i + j, j) * xj + (1 if i == j else 0) for j, xj in enumerate(xs)}
+        for i in range(n + 1)
+    ]
+    rhs = _det_rows((shifted, "int"))
     return {"pass": lhs == rhs, "x": xs, "lhs": str(lhs), "rhs": str(rhs)}
 
 

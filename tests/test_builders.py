@@ -11,6 +11,7 @@ from huckelpascal.matrices import (
     PolyMatrix,
     TriangleGraph,
     _huckel_rows,
+    _reduced_rows,
     _ring_rows,
     alternating_unit_vector,
     bivariate_params,
@@ -409,6 +410,43 @@ def test_reduced_bivariate_is_pascal_combination():
         collapse.update({f"y{m}": Y(0) for m in range(n + 1)})
         got = build_reduced(0, n).map_entries(lambda e: e.substitute(collapse))
         assert got == want
+
+
+# a weight of each ring, zero (as an int and as the ring's zero) included
+_REDUCED_WEIGHTS = {
+    "int": st.integers(-3, 3),
+    "cyc": st.one_of(st.integers(-2, 2), st.sampled_from([CycInt(0), CycInt(1, -1, 0, 2)])),
+    "gauss": st.one_of(st.integers(-2, 2), st.sampled_from([GaussInt(0), GaussInt(2, -1)])),
+    "fraction": st.one_of(st.integers(-2, 2), st.just(Fraction(-1, 3))),
+    "poly": st.one_of(st.integers(-2, 2), st.just(zvar() * xvar(1) - 1)),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(_REDUCED_WEIGHTS))
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_reduced_rows_equal_the_evaluated_dense_read(ring, data):
+    """The reduced matrix written at a point is the symbolic one evaluated
+    there and read: same rows, same ring, zero weights and a cancelled
+    diagonal left out."""
+    n = data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(0, n))
+    weight = _REDUCED_WEIGHTS[ring]
+    params = {f"{c}{m}": data.draw(weight) for m in range(k, n + 1) for c in "xy"}
+    if data.draw(st.booleans()):  # the diagonal at row n - k cancels
+        params[f"y{k}"] = -params[f"x{k}"]
+    rows, kind = _reduced_rows(k, n, params)
+    want_rows, want_kind = _ring_rows(evaluate_matrix(build_reduced(k, n), params))
+    assert (rows, kind) == (want_rows, want_kind)
+    assert _entry_types(rows) == _entry_types(want_rows)
+
+
+def test_reduced_rows_symbolic_is_the_dense_read():
+    for n in range(7):
+        for k in range(n + 1):
+            rows, kind = _reduced_rows(k, n)
+            assert (rows, kind) == _ring_rows(build_reduced(k, n))
+            assert _entry_types(rows) == _entry_types(_ring_rows(build_reduced(k, n))[0])
 
 
 # -- general binomial --------------------------------------------------------------

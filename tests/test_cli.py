@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import huckelpascal.cli as cli
+import huckelpascal.formulas as formulas
 import huckelpascal.schur as schur
 import huckelpascal.verify as verify
 from huckelpascal.cli import main
@@ -372,6 +373,21 @@ class TestGuards:
         assert out.err.startswith("error:")
         assert len(out.err.strip().splitlines()) == 1
         assert "rows capped" in out.err
+        assert time.perf_counter() - t0 < 5
+
+    @pytest.mark.parametrize("max_n", ["143", "150"])
+    def test_pi4_column_cap_trips_before_any_row_is_built(self, capsys, monkeypatch, max_n):
+        # 143 passes the 144-row elimination cap, and its top row alone
+        # would take about a minute
+        def builder(*args):
+            raise AssertionError("Q_n + iI was built before the guard")
+
+        monkeypatch.setattr(formulas, "build_general_binomial", builder)
+        t0 = time.perf_counter()
+        code, out = run(capsys, "formulas", "--table", "--max-n", max_n)
+        assert code == 2
+        assert out.err.startswith("error: pi/4 column rows capped at 75")
+        assert out.out == ""
         assert time.perf_counter() - t0 < 5
 
 

@@ -268,6 +268,21 @@ class TestUpdateWithoutCatchUp:
         assert divisors == sorted(divisors)
 
 
+class TestHolderSets:
+    # step 0 pivots on (0, 0), and row 3 joins the holders of columns 1 and
+    # 3 by fill; step 1 pivots on (2, 1), and row 3 leaves column 3's
+    # holders by cancellation (1 * 1 - 1 * 1), so the last two steps pivot
+    # on (3, 2) and on (1, 3), column 3's one holder left
+    ROWS = [[-1, 1, 1, 1], [0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 0]]
+
+    @pytest.mark.parametrize("ring", ELIMINATION_RINGS)
+    def test_row_joins_by_fill_and_leaves_by_cancellation(self, ring):
+        rows = _lifted(self.ROWS, ring)
+        value, order = _det_and_order(rows)
+        assert value == _brute_det(rows) == _lifted([[-1]], ring)[0][0]
+        assert order == ([0, 2, 3, 1], [0, 1, 2, 3]) == _dense_pivot_order(rows)
+
+
 def _det_and_order(rows):
     """det by elimination, and the (rows, columns) orders of its pivots as
     passed to the sign; None for a matrix refused as singular first."""
@@ -432,6 +447,47 @@ class TestDivider:
         with pytest.raises(NotDivisible):
             divide(num)
         assert divide(num * den) == num
+
+
+# each unit of a ring, its inverse written out, and an operand of another ring
+UNITS = [
+    ("int", 1, 1, "a"),
+    ("int", -1, -1, "a"),
+    ("gauss", GaussInt(1), GaussInt(1), CycInt(1)),
+    ("gauss", GaussInt(-1), GaussInt(-1), CycInt(1)),
+    ("gauss", GaussInt(0, 1), GaussInt(0, -1), CycInt(1)),
+    ("gauss", GaussInt(0, -1), GaussInt(0, 1), CycInt(1)),
+    *(("cyc", CycInt.zeta(k), CycInt.zeta(-k), GaussInt(1)) for k in range(12)),
+    ("cyc", CycInt(2, 2, 0, -1), CycInt(2, -2, 0, 1), GaussInt(1)),  # 2 ± sqrt(3)
+    ("poly", MultiPoly.const(1, 2), MultiPoly.const(1, 2), CycInt(1)),
+    ("poly", MultiPoly.const(-1, 2), MultiPoly.const(-1, 2), CycInt(1)),
+]
+
+
+class TestUnitDivider:
+    @pytest.mark.parametrize("kind, unit, inverse, foreign", UNITS)
+    @given(a=st.integers(-50, 50), b=st.integers(-50, 50))
+    @settings(max_examples=20, deadline=None)
+    def test_divides_by_multiplying_with_the_inverse(self, kind, unit, inverse, foreign, a, b):
+        assert unit * inverse == 1
+        a = RING_ELEMENTS[kind](a, b)
+        divide = linalg._divider(unit, kind)
+        assert divide(a * unit) == a
+        assert divide(a) == a * inverse
+
+    @pytest.mark.parametrize("kind, unit, inverse, foreign", UNITS)
+    def test_refuses_a_foreign_operand(self, kind, unit, inverse, foreign):
+        with pytest.raises(TypeError):
+            linalg._divider(unit, kind)(foreign)
+
+    @pytest.mark.parametrize("unit", [GaussInt(1), GaussInt(0, -1)])
+    def test_wrong_inverse_is_refused_when_the_divider_is_built(self, monkeypatch, unit):
+        # the element itself in place of its conjugate: i * i = -1
+        monkeypatch.setattr(GaussInt, "conjugate", lambda self: GaussInt(-self.re, self.im))
+        with pytest.raises(NotDivisible):
+            unit.divider()
+        with pytest.raises(NotDivisible):
+            linalg._divider(unit, "gauss")
 
 
 class TestDivisionFree:
