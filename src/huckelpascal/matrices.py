@@ -566,7 +566,8 @@ def _reduced_rows(
 
 
 def build_reduced(k: int, n: int) -> PolyMatrix:
-    """``_reduced_rows(k, n)`` as a dense symbolic matrix."""
+    """The binomial matrix of size n+1-k conjectured to share the trapezium
+    determinant, symbolic and dense: the view of ``_reduced_rows(k, n)``."""
     return _dense(_reduced_rows(k, n)[0])
 
 
