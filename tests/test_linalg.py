@@ -269,10 +269,11 @@ class TestUpdateWithoutCatchUp:
 
 
 class TestHolderSets:
-    # step 0 pivots on (0, 0), and row 3 joins the holders of columns 1 and
-    # 3 by fill; step 1 pivots on (2, 1), and row 3 leaves column 3's
-    # holders by cancellation (1 * 1 - 1 * 1), so the last two steps pivot
-    # on (3, 2) and on (1, 3), column 3's one holder left
+    # step 0 pivots on (0, 0), and row 3 becomes {1: -1, 2: -2, 3: -1}: it
+    # joins the holders of columns 1 and 3 by fill; step 1 pivots on (2, 1)
+    # with row 2 = {1: 1, 2: 1, 3: 1}, and row 3 leaves column 3's holders
+    # by cancellation (1 * -1 - (-1) * 1), so the last two steps pivot on
+    # (3, 2) and on (1, 3), column 3's one holder left
     ROWS = [[-1, 1, 1, 1], [0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 0]]
 
     @pytest.mark.parametrize("ring", ELIMINATION_RINGS)
@@ -482,7 +483,7 @@ class TestUnitDivider:
 
     @pytest.mark.parametrize("unit", [GaussInt(1), GaussInt(0, -1)])
     def test_wrong_inverse_is_refused_when_the_divider_is_built(self, monkeypatch, unit):
-        # the element itself in place of its conjugate: i * i = -1
+        # the negated conjugate in place of the conjugate: u * u^-1 = -1
         monkeypatch.setattr(GaussInt, "conjugate", lambda self: GaussInt(-self.re, self.im))
         with pytest.raises(NotDivisible):
             unit.divider()
