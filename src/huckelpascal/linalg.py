@@ -10,10 +10,11 @@ a dense matrix, and ``matrices._huckel_rows`` and ``_reduced_rows`` write
 those of H_{k,n} and of its reduced matrix straight from their patterns,
 for the private ``_det_rows`` and ``_permanent_rows``.  ``_divider``
 builds the exact division by one divisor once, for every entry divided by
-it.  A unit (norm 1) divides by multiplying with its inverse, checked once
-to multiply back to 1.  Otherwise integers test the remainder of divmod,
-and CycInt and GaussInt compute the divisor's conjugate product and norm
-once and test norm divisibility and multiply back on every entry.
+it.  An integer, CycInt or GaussInt unit (norm 1) divides by multiplying
+with its inverse, checked once to multiply back to 1.  Otherwise integers
+test the remainder of divmod, and CycInt and GaussInt compute the
+divisor's conjugate product and norm once and test norm divisibility and
+multiply back on every entry.
 
 Determinant strategies, each taking the matrix alone (all return identical
 values where applicable):
@@ -69,7 +70,6 @@ from __future__ import annotations
 
 import operator
 import os
-from functools import partial
 from itertools import chain
 from math import comb
 
@@ -82,7 +82,7 @@ from .matrices import (
     _ring_rows,
     permutation_sign,
 )
-from .poly import MultiPoly, NotDivisible, _unit
+from .poly import MultiPoly, NotDivisible
 
 DET_STRATEGIES = (
     "fraction-free-elimination",
@@ -145,12 +145,11 @@ def _divider(b, kind: str):
     """Exact division by ``b`` as a function of the dividend, built once per
     divisor and applied to every entry divided by it.  A unit divides by
     multiplying with its inverse: an int ±1 is ``operator.pos`` or
-    ``operator.neg``, a MultiPoly constant ±1 multiplies by itself, and a
-    CycInt or GaussInt unit is handled by its ``divider``.  Otherwise
-    integers test the remainder of divmod; CycInt and GaussInt compute their
-    conjugate product and norm here and test norm divisibility and multiply
-    back on every call; MultiPoly divides with remainder check.  A
-    non-multiple raises NotDivisible."""
+    ``operator.neg``, and a CycInt or GaussInt unit is handled by its
+    ``divider``.  Otherwise integers test the remainder of divmod; CycInt
+    and GaussInt compute their conjugate product and norm here and test norm
+    divisibility and multiply back on every call; MultiPoly divides with
+    remainder check.  A non-multiple raises NotDivisible."""
     if kind == "int":
         if b == 1 or b == -1:
             return operator.pos if b > 0 else operator.neg
@@ -164,8 +163,6 @@ def _divider(b, kind: str):
     if kind == "fraction":
         return lambda a: a / b
     if kind == "poly":
-        if _unit(b):  # ±1 is its own inverse
-            return partial(operator.mul, b)
         return lambda a: a.exact_div(b)
     return b.divider()
 

@@ -441,14 +441,6 @@ def test_reduced_rows_equal_the_evaluated_dense_read(ring, data):
     assert _entry_types(rows) == _entry_types(want_rows)
 
 
-def test_reduced_rows_symbolic_is_the_dense_read():
-    for n in range(7):
-        for k in range(n + 1):
-            rows, kind = _reduced_rows(k, n)
-            assert (rows, kind) == _ring_rows(build_reduced(k, n))
-            assert _entry_types(rows) == _entry_types(_ring_rows(build_reduced(k, n))[0])
-
-
 # -- general binomial --------------------------------------------------------------
 
 def test_general_binomial_examples():

@@ -460,8 +460,6 @@ UNITS = [
     ("gauss", GaussInt(0, -1), GaussInt(0, 1), CycInt(1)),
     *(("cyc", CycInt.zeta(k), CycInt.zeta(-k), GaussInt(1)) for k in range(12)),
     ("cyc", CycInt(2, 2, 0, -1), CycInt(2, -2, 0, 1), GaussInt(1)),  # 2 ± sqrt(3)
-    ("poly", MultiPoly.const(1, 2), MultiPoly.const(1, 2), CycInt(1)),
-    ("poly", MultiPoly.const(-1, 2), MultiPoly.const(-1, 2), CycInt(1)),
 ]
 
 

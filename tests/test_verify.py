@@ -272,12 +272,12 @@ class TestIndependentSides:
     """Each symbolic check, and each specialized sample, runs its two sides
     through different routes.
 
-    The recorder wraps verify's bindings of det and of its form on rows
-    built already, condensation_det (and its guard-free form, which takes
-    the rows of an H_{k,n} built already) and the permanent on rows, and
-    condensation's det on the rows it condensed, and notes the route of
-    each call in order: the left side's calls come first, then the right
-    side's, then any spot check at an integer point."""
+    The recorder wraps verify's binding of det on rows built already,
+    condensation_det (and its guard-free form, which takes the rows of an
+    H_{k,n} built already) and the permanent on rows, and condensation's det
+    on the rows it condensed, and notes the route of each call in order: the
+    left side's calls come first, then the right side's, then any spot check
+    at an integer point."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
@@ -293,8 +293,7 @@ class TestIndependentSides:
                 return fn(*args, **kwargs)
             return recorded
 
-        for owner, name, label in ((verify, "det", "det"),
-                                   (verify, "_det_rows", "det"),
+        for owner, name, label in ((verify, "_det_rows", "det"),
                                    (verify, "condensation_det", "condensation"),
                                    (verify, "_condensed_det", "condensation"),
                                    (verify, "_permanent_rows", "permanent"),
