@@ -36,6 +36,15 @@ from .poly import NotDivisible, _power
 _HALF_PI6 = cmath.exp(1j * cmath.pi / 6)
 
 
+def _lattice_power(x, k: int):
+    """x ** k in CycInt or GaussInt; for k < 0 the exact inverse of
+    x ** -k, which raises NotDivisible unless x is a unit."""
+    one = type(x)(1)
+    if k < 0:
+        return one.exact_div(x ** (-k))
+    return _power(x, k, one)
+
+
 class CycInt:
     """An element a0 + a1*z + a2*z^2 + a3*z^3 of Z[zeta_12]."""
 
@@ -68,10 +77,6 @@ class CycInt:
     @staticmethod
     def sqrt3() -> "CycInt":
         return CycInt(0, 2, 0, -1)
-
-    @staticmethod
-    def imag_unit() -> "CycInt":
-        return CycInt.zeta(3)
 
     @staticmethod
     def omega3() -> "CycInt":
@@ -149,10 +154,7 @@ class CycInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "CycInt":
-        if k < 0:
-            return CycInt(1).exact_div(self ** (-k))
-        return _power(self, k, CycInt(1))
+    __pow__ = _lattice_power
 
     def __eq__(self, other):
         if isinstance(other, CycInt):
@@ -341,10 +343,7 @@ class GaussInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "GaussInt":
-        if k < 0:
-            return GaussInt(1).exact_div(self ** (-k))
-        return _power(self, k, GaussInt(1))
+    __pow__ = _lattice_power
 
     def __eq__(self, other):
         if isinstance(other, GaussInt):

@@ -256,7 +256,6 @@ def theta_table_row(n: int) -> dict:
         "thetaPi4": pi4_magnitude(n),
         "thetaPi3": predicted_det("thetaPi3", n).as_int(),
         "thetaPi2": predicted_det("thetaPi2", n).as_int(),
-        "asm": formula_A(n + 1),
     }
     row["mitra"] = mitra_estimate(n + 1) if (n + 1) % 2 == 0 else None
     return row

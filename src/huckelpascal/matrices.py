@@ -99,22 +99,6 @@ class PolyMatrix:
     def map_entries(self, fn: Callable) -> "PolyMatrix":
         return PolyMatrix([[fn(e) for e in row] for row in self.rows])
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return PolyMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
     def __mul__(self, other):
         if isinstance(other, PolyMatrix):
             if self.ncols != other.nrows:
@@ -133,18 +117,8 @@ class PolyMatrix:
             return PolyMatrix(out)
         return self.map_entries(lambda e: e * other if _nz(e) else e * 0)
 
-    def scaled(self, c) -> "PolyMatrix":
-        return self.map_entries(lambda e: c * e)
-
     def submatrix(self, rs: Sequence[int], cs: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix([[self.rows[i][j] for j in cs] for i in rs])
-
-    def deleting(self, rows: Iterable[int], cols: Iterable[int]) -> "PolyMatrix":
-        rset, cset = set(rows), set(cols)
-        return self.submatrix(
-            [i for i in range(self.nrows) if i not in rset],
-            [j for j in range(self.ncols) if j not in cset],
-        )
 
     def permuted(self, order: Sequence[int]) -> "PolyMatrix":
         """Conjugate by a permutation: entry (a,b) <- (order[a], order[b])."""
@@ -155,9 +129,6 @@ class PolyMatrix:
     def row_permuted(self, order: Sequence[int]) -> "PolyMatrix":
         """Permute rows only: row a <- row order[a]."""
         return PolyMatrix([self.rows[i] for i in order])
-
-    def is_symmetric(self) -> bool:
-        return self == self.transpose()
 
     # -- serialization -----------------------------------------------------
 
@@ -287,10 +258,6 @@ class TriangleGraph:
             raise BadRange(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
 
     @property
-    def row_lengths(self) -> list[int]:
-        return [2 * m + 1 for m in range(self.k, self.n + 1)]
-
-    @property
     def vertex_count(self) -> int:
         return (self.n + 1) ** 2 - self.k**2
 
@@ -311,10 +278,6 @@ class TriangleGraph:
                 return m, v - off
         raise BadRange(f"vertex {v} out of range")
 
-    @staticmethod
-    def color(m: int, p: int) -> str:
-        return "blue" if p % 2 == 0 else "red"
-
     @cached_property
     def edges(self) -> list[tuple[int, int]]:
         """Undirected unit-weight edges (a < b): intra-row zig-zag neighbors
@@ -329,25 +292,6 @@ class TriangleGraph:
                 for j in range(m):
                     es.append((up + 2 * j, off + 2 * j + 1))
         return sorted(tuple(sorted(e)) for e in es)
-
-    def boundary_slots(self) -> list[tuple[str, int, int]]:
-        """Directed weight slots (name, from_vertex, to_vertex); y_m runs
-        left end -> right end, x_m the reverse.  Row 0 is a self-slot."""
-        slots = []
-        for m in range(self.k, self.n + 1):
-            left, right = self.index(m, 0), self.index(m, 2 * m)
-            slots.append((f"y{m}", left, right))
-            slots.append((f"x{m}", right, left))
-        return slots
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.vertex_count
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        for _, a, b in self.boundary_slots():
-            deg[a] += 1  # each directed slot counted once, at its source
-        return deg
 
     def color_sorted_order(self) -> list[int]:
         """Vertex order: row-end blues (per row: left, then right), inner

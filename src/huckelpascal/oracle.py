@@ -43,25 +43,6 @@ def count_plane_partitions(a: int, b: int, c: int) -> int:
     return sum(counts.values())
 
 
-def is_plane_partition(array: Sequence[Sequence[int]], a: int, b: int, c: int) -> bool:
-    """Membership test for the a x b box with part bound c."""
-    if len(array) != a or any(len(row) != b for row in array):
-        return False
-    for row in array:
-        if any(not (0 <= e <= c) for e in row):
-            return False
-        if any(row[j] < row[j + 1] for j in range(b - 1)):
-            return False
-    for i in range(a - 1):
-        if any(array[i][j] < array[i + 1][j] for j in range(b)):
-            return False
-    return True
-
-
-def partition_weight(array: Sequence[Sequence[int]]) -> int:
-    return sum(sum(row) for row in array)
-
-
 def count_matchings(n_vertices: int, edges: Iterable[tuple[int, int]]) -> int:
     """Perfect matchings of the graph, by always matching the lowest
     unmatched vertex.  Odd vertex counts fall out as 0."""

@@ -70,8 +70,8 @@ def _exp_len(varcount: int) -> int:
 
 def _power(base, k: int, one):
     """base ** k for k >= 0 by square-and-multiply, from the ring's ``one``;
-    the power of MultiPoly, CycInt and GaussInt, each of which keeps its own
-    rule for k < 0."""
+    the power of MultiPoly and of CycInt and GaussInt, whose k < 0 rules
+    differ (``cyclotomic._lattice_power``)."""
     acc = one
     while k:
         if k & 1:
@@ -366,7 +366,8 @@ class MultiPoly:
 
     def evaluate(self, assignment: Mapping[str, object]):
         """Evaluate with values from any commutative ring (int, Fraction,
-        CycInt, GaussInt, complex).  Every variable appearing with a nonzero
+        CycInt, GaussInt, complex); MultiPoly values substitute polynomials
+        for the variables.  Every variable appearing with a nonzero
         exponent must be assigned, otherwise UnboundVariable is raised.
         Terms are summed in canonical order, and each term multiplies its
         factors in the order x_0..x_{v-1}, y_0..y_{v-1}, z.
@@ -393,30 +394,6 @@ class MultiPoly:
                 fields ^= e << shift
             total = total + acc
         return total
-
-    def substitute(self, mapping: Mapping[str, "MultiPoly | int"]) -> "MultiPoly":
-        """Replace variables by polynomials; unlisted variables are kept."""
-        v = self.varcount
-        vc = max(
-            [v]
-            + [p.varcount for p in mapping.values() if isinstance(p, MultiPoly)]
-        )
-        out = MultiPoly.zero(vc)
-        for key, coef in self.terms.items():
-            term = MultiPoly.const(coef, vc)
-            for slot, e in enumerate(_unpack(key, v)):
-                if e == 0:
-                    continue
-                name = _slot_name(slot, v)
-                if name in mapping:
-                    rep = mapping[name]
-                    if isinstance(rep, int):
-                        rep = MultiPoly.const(rep)
-                    term = term * rep**e
-                else:
-                    term = term * _var_poly(name, vc) ** e
-            out = out + term
-        return out
 
     # -- formatting ---------------------------------------------------------
 

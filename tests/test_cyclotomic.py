@@ -45,7 +45,7 @@ def test_zeta_is_primitive_12th_root():
 
 
 def test_special_elements():
-    i = CycInt.imag_unit()
+    i = CycInt.zeta(3)
     assert i * i == CycInt(-1)
     s3 = CycInt.sqrt3()
     assert s3 * s3 == CycInt(3)
@@ -257,10 +257,10 @@ def test_exact_div_multiplies_back(monkeypatch):
 def test_real_classification():
     assert CycInt(42).is_real()
     assert CycInt.sqrt3().is_real()
-    assert not CycInt.imag_unit().is_real()
+    assert not CycInt.zeta(3).is_real()
     assert (CycInt(5) + 2 * CycInt.sqrt3()).as_real_pair() == (5, 2)
     with pytest.raises(ValueError):
-        CycInt.imag_unit().as_real_pair()
+        CycInt.zeta(3).as_real_pair()
 
 
 @given(cycs())

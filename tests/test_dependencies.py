@@ -1,7 +1,10 @@
 """The package runs on the standard library alone: pyproject.toml lists no
 dependencies, so no module may need numpy (a test extra) or any other
-numeric package, even on a machine where one is installed."""
+numeric package, even on a machine where one is installed.  Every name a
+module imports is also used in it, so a deleted helper leaves no import
+behind."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +39,43 @@ def test_every_module_runs_without_numeric_packages():
     expected = sorted(p.stem for p in (SRC / "huckelpascal").glob("*.py") if p.stem != "__init__")
     assert modules.split() == expected
     assert "conj1" in report
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name the module's imports bind, with its line."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere, string annotations such as ``-> "MultiPoly"``
+    included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes = [node.annotation] if isinstance(node, ast.arg) else [node.returns]
+            for note in notes:
+                if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                    used |= _used_names(ast.parse(note.value, mode="eval"))
+    return used
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted((SRC / "huckelpascal").glob("*.py")):
+        if path.stem == "__init__":  # its imports are the package's re-exports
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = _used_names(tree)
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _imported_names(tree).items() if name not in used]
+    assert unused == []

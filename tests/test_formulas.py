@@ -230,7 +230,6 @@ class TestThetaTable:
             assert row["thetaPi4"] == RadicalValue(p4s, p4r)
             assert row["thetaPi3"] == p3
             assert row["thetaPi2"] == p2
-            assert row["asm"] == formula_A(n + 1)
 
     def test_mitra_column(self):
         row3 = theta_table_row(3)

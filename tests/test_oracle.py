@@ -9,17 +9,10 @@ from huckelpascal.oracle import (
     audit_passes,
     count_matchings,
     count_plane_partitions,
-    is_plane_partition,
-    partition_weight,
     square_coefficient_audit,
 )
 from huckelpascal.poly import poly_from_text, xvar, yvar
 from huckelpascal.schur import condensation_det
-
-# the two weight-38 arrays fitting in the (3, 5, 7) box
-PP_EXAMPLE_1 = [[5, 5, 3, 2, 2], [5, 5, 2, 1, 0], [4, 2, 1, 1, 0]]
-PP_EXAMPLE_2 = [[7, 6, 6, 6, 1], [5, 3, 2, 1, 0], [1, 0, 0, 0, 0]]
-
 
 class TestPlanePartitions:
     def test_unit_box(self):
@@ -48,17 +41,6 @@ class TestPlanePartitions:
     def test_negative_rejected(self):
         with pytest.raises(BadRange):
             count_plane_partitions(-1, 2, 2)
-
-    def test_membership_of_example_arrays(self):
-        for arr in (PP_EXAMPLE_1, PP_EXAMPLE_2):
-            assert is_plane_partition(arr, 3, 5, 7)
-            assert partition_weight(arr) == 38
-
-    def test_membership_rejections(self):
-        assert not is_plane_partition([[1, 2]], 1, 2, 3)  # row increases
-        assert not is_plane_partition([[4]], 1, 1, 3)  # entry too big
-        assert not is_plane_partition([[2], [3]], 2, 1, 3)  # column increases
-        assert not is_plane_partition([[1, 1]], 2, 2, 3)  # wrong shape
 
 
 class TestMatchings:

@@ -186,30 +186,6 @@ def test_evaluate_missing_variable():
         (xvar(0) + yvar(0)).evaluate({"x0": 1})
 
 
-def test_substitute_collapse_pairs():
-    # the "all pairs equal" collapse used for bivariate readouts
-    p = xvar(1) * yvar(0) + xvar(0)
-    q = p.substitute({"x1": xvar(0), "y1": yvar(0)})
-    assert q == xvar(0) * yvar(0) + xvar(0)
-
-
-def test_substitute_keeps_unlisted():
-    p = xvar(0) + zvar()
-    q = p.substitute({"x0": 7})
-    assert q == 7 + zvar()
-
-
-@given(polys(varcount=2), st.integers(-9, 9), st.integers(-9, 9))
-@settings(max_examples=40, deadline=None)
-def test_substitute_matches_evaluate(p, a, b):
-    q = p.substitute({"x0": a, "x1": a, "y0": b, "y1": b, "z": 0})
-    assert q.varcount >= 0
-    got = q.evaluate({}) if not q.used_variables() else None
-    want = p.evaluate({"x0": a, "x1": a, "y0": b, "y1": b, "z": 0})
-    if got is not None:
-        assert got == want
-
-
 # -- structural reports ---------------------------------------------------------
 
 def test_swap_xy_involution():

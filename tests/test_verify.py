@@ -59,7 +59,7 @@ class TestConjecture1:
         want = x**3 + 9 * x**2 * y + 9 * x * y**2 + y**3
         from huckelpascal.poly import poly_from_text
 
-        collapsed = poly_from_text(r.lhs).substitute(
+        collapsed = poly_from_text(r.lhs).evaluate(
             {f"x{i}": x for i in range(3)} | {f"y{i}": y for i in range(3)}
         )
         assert collapsed == want
