@@ -23,26 +23,23 @@ from .formulas import (
 )
 from .linalg import (
     DET_STRATEGIES,
-    NON_INTEGER_WALK_DIM,
-    NUMERIC_DIVISION_FREE_ROWS,
-    NUMERIC_ELIMINATION_ROWS,
-    SYMBOLIC_DIVISION_FREE_ROWS,
     StrategyPrecondition,
     TooLarge,
+    _det_rows,
+    _permanent_rows,
     charpoly,
     coefficient_list,
-    det,
     huckel_guard,
-    permanent,
-    size_guard,
+    route_guard,
 )
 from .matrices import (
     BadRange,
+    _dense,
+    _huckel_rows,
+    _reduced_rows,
+    _ring_rows,
     bivariate_params,
-    build_huckel,
     build_pascal,
-    build_reduced,
-    evaluate_matrix,
 )
 from .oracle import audit_passes, count_plane_partitions, square_coefficient_audit
 from .poly import MultiPoly, NotDivisible
@@ -246,47 +243,31 @@ def _det_route(ns: argparse.Namespace) -> str:
     return "sparse-minor-expansion" if ns.huckel is not None else "division-free"
 
 
-def _det_route_cap(ns: argparse.Namespace) -> int:
-    """The size cap of the route ``det`` runs: vertices of H_{k,n}, rows of
-    a reduced or Pascal matrix, checked before the matrix is built."""
+def _source_rows(ns: argparse.Namespace):
+    """The nonzero rows and ring of the matrix ``det`` reads, as the
+    verification routes read them, and its description; the cap of the
+    route is checked on the size first, before anything is built."""
     symbolic = ns.x is None and ns.pascal is None
-    if ns.strategy == "sparse-minor-expansion":
-        # the integer walk has only its state budget, which no H_{k,n} over
-        # 81 vertices passes, so the elimination cap refuses the large ones
-        # before their dense matrix is built
-        return NON_INTEGER_WALK_DIM if symbolic else NUMERIC_ELIMINATION_ROWS
-    if ns.strategy == "division-free":
-        return SYMBOLIC_DIVISION_FREE_ROWS if symbolic else NUMERIC_DIVISION_FREE_ROWS
-    # elimination, which refuses symbolic entries outright
-    return NUMERIC_ELIMINATION_ROWS
-
-
-def _source_matrix(ns: argparse.Namespace):
-    cap = _det_route_cap(ns)
     if ns.huckel is not None:
         k, n = ns.huckel
-        huckel_guard(k, n, cap, ns.strategy)
-        return build_huckel(k, n, _uniform_params(k, n, ns)), ("huckel", k, n)
+        huckel_guard(k, n, ns.strategy, symbolic, ns.strategy)
+        return _huckel_rows(k, n, _uniform_params(k, n, ns)), ("huckel", k, n)
     if ns.reduced is not None:
         k, n = ns.reduced
-        size_guard(n + 1 - k, cap, f"{ns.strategy} rows")
-        m = build_reduced(k, n)
-        params = _uniform_params(k, n, ns)
-        if params is not None:
-            m = evaluate_matrix(m, params)
-        return m, ("reduced", k, n)
+        route_guard(ns.strategy, n + 1 - k, symbolic, f"{ns.strategy} rows", dense=True)
+        return _reduced_rows(k, n, _uniform_params(k, n, ns)), ("reduced", k, n)
     kind, n = ns.pascal
-    size_guard(n + 1, cap, f"{ns.strategy} rows")
-    return build_pascal(kind, n), ("pascal", kind, n)
+    route_guard(ns.strategy, n + 1, False, f"{ns.strategy} rows", dense=True)
+    return _ring_rows(build_pascal(kind, n)), ("pascal", kind, n)
 
 
 def _cmd_det(ns: argparse.Namespace):
     ns.strategy = _det_route(ns)
-    matrix, (kind, k, n) = _source_matrix(ns)
-    value = det(matrix, ns.strategy)
+    rows, (kind, k, n) = _source_rows(ns)
+    value = _det_rows(rows, ns.strategy)
     print(value)
     if ns.verbose:
-        print(matrix.to_grid(), file=sys.stderr)
+        print(_dense(rows[0]).to_grid(), file=sys.stderr)
     payload = {"matrix": {"kind": kind, "k": k, "n": n}, "strategy": ns.strategy}
     payload.update(_poly_payload(value))
     return 0, payload
@@ -294,11 +275,8 @@ def _cmd_det(ns: argparse.Namespace):
 
 def _cmd_perm(ns: argparse.Namespace):
     k, n = ns.huckel
-    # the integer walk takes the elimination cap, as in _det_route_cap
-    cap = NON_INTEGER_WALK_DIM if ns.x is None else NUMERIC_ELIMINATION_ROWS
-    huckel_guard(k, n, cap, "permanent")
-    matrix = build_huckel(k, n, _uniform_params(k, n, ns))
-    value = permanent(matrix)
+    huckel_guard(k, n, "sparse-minor-expansion", ns.x is None, "permanent")
+    value = _permanent_rows(_huckel_rows(k, n, _uniform_params(k, n, ns)))
     print(value)
     payload = {"matrix": {"kind": "huckel", "k": k, "n": n}}
     payload.update(_poly_payload(value))
@@ -307,7 +285,7 @@ def _cmd_perm(ns: argparse.Namespace):
 
 def _cmd_charpoly(ns: argparse.Namespace):
     kind, n = ns.pascal
-    size_guard(n + 1, NUMERIC_DIVISION_FREE_ROWS, "charpoly rows")
+    route_guard("division-free", n + 1, False, "charpoly rows")
     p = charpoly(build_pascal(kind, n))
     print(p)
     payload = {

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import factorial
 
 from .cyclotomic import CycInt, GaussInt, RadicalValue
-from .linalg import det, size_guard
+from .linalg import det, route_guard
 from .matrices import BadRange, build_general_binomial
 
 PREDICTED_CASES = (
@@ -180,22 +180,16 @@ def predicted_det(case: str, n: int) -> CycInt:
 # -- the pi/4 (Gaussian) column --------------------------------------------------
 
 
-# row cap of Q_n + iI, a dense matrix over Z[i]: its elimination takes
-# about 0.4 s at 51 rows, 1.8 s at 76 and 63 s at 144, and a table computes
-# every row up to its largest
-PI4_ROWS = 75
-
-
 def pi4_magnitude(n: int) -> RadicalValue:
     """|det H_n(pi/4)| exactly, as an integer or an integer times sqrt 2.
 
     det(Q_n + i I) lies in Z[i]; multiplying by (1-i)^(n+1) strips the
     phase e^{-i(n+1)pi/4} (up to the real factor sqrt(2)^(n+1)), which
     must leave a plain integer behind - asserted, not assumed.  Q_n + i I
-    has n + 1 rows, capped at 75 (HUCKEL_MAX_SIZE raises the cap) before
-    it is built.
+    has n + 1 rows, checked against the dense elimination cap before it is
+    built.
     """
-    size_guard(n + 1, PI4_ROWS, "pi/4 column rows")
+    route_guard("fraction-free-elimination", n + 1, False, "pi/4 column rows", dense=True)
     d = det(build_general_binomial(0, n, GaussInt(0, 1)))
     va = d * (GaussInt(1, -1)) ** (n + 1)
     if va.im != 0:

@@ -45,16 +45,16 @@ values where applicable):
   specialized sample points, the last step of symbolic condensation,
   ``charpoly``).
 
-Fraction-free elimination refuses MultiPoly entries (StrategyPrecondition),
-and more than 144 rows over integer, cyclotomic and rational entries.  The
-division-free algorithm refuses more than 16 rows or more than 16 distinct
-variables over MultiPoly entries, and more than 49 rows over every other
-ring.  HUCKEL_MAX_SIZE raises the row caps, not the variable cap.  Callers
-check the caps of the routes they feed before building anything:
-``huckel_guard`` the vertices of H_{k,n}, ``symbolic_division_free_guard``
-the rows and variables of a symbolic division-free determinant.  Without a
-strategy, ``det`` runs division-free over MultiPoly entries and elimination
-over every other ring.
+Fraction-free elimination refuses MultiPoly entries (StrategyPrecondition).
+Each strategy's row caps, numeric and symbolic, are one entry of
+``_ROUTE_ROWS``, and a dense numeric matrix fed to elimination has a lower
+cap; HUCKEL_MAX_SIZE raises them all.  ``route_guard`` checks them: each
+route on the rows it is given, and every caller, naming the route it feeds,
+on the size it would build, before building anything (``huckel_guard`` on
+the vertices of H_{k,n}).  A symbolic division-free determinant is also
+refused over 16 distinct variables, a fixed cap.  Without a strategy,
+``det`` runs division-free over MultiPoly entries and elimination over
+every other ring.
 
 The frontier walk expands row by row over the set of still-free columns,
 visiting only each row's nonzero entries and keeping one partial sum per
@@ -62,8 +62,7 @@ set.  Signed, it is the determinant; unsigned, the permanent, over every
 ring.  Its state guard bounds the number of free-column sets from the
 support pattern and raises TooLarge before any expansion when the bound
 exceeds a fixed budget.  That budget counts states, not polynomial terms,
-so over non-integer entries the walk is also capped at dimension 16
-(HUCKEL_MAX_SIZE raises that cap).
+so over every entry but an integer the walk takes its symbolic cap.
 """
 
 from __future__ import annotations
@@ -84,11 +83,18 @@ from .matrices import (
 )
 from .poly import MultiPoly, NotDivisible
 
-DET_STRATEGIES = (
-    "fraction-free-elimination",
-    "sparse-minor-expansion",
-    "division-free",
-)
+# each strategy's row caps, (numeric, symbolic); the walk takes its symbolic
+# cap over every ring but int, the permanent (the unsigned walk) the walk's
+# caps, and elimination's symbolic cap bounds what is built for its refusal
+_ROUTE_ROWS = {
+    "fraction-free-elimination": (144, 144),
+    "sparse-minor-expansion": (144, 16),
+    "division-free": (49, 16),
+}
+# rows of a dense numeric matrix for elimination: Q_n + iI takes 1.8 s at
+# 76 rows and 63 s at 144, the reduced matrix at (1, 1) 36 s at 144
+_DENSE_ELIMINATION_ROWS = 75
+DET_STRATEGIES = tuple(_ROUTE_ROWS)
 
 
 class StrategyPrecondition(ValueError):
@@ -106,20 +112,14 @@ class NotRankOne(ValueError):
     """rank1_factor input does not have the scaled rank-1 shape."""
 
 
-def size_limit(default: int) -> int:
-    """The larger of ``default`` and the HUCKEL_MAX_SIZE override."""
-    raw = os.environ.get("HUCKEL_MAX_SIZE", "0")
-    try:
-        override = int(raw)
-    except ValueError:
-        raise TooLarge(f"HUCKEL_MAX_SIZE must be an integer, got {raw!r}") from None
-    return max(default, override)
-
-
 def size_guard(size: int, default: int, what: str) -> None:
     """Raise TooLarge when ``size`` exceeds the cap ``default``, or the
     HUCKEL_MAX_SIZE override when that is larger."""
-    limit = size_limit(default)
+    raw = os.environ.get("HUCKEL_MAX_SIZE", "0")
+    try:
+        limit = max(default, int(raw))
+    except ValueError:
+        raise TooLarge(f"HUCKEL_MAX_SIZE must be an integer, got {raw!r}") from None
     if size > limit:
         raise TooLarge(
             f"{what} capped at {limit}, got {size} "
@@ -127,10 +127,20 @@ def size_guard(size: int, default: int, what: str) -> None:
         )
 
 
-def huckel_guard(k: int, n: int, cap: int, route: str) -> None:
+def route_guard(strategy: str, rows: int, symbolic: bool, what: str, dense=False) -> None:
+    """Raise TooLarge when ``rows`` exceed the cap of ``strategy`` over
+    symbolic or numeric entries, or the dense cap for a ``dense`` numeric
+    matrix fed to elimination."""
+    cap = _ROUTE_ROWS[strategy][symbolic]
+    if dense and not symbolic and strategy == "fraction-free-elimination":
+        cap = _DENSE_ELIMINATION_ROWS
+    size_guard(rows, cap, what)
+
+
+def huckel_guard(k: int, n: int, strategy: str, symbolic: bool, what: str) -> None:
     """Refuse H_{k,n} before building it when its vertex count is over the
     cap of the route it goes to; a bad (k, n) raises BadRange."""
-    size_guard(TriangleGraph(k, n).vertex_count, cap, f"{route} vertex count")
+    route_guard(strategy, TriangleGraph(k, n).vertex_count, symbolic, f"{what} vertex count")
 
 
 # -- ring plumbing -----------------------------------------------------------
@@ -199,24 +209,15 @@ def _det_rows(ring_rows: tuple[list[dict], str], strategy: str | None = None):
     raise StrategyPrecondition(f"unknown strategy {strategy!r}")
 
 
-# row cap of fraction-free elimination (integer, rational and cyclotomic
-# entries), row caps of the division-free algorithm over MultiPoly and over
-# every other ring, and dimension cap of the frontier walk over non-integer
-# entries; callers that would build a large matrix for them check these first
-NUMERIC_ELIMINATION_ROWS = 144
-SYMBOLIC_DIVISION_FREE_ROWS = 16
-NUMERIC_DIVISION_FREE_ROWS = 49
-NON_INTEGER_WALK_DIM = 16
-
 # distinct variables a symbolic division-free determinant may carry: 16 at
 # 8 rows takes about 2 s, 18 at 9 rows about 30 s
 _DIVISION_FREE_VARIABLE_LIMIT = 16
 
 
 def symbolic_division_free_guard(rows: int, variables: int) -> None:
-    """Refuse a symbolic division-free determinant over more than 16 rows
-    (HUCKEL_MAX_SIZE raises that cap) or 16 distinct variables (fixed)."""
-    size_guard(rows, SYMBOLIC_DIVISION_FREE_ROWS, "symbolic division-free rows")
+    """Refuse a symbolic division-free determinant over the route's
+    symbolic row cap or over 16 distinct variables (fixed)."""
+    route_guard("division-free", rows, True, "symbolic division-free rows")
     if variables > _DIVISION_FREE_VARIABLE_LIMIT:
         raise TooLarge(
             f"symbolic division-free determinant capped at "
@@ -251,7 +252,7 @@ def _det_bareiss(a: list[dict], kind: str):
     column orders of the pivots.
     """
     n = len(a)
-    size_guard(n, NUMERIC_ELIMINATION_ROWS, "numeric elimination rows")
+    route_guard("fraction-free-elimination", n, False, "numeric elimination rows")
     a = [dict(row) for row in a]
     # holders[j] is the set of live rows holding column j, and key[j] =
     # n * len(holders[j]) + j while column j is live, and `dead` above every
@@ -337,7 +338,7 @@ def _berkowitz(a: list[dict], kind: str) -> list:
         symbolic_division_free_guard(n, len(names))
         one = MultiPoly.const(1, entries[0].varcount)  # the entries' varcount
     else:
-        size_guard(n, NUMERIC_DIVISION_FREE_ROWS, "division-free rows")
+        route_guard("division-free", n, False, "division-free rows")
         one = _lift(1, kind)
     coeffs = [one]  # None stands for a zero coefficient
     for r in range(n):
@@ -414,11 +415,12 @@ def _frontier_walk(rows: list[dict], kind: str, signed: bool):
     of a Laplace expansion along the row.  A column with no nonzero entry
     below row r must be taken by then, so sets that leave one free are
     dropped, as are sets whose partial sum cancels to zero.  The sums start
-    from the ring's one.
+    from the ring's one.  The walk's row cap is checked first: the
+    numeric one over int entries, the symbolic one over every other ring.
     """
     n = len(rows)
-    if kind != "int":
-        size_guard(n, NON_INTEGER_WALK_DIM, "non-integer frontier walk dimension")
+    ring = "integer" if kind == "int" else "non-integer"
+    route_guard("sparse-minor-expansion", n, kind != "int", f"{ring} frontier walk dimension")
     zero = _lift(0, kind)
     last = [-1] * n
     for r, row in enumerate(rows):
@@ -478,8 +480,9 @@ def permanent(M: PolyMatrix):
     sets it keeps, which is bounded from the support pattern alone; a matrix
     whose bound exceeds the state budget raises TooLarge before any
     expansion.  That budget is fixed: HUCKEL_MAX_SIZE does not raise it.
-    Over non-integer entries the walk is also capped at dimension 16, which
-    HUCKEL_MAX_SIZE raises; the signed walk shares both guards.
+    The walk's row caps apply too: 144 over integer entries and 16 over
+    every other ring, which HUCKEL_MAX_SIZE raises; the signed walk shares
+    every guard.
     """
     M.dim  # raises on a non-square matrix
     return _permanent_rows(_ring_rows(M))

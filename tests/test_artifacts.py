@@ -38,6 +38,14 @@ DIGESTS = {
         "111dfff9c975198b8e42ea08fb3d90ab25585d06da5563284edd8cb3785cc9a0",
     ("det", "--reduced", "0", "5"):
         "dd006a80fc8f7b443ee2883d5815be1b5a34710cacade656e92d4634e7b987b9",
+    ("det", "--reduced", "2", "6", "--x", "3", "--y", "-2"):
+        "3be0f5eac0e67ed717175189e931e77312ef6360c2eafb452e9089209b323f14",
+    ("det", "--huckel", "0", "3", "--x", "2", "--y", "5", "--strategy", "division-free"):
+        "b1c25198bbc04ff8c44e5ac541db264f94f73def939410fed0387145d15b7d75",
+    ("perm", "--huckel", "0", "3", "--x", "2", "--y", "5"):
+        "c9d040a27c1b3f09117fe40764fa4f7e822bd4308d1afe60f1453babeeeef396",
+    ("perm", "--huckel", "1", "2"):
+        "62cbeb16ba6f679aadee844d826981c7888ee054285fb18ede804bf1ee4f0190",
 }
 
 

@@ -9,10 +9,19 @@ from hypothesis import strategies as st
 
 import huckelpascal.cli as cli
 import huckelpascal.formulas as formulas
+import huckelpascal.linalg as linalg
 import huckelpascal.schur as schur
 import huckelpascal.verify as verify
 from huckelpascal.cli import main
-from huckelpascal.linalg import DET_STRATEGIES
+from huckelpascal.formulas import unit_shift_det_asm
+from huckelpascal.linalg import DET_STRATEGIES, TooLarge, det
+from huckelpascal.matrices import (
+    bivariate_params,
+    build_huckel,
+    build_pascal,
+    build_reduced,
+    evaluate_matrix,
+)
 from huckelpascal.verify import VerifyReport
 
 
@@ -78,9 +87,23 @@ class TestDet:
         assert code == 2
         assert "polynomial entries" in out.err
 
-    def test_verbose_prints_grid_to_stderr(self, capsys):
-        _, out = run(capsys, "-v", "det", "--huckel", "1", "1")
-        assert "x1" in out.err
+    @pytest.mark.parametrize("argv, reference", [
+        (["--huckel", "1", "1"], lambda: build_huckel(1, 1)),
+        (["--huckel", "0", "2", "--x", "2", "--y", "3"],
+         lambda: build_huckel(0, 2, bivariate_params(0, 2, 2, 3))),
+        (["--huckel", "0", "2", "--x", "0", "--y", "0"],
+         lambda: build_huckel(0, 2, bivariate_params(0, 2, 0, 0))),
+        (["--reduced", "0", "3"], lambda: build_reduced(0, 3)),
+        (["--reduced", "1", "4", "--x", "2", "--y", "-1"],
+         lambda: evaluate_matrix(build_reduced(1, 4), bivariate_params(1, 4, 2, -1))),
+        (["--pascal", "inverse-lower", "4"], lambda: build_pascal("inverse-lower", 4)),
+    ], ids=["huckel-symbolic", "huckel-numeric", "huckel-zero-weights", "reduced-symbolic",
+            "reduced-numeric", "pascal"])
+    def test_verbose_prints_grid_to_stderr(self, capsys, argv, reference):
+        # the rows det reads print as the dense matrix they stand for
+        code, out = run(capsys, "-v", "det", *argv)
+        assert code == 0
+        assert out.err == reference().to_grid() + "\n"
 
 
 class TestPermAndCharpoly:
@@ -339,8 +362,7 @@ class TestGuards:
         def build(*args):
             raise AssertionError("H_{k,n} was built before the guard")
 
-        monkeypatch.setattr(cli, "build_huckel", build)
-        for module in (verify, schur):
+        for module in (cli, verify, schur):
             monkeypatch.setattr(module, "_huckel_rows", build)
         t0 = time.perf_counter()
         code, out = run(capsys, *argv)
@@ -366,7 +388,7 @@ class TestGuards:
             raise AssertionError("the matrix was built before the guard")
 
         monkeypatch.setattr(cli, "build_pascal", builder)
-        monkeypatch.setattr(cli, "build_reduced", builder)
+        monkeypatch.setattr(cli, "_reduced_rows", builder)
         t0 = time.perf_counter()
         code, out = run(capsys, *argv)
         assert code == 2
@@ -374,6 +396,66 @@ class TestGuards:
         assert len(out.err.strip().splitlines()) == 1
         assert "rows capped" in out.err
         assert time.perf_counter() - t0 < 5
+
+    @pytest.mark.parametrize("argv", [
+        ["det", "--pascal", "symmetric", "75"],
+        ["det", "--reduced", "0", "75", "--x", "1", "--y", "1"],
+        ["det", "--reduced", "0", "143", "--x", "1", "--y", "1"],
+    ], ids=["pascal-76", "reduced-76", "reduced-144"])
+    def test_dense_elimination_cap_trips_before_the_matrix_is_built(
+        self, capsys, monkeypatch, argv
+    ):
+        # 76 rows and more: the 144-row reduced matrix passed the sparse
+        # elimination cap and ran for about 36 s
+        def builder(*args):
+            raise AssertionError("the matrix was built before the guard")
+
+        monkeypatch.setattr(cli, "build_pascal", builder)
+        monkeypatch.setattr(cli, "_reduced_rows", builder)
+        t0 = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out.err.startswith("error: fraction-free-elimination rows capped at 75")
+        assert len(out.err.strip().splitlines()) == 1
+        assert time.perf_counter() - t0 < 5
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["det", "--pascal", "symmetric", "74"], 1),
+        (["det", "--reduced", "0", "74", "--x", "1", "--y", "1"], unit_shift_det_asm(74)),
+    ], ids=["pascal", "reduced"])
+    def test_dense_elimination_cap_admits_75_rows(self, capsys, argv, expected):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.out.strip() == str(expected)
+
+    @pytest.mark.parametrize("argv, strategy, lowered, route", [
+        # division-free over integers, lowered from 49 to 9 rows
+        (["det", "--pascal", "lower", "9", "--strategy", "division-free"],
+         "division-free", (9, 16),
+         lambda: det(build_pascal("lower", 9), "division-free")),
+        # the symbolic walk, lowered from 16 to 3 rows
+        (["det", "--huckel", "0", "1"], "sparse-minor-expansion", (144, 3),
+         lambda: det(build_huckel(0, 1), "sparse-minor-expansion")),
+    ], ids=["division-free", "symbolic-walk"])
+    def test_one_table_entry_moves_both_refusals(
+        self, capsys, monkeypatch, argv, strategy, lowered, route
+    ):
+        monkeypatch.delenv("HUCKEL_MAX_SIZE", raising=False)
+        assert run(capsys, *argv)[0] == 0
+        route()
+        monkeypatch.setitem(linalg._ROUTE_ROWS, strategy, lowered)
+        cap = f"capped at {min(lowered)}, got"
+        with pytest.raises(TooLarge, match=cap):
+            route()
+
+        def builder(*args):
+            raise AssertionError("the matrix was built before the guard")
+
+        monkeypatch.setattr(cli, "build_pascal", builder)
+        monkeypatch.setattr(cli, "_huckel_rows", builder)
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert cap in out.err
 
     @pytest.mark.parametrize("max_n", ["143", "150"])
     def test_pi4_column_cap_trips_before_any_row_is_built(self, capsys, monkeypatch, max_n):

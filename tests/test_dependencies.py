@@ -2,7 +2,7 @@
 dependencies, so no module may need numpy (a test extra) or any other
 numeric package, even on a machine where one is installed.  Every name a
 module imports is also used in it, so a deleted helper leaves no import
-behind."""
+behind.  Every route's size cap is stated once, in linalg's route table."""
 
 import ast
 import os
@@ -79,3 +79,19 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in _imported_names(tree).items() if name not in used]
     assert unused == []
+
+
+def test_only_the_route_table_and_the_oracles_call_size_guard():
+    # linalg reads each route's cap from its table, and oracle holds the
+    # enumeration budgets; any other module names the route it feeds
+    callers = []
+    for path in sorted((SRC / "huckelpascal").glob("*.py")):
+        if path.stem in ("linalg", "oracle"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "size_guard":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
