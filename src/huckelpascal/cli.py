@@ -246,18 +246,22 @@ def _det_route(ns: argparse.Namespace) -> str:
 def _source_rows(ns: argparse.Namespace):
     """The nonzero rows and ring of the matrix ``det`` reads, as the
     verification routes read them, and its description; the cap of the
-    route is checked on the size first, before anything is built."""
-    symbolic = ns.x is None and ns.pascal is None
+    route is checked on the size first, before anything is built.  The
+    reduced matrix at a point is dense, so elimination takes its dense cap
+    there."""
+    entries = "symbolic" if ns.x is None and ns.pascal is None else "numeric"
     if ns.huckel is not None:
         k, n = ns.huckel
-        huckel_guard(k, n, ns.strategy, symbolic, ns.strategy)
+        huckel_guard(k, n, ns.strategy, entries, ns.strategy)
         return _huckel_rows(k, n, _uniform_params(k, n, ns)), ("huckel", k, n)
     if ns.reduced is not None:
         k, n = ns.reduced
-        route_guard(ns.strategy, n + 1 - k, symbolic, f"{ns.strategy} rows", dense=True)
+        if entries == "numeric" and ns.strategy == "fraction-free-elimination":
+            entries = "dense"
+        route_guard(ns.strategy, n + 1 - k, entries, f"{ns.strategy} rows")
         return _reduced_rows(k, n, _uniform_params(k, n, ns)), ("reduced", k, n)
     kind, n = ns.pascal
-    route_guard(ns.strategy, n + 1, False, f"{ns.strategy} rows", dense=True)
+    route_guard(ns.strategy, n + 1, entries, f"{ns.strategy} rows")
     return _ring_rows(build_pascal(kind, n)), ("pascal", kind, n)
 
 
@@ -275,7 +279,8 @@ def _cmd_det(ns: argparse.Namespace):
 
 def _cmd_perm(ns: argparse.Namespace):
     k, n = ns.huckel
-    huckel_guard(k, n, "sparse-minor-expansion", ns.x is None, "permanent")
+    entries = "symbolic" if ns.x is None else "numeric"
+    huckel_guard(k, n, "sparse-minor-expansion", entries, "permanent")
     value = _permanent_rows(_huckel_rows(k, n, _uniform_params(k, n, ns)))
     print(value)
     payload = {"matrix": {"kind": "huckel", "k": k, "n": n}}
@@ -285,7 +290,7 @@ def _cmd_perm(ns: argparse.Namespace):
 
 def _cmd_charpoly(ns: argparse.Namespace):
     kind, n = ns.pascal
-    route_guard("division-free", n + 1, False, "charpoly rows")
+    route_guard("division-free", n + 1, "numeric", "charpoly rows")
     p = charpoly(build_pascal(kind, n))
     print(p)
     payload = {

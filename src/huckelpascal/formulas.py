@@ -189,7 +189,7 @@ def pi4_magnitude(n: int) -> RadicalValue:
     has n + 1 rows, checked against the dense elimination cap before it is
     built.
     """
-    route_guard("fraction-free-elimination", n + 1, False, "pi/4 column rows", dense=True)
+    route_guard("fraction-free-elimination", n + 1, "dense", "pi/4 column rows")
     d = det(build_general_binomial(0, n, GaussInt(0, 1)))
     va = d * (GaussInt(1, -1)) ** (n + 1)
     if va.im != 0:

@@ -46,15 +46,15 @@ values where applicable):
   ``charpoly``).
 
 Fraction-free elimination refuses MultiPoly entries (StrategyPrecondition).
-Each strategy's row caps, numeric and symbolic, are one entry of
-``_ROUTE_ROWS``, and a dense numeric matrix fed to elimination has a lower
-cap; HUCKEL_MAX_SIZE raises them all.  ``route_guard`` checks them: each
-route on the rows it is given, and every caller, naming the route it feeds,
-on the size it would build, before building anything (``huckel_guard`` on
-the vertices of H_{k,n}).  A symbolic division-free determinant is also
-refused over 16 distinct variables, a fixed cap.  Without a strategy,
-``det`` runs division-free over MultiPoly entries and elimination over
-every other ring.
+Each strategy's row caps, by the entries it runs on (numeric, symbolic and,
+for elimination, a dense numeric matrix), are one entry of ``_ROUTE_ROWS``;
+HUCKEL_MAX_SIZE raises them all.  ``route_guard`` checks them: each route
+on the rows it is given, and every caller, naming the route and entries it
+feeds, on the size it would build, before building anything
+(``huckel_guard`` on the vertices of H_{k,n}).  A symbolic division-free
+determinant is also refused over 16 distinct variables, a fixed cap.
+Without a strategy, ``det`` runs division-free over MultiPoly entries and
+elimination over every other ring.
 
 The frontier walk expands row by row over the set of still-free columns,
 visiting only each row's nonzero entries and keeping one partial sum per
@@ -83,17 +83,20 @@ from .matrices import (
 )
 from .poly import MultiPoly, NotDivisible
 
-# each strategy's row caps, (numeric, symbolic); the walk takes its symbolic
-# cap over every ring but int, the permanent (the unsigned walk) the walk's
-# caps, and elimination's symbolic cap bounds what is built for its refusal
+# each strategy's row caps by the entries it runs on.  "numeric": integer,
+# rational and cyclotomic entries.  "symbolic": MultiPoly entries; the walk
+# (and the permanent, the unsigned walk) takes it over every ring but int.
+# "dense", elimination's only: a numeric matrix of binomial entries, nearly
+# all nonzero, as the reduced matrix at a point (0.63 s at 75 rows, 3.6 s at
+# 101, 36 s at 144) and Q_n + iI (1.8 s at 76 rows, 63 s at 144).
+# Elimination refuses symbolic entries outright: its symbolic cap bounds
+# block condensation of symbolic H_{k,n}, and refuses an oversized symbolic
+# request before anything is built.
 _ROUTE_ROWS = {
-    "fraction-free-elimination": (144, 144),
-    "sparse-minor-expansion": (144, 16),
-    "division-free": (49, 16),
+    "fraction-free-elimination": {"numeric": 144, "dense": 75, "symbolic": 144},
+    "sparse-minor-expansion": {"numeric": 144, "symbolic": 16},
+    "division-free": {"numeric": 49, "symbolic": 16},
 }
-# rows of a dense numeric matrix for elimination: Q_n + iI takes 1.8 s at
-# 76 rows and 63 s at 144, the reduced matrix at (1, 1) 36 s at 144
-_DENSE_ELIMINATION_ROWS = 75
 DET_STRATEGIES = tuple(_ROUTE_ROWS)
 
 
@@ -127,20 +130,16 @@ def size_guard(size: int, default: int, what: str) -> None:
         )
 
 
-def route_guard(strategy: str, rows: int, symbolic: bool, what: str, dense=False) -> None:
+def route_guard(strategy: str, rows: int, entries: str, what: str) -> None:
     """Raise TooLarge when ``rows`` exceed the cap of ``strategy`` over
-    symbolic or numeric entries, or the dense cap for a ``dense`` numeric
-    matrix fed to elimination."""
-    cap = _ROUTE_ROWS[strategy][symbolic]
-    if dense and not symbolic and strategy == "fraction-free-elimination":
-        cap = _DENSE_ELIMINATION_ROWS
-    size_guard(rows, cap, what)
+    ``entries``: "numeric", "symbolic" or, for elimination, "dense"."""
+    size_guard(rows, _ROUTE_ROWS[strategy][entries], what)
 
 
-def huckel_guard(k: int, n: int, strategy: str, symbolic: bool, what: str) -> None:
+def huckel_guard(k: int, n: int, strategy: str, entries: str, what: str) -> None:
     """Refuse H_{k,n} before building it when its vertex count is over the
     cap of the route it goes to; a bad (k, n) raises BadRange."""
-    route_guard(strategy, TriangleGraph(k, n).vertex_count, symbolic, f"{what} vertex count")
+    route_guard(strategy, TriangleGraph(k, n).vertex_count, entries, f"{what} vertex count")
 
 
 # -- ring plumbing -----------------------------------------------------------
@@ -217,7 +216,7 @@ _DIVISION_FREE_VARIABLE_LIMIT = 16
 def symbolic_division_free_guard(rows: int, variables: int) -> None:
     """Refuse a symbolic division-free determinant over the route's
     symbolic row cap or over 16 distinct variables (fixed)."""
-    route_guard("division-free", rows, True, "symbolic division-free rows")
+    route_guard("division-free", rows, "symbolic", "symbolic division-free rows")
     if variables > _DIVISION_FREE_VARIABLE_LIMIT:
         raise TooLarge(
             f"symbolic division-free determinant capped at "
@@ -252,7 +251,7 @@ def _det_bareiss(a: list[dict], kind: str):
     column orders of the pivots.
     """
     n = len(a)
-    route_guard("fraction-free-elimination", n, False, "numeric elimination rows")
+    route_guard("fraction-free-elimination", n, "numeric", "numeric elimination rows")
     a = [dict(row) for row in a]
     # holders[j] is the set of live rows holding column j, and key[j] =
     # n * len(holders[j]) + j while column j is live, and `dead` above every
@@ -338,7 +337,7 @@ def _berkowitz(a: list[dict], kind: str) -> list:
         symbolic_division_free_guard(n, len(names))
         one = MultiPoly.const(1, entries[0].varcount)  # the entries' varcount
     else:
-        route_guard("division-free", n, False, "division-free rows")
+        route_guard("division-free", n, "numeric", "division-free rows")
         one = _lift(1, kind)
     coeffs = [one]  # None stands for a zero coefficient
     for r in range(n):
@@ -419,8 +418,8 @@ def _frontier_walk(rows: list[dict], kind: str, signed: bool):
     numeric one over int entries, the symbolic one over every other ring.
     """
     n = len(rows)
-    ring = "integer" if kind == "int" else "non-integer"
-    route_guard("sparse-minor-expansion", n, kind != "int", f"{ring} frontier walk dimension")
+    entries, ring = ("numeric", "integer") if kind == "int" else ("symbolic", "non-integer")
+    route_guard("sparse-minor-expansion", n, entries, f"{ring} frontier walk dimension")
     zero = _lift(0, kind)
     last = [-1] * n
     for r, row in enumerate(rows):

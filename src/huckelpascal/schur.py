@@ -291,7 +291,8 @@ def condense(n: int, params=None) -> CondensationTrace:
     144 vertices, checked before the triangle is built."""
     if n < 1:
         raise BadRange(f"condense needs n >= 1, got {n}")
-    huckel_guard(0, n, "fraction-free-elimination", params is None, "condensation trace")
+    entries = "symbolic" if params is None else "numeric"
+    huckel_guard(0, n, "fraction-free-elimination", entries, "condensation trace")
     (rows, _), steps = _condensation(_huckel_rows(0, n, params), 0, n, params)
     return CondensationTrace(
         steps=[CondensationStep(m=m, border=str(b), size=size) for m, b, size in steps],
@@ -306,7 +307,8 @@ def condensation_det(k: int, n: int, params=None):
     to fraction-free elimination over numbers.  Checked before anything is
     built: at most 144 vertices, and without params the division-free caps
     on n + 1 - k rows over 2(n + 1 - k) weights, so at most 8 rows."""
-    huckel_guard(k, n, "fraction-free-elimination", params is None, "condensation")
+    entries = "symbolic" if params is None else "numeric"
+    huckel_guard(k, n, "fraction-free-elimination", entries, "condensation")
     if params is None:
         symbolic_division_free_guard(n + 1 - k, 2 * (n + 1 - k))
     return _condensed_det(_huckel_rows(k, n, params), k, n, params)

@@ -166,7 +166,7 @@ def _verify_reduction(
             }
         }
     elif mode == "specialized":
-        huckel_guard(k, n, "fraction-free-elimination", False, f"specialized {conjecture}")
+        huckel_guard(k, n, "fraction-free-elimination", "numeric", f"specialized {conjecture}")
         # the symbolic matrices, built once, bound the degree
         templates = _entries(_huckel_rows(k, n)), _entries(_reduced_rows(k, n))
         rng = random.Random(seed)
@@ -234,13 +234,12 @@ def verify_conjecture3(
     guards of those routines bound the size: the walk's state budget and
     row caps, and the elimination row cap."""
     t0 = time.perf_counter()
-    # the caps of the routes each mode runs, checked before the matrix is built
+    # the cap that binds in each mode, checked before the matrix is built
     if mode == "symbolic":
-        huckel_guard(k, n, "sparse-minor-expansion", True, "symbolic conj3")
+        huckel_guard(k, n, "sparse-minor-expansion", "symbolic", "symbolic conj3")
         points = [None]
     elif mode == "specialized":
-        for route in ("sparse-minor-expansion", "fraction-free-elimination"):
-            huckel_guard(k, n, route, False, "specialized conj3")
+        huckel_guard(k, n, "fraction-free-elimination", "numeric", "specialized conj3")
         rng = random.Random(seed)
         points = [_draw_params(rng, k, n, -999, 999) for _ in range(3)]
     else:
@@ -344,7 +343,7 @@ def bivariate_row(n: int) -> tuple[MultiPoly, list[int]]:
     (1, t) for t = 0..d by integer elimination and recovered by Newton's
     forward differences; a sample at (2, 2) must equal 2^d times the sum
     of the coefficients."""
-    huckel_guard(0, n, "fraction-free-elimination", False, "bivariate row")
+    huckel_guard(0, n, "fraction-free-elimination", "numeric", "bivariate row")
     d = n + 1
 
     def sample(xv: int, yv: int) -> int:

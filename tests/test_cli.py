@@ -398,10 +398,9 @@ class TestGuards:
         assert time.perf_counter() - t0 < 5
 
     @pytest.mark.parametrize("argv", [
-        ["det", "--pascal", "symmetric", "75"],
         ["det", "--reduced", "0", "75", "--x", "1", "--y", "1"],
         ["det", "--reduced", "0", "143", "--x", "1", "--y", "1"],
-    ], ids=["pascal-76", "reduced-76", "reduced-144"])
+    ], ids=["reduced-76", "reduced-144"])
     def test_dense_elimination_cap_trips_before_the_matrix_is_built(
         self, capsys, monkeypatch, argv
     ):
@@ -410,7 +409,6 @@ class TestGuards:
         def builder(*args):
             raise AssertionError("the matrix was built before the guard")
 
-        monkeypatch.setattr(cli, "build_pascal", builder)
         monkeypatch.setattr(cli, "_reduced_rows", builder)
         t0 = time.perf_counter()
         code, out = run(capsys, *argv)
@@ -419,40 +417,54 @@ class TestGuards:
         assert len(out.err.strip().splitlines()) == 1
         assert time.perf_counter() - t0 < 5
 
-    @pytest.mark.parametrize("argv, expected", [
-        (["det", "--pascal", "symmetric", "74"], 1),
-        (["det", "--reduced", "0", "74", "--x", "1", "--y", "1"], unit_shift_det_asm(74)),
-    ], ids=["pascal", "reduced"])
-    def test_dense_elimination_cap_admits_75_rows(self, capsys, argv, expected):
-        code, out = run(capsys, *argv)
+    def test_dense_elimination_cap_admits_75_rows(self, capsys):
+        code, out = run(capsys, "det", "--reduced", "0", "74", "--x", "1", "--y", "1")
         assert code == 0
-        assert out.out.strip() == str(expected)
+        assert out.out.strip() == str(unit_shift_det_asm(74))
 
-    @pytest.mark.parametrize("argv, strategy, lowered, route", [
+    @pytest.mark.parametrize("kind", ["lower", "inverse-lower", "symmetric"])
+    def test_pascal_matrices_keep_the_elimination_cap(self, capsys, kind):
+        # the pivots of the Pascal matrices are all 1 (triangular, or
+        # Q_n = P_n P_n^T), and elimination of 144 rows took at most 0.54 s
+        # before any dense cap: none applies
+        t0 = time.perf_counter()
+        code, out = run(capsys, "det", "--pascal", kind, "143")
+        assert code == 0
+        assert out.out.strip() == "1"
+        assert time.perf_counter() - t0 < 5
+        code, out = run(capsys, "det", "--pascal", kind, "144")
+        assert code == 2
+        assert out.err.startswith("error: fraction-free-elimination rows capped at 144")
+
+    @pytest.mark.parametrize("argv, strategy, entries, lowered, route", [
         # division-free over integers, lowered from 49 to 9 rows
         (["det", "--pascal", "lower", "9", "--strategy", "division-free"],
-         "division-free", (9, 16),
+         "division-free", "numeric", 9,
          lambda: det(build_pascal("lower", 9), "division-free")),
         # the symbolic walk, lowered from 16 to 3 rows
-        (["det", "--huckel", "0", "1"], "sparse-minor-expansion", (144, 3),
+        (["det", "--huckel", "0", "1"], "sparse-minor-expansion", "symbolic", 3,
          lambda: det(build_huckel(0, 1), "sparse-minor-expansion")),
-    ], ids=["division-free", "symbolic-walk"])
+        # dense elimination, lowered from 75 to 9 rows: the reduced matrix at
+        # a point in the CLI and Q_9 + iI in the library
+        (["det", "--reduced", "0", "9", "--x", "1", "--y", "1"],
+         "fraction-free-elimination", "dense", 9, lambda: formulas.pi4_magnitude(9)),
+    ], ids=["division-free", "symbolic-walk", "dense-elimination"])
     def test_one_table_entry_moves_both_refusals(
-        self, capsys, monkeypatch, argv, strategy, lowered, route
+        self, capsys, monkeypatch, argv, strategy, entries, lowered, route
     ):
         monkeypatch.delenv("HUCKEL_MAX_SIZE", raising=False)
         assert run(capsys, *argv)[0] == 0
         route()
-        monkeypatch.setitem(linalg._ROUTE_ROWS, strategy, lowered)
-        cap = f"capped at {min(lowered)}, got"
+        monkeypatch.setitem(linalg._ROUTE_ROWS[strategy], entries, lowered)
+        cap = f"capped at {lowered}, got"
         with pytest.raises(TooLarge, match=cap):
             route()
 
         def builder(*args):
             raise AssertionError("the matrix was built before the guard")
 
-        monkeypatch.setattr(cli, "build_pascal", builder)
-        monkeypatch.setattr(cli, "_huckel_rows", builder)
+        for name in ("build_pascal", "_huckel_rows", "_reduced_rows"):
+            monkeypatch.setattr(cli, name, builder)
         code, out = run(capsys, *argv)
         assert code == 2
         assert cap in out.err

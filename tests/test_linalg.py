@@ -551,15 +551,15 @@ class TestDivisionFree:
 
 class TestRouteGuards:
     def test_huckel_guard_counts_trapezium_vertices(self):
-        huckel_guard(0, 11, "fraction-free-elimination", False, "route")  # 144 vertices
-        huckel_guard(5, 12, "fraction-free-elimination", False, "route")  # 169 - 25
+        huckel_guard(0, 11, "fraction-free-elimination", "numeric", "route")  # 144 vertices
+        huckel_guard(5, 12, "fraction-free-elimination", "numeric", "route")  # 169 - 25
         with pytest.raises(TooLarge, match="route vertex count capped at 144, got 169"):
-            huckel_guard(0, 12, "fraction-free-elimination", False, "route")
+            huckel_guard(0, 12, "fraction-free-elimination", "numeric", "route")
 
     @pytest.mark.parametrize("k, n", [(3, 2), (0, -1), (-1, 4)])
     def test_huckel_guard_refuses_a_bad_range(self, k, n):
         with pytest.raises(BadRange):
-            huckel_guard(k, n, "fraction-free-elimination", False, "route")
+            huckel_guard(k, n, "fraction-free-elimination", "numeric", "route")
 
     def test_integer_walk_has_its_own_row_cap(self, monkeypatch):
         monkeypatch.delenv("HUCKEL_MAX_SIZE", raising=False)
@@ -571,13 +571,15 @@ class TestRouteGuards:
         monkeypatch.setenv("HUCKEL_MAX_SIZE", "145")
         assert permanent(identity) == det(identity, "sparse-minor-expansion") == 1
 
-    def test_dense_elimination_cap(self):
-        route_guard("fraction-free-elimination", 144, False, "rows")
-        route_guard("fraction-free-elimination", 75, False, "rows", dense=True)
+    def test_dense_elimination_cap(self, monkeypatch):
+        monkeypatch.delenv("HUCKEL_MAX_SIZE", raising=False)
+        route_guard("fraction-free-elimination", 144, "numeric", "rows")
+        route_guard("fraction-free-elimination", 75, "dense", "rows")
         with pytest.raises(TooLarge, match="rows capped at 75, got 76"):
-            route_guard("fraction-free-elimination", 76, False, "rows", dense=True)
-        # the dense cap is elimination's: the other routes keep their own
-        route_guard("sparse-minor-expansion", 144, False, "rows", dense=True)
+            route_guard("fraction-free-elimination", 76, "dense", "rows")
+        # the dense cap is elimination's alone: no other route names one
+        with pytest.raises(KeyError):
+            route_guard("sparse-minor-expansion", 2, "dense", "rows")
 
     def test_symbolic_division_free_guard(self):
         symbolic_division_free_guard(8, 16)
