@@ -7,18 +7,20 @@ the angles 0, pi/6, pi/3, pi/2 (via x = z^-s, y = z^s) together with
 sqrt(3) = 2z - z^3, i = z^3, and the primitive roots omega_3 = z^4 and
 omega_6 = z^2.  Each Galois map z -> z^k is linear on that basis: it reads
 the images of z, z^2, z^3 from a table built once from ``CycInt.zeta``.
-Division is exact or raises: multiply by the three Galois conjugates,
-divide by the integer norm, and verify by multiplying back, so a wrong
-conjugate can only make a division fail, never return a wrong quotient.
-``divider`` computes the conjugate product and the norm once per divisor
-and returns the division as a function of the dividend; ``exact_div`` is
-that function applied once.  A unit (norm 1) divides every element, so its
-division is multiplication by the conjugate product, its inverse, checked
-once to multiply back to 1: the quotients then multiply back by
-construction, and a wrong conjugate still only makes a division fail.
 
 ``GaussInt`` is the analogous two-coordinate ring Z[i], used where the angle
 pi/4 leaves Z[zeta_12].
+
+Both rings divide through one lattice divider, ``_lattice_divider(b, aux,
+norm)``: each ring's ``divider`` supplies only its own ``aux`` (the product
+of the three other Galois conjugates in Z[zeta_12], the complex conjugate in
+Z[i]) and the integer norm b * aux, once per divisor, and gets the division
+as a function of the dividend; ``exact_div`` is that function applied once.
+A non-unit divides by multiplying with ``aux``, dividing by the norm and
+verifying by multiplying back, so a wrong conjugate can only make a division
+fail, never return a wrong quotient.  A unit (norm 1) divides every element,
+so its division is multiplication by ``aux``, its inverse, checked once to
+multiply back to 1: the quotients then multiply back by construction.
 
 The public constructors coerce each coordinate with ``int()``; ring
 operations build their results through the unchecked ``_of``, and take a
@@ -34,6 +36,39 @@ from functools import partial
 from .poly import NotDivisible, _power
 
 _HALF_PI6 = cmath.exp(1j * cmath.pi / 6)
+
+
+def _lattice_divider(b, aux, norm: int):
+    """Exact division by ``b`` as a function of the dividend, where
+    b * aux = norm, an integer.  A unit (norm 1) divides by multiplying with
+    ``aux``, once ``aux`` has been checked here to multiply back to 1
+    (NotDivisible otherwise).  Any other divisor multiplies by ``aux``,
+    divides coordinate by coordinate by the norm and multiplies the quotient
+    back on every call, raising NotDivisible on a non-multiple."""
+    if norm == 1:
+        if b * aux != 1:
+            raise NotDivisible(f"{aux!r} is not the inverse of {b!r}")
+        return partial(operator.mul, aux)
+    divide_coords = type(b)._divide_coords
+
+    def div(a):
+        q = divide_coords(a * aux, norm)
+        if q is None or q * b != a:
+            raise NotDivisible(f"{a!r} not divisible by {b!r}")
+        return q
+
+    return div
+
+
+def _lattice_exact_div(a, b):
+    """Exact quotient a / b in a's ring, b an element of it or an int;
+    raises NotDivisible otherwise."""
+    cls = type(a)
+    if isinstance(b, int):
+        b = cls(b)
+    elif not isinstance(b, cls):
+        raise TypeError(f"cannot coerce {type(b).__name__} to {cls.__name__}")
+    return b.divider()(a)
 
 
 def _lattice_power(x, k: int):
@@ -94,14 +129,6 @@ class CycInt:
         return CycInt._of((-a3, a0, a1 + a3, a2))
 
     # -- ring operations -------------------------------------------------------
-
-    @staticmethod
-    def _coerce(v) -> "CycInt":
-        if isinstance(v, CycInt):
-            return v
-        if isinstance(v, int):
-            return CycInt(v)
-        raise TypeError(f"cannot coerce {type(v).__name__} to CycInt")
 
     def __add__(self, other):
         a0, a1, a2, a3 = self.coords
@@ -192,46 +219,35 @@ class CycInt:
         """Complex conjugation, the automorphism z -> z^-1."""
         return self.galois(11)
 
+    def _other_conjugates(self) -> "CycInt":
+        """The product of the three Galois conjugates other than self."""
+        return self.galois(5) * self.galois(7) * self.galois(11)
+
     def norm(self) -> int:
         """Field norm: product over all four Galois conjugates, in Z."""
-        p = self * self.galois(5) * self.galois(7) * self.galois(11)
-        a0, a1, a2, a3 = p.coords
+        a0, a1, a2, a3 = (self * self._other_conjugates()).coords
         if (a1, a2, a3) != (0, 0, 0):
             raise ArithmeticError("norm did not land in Z (internal error)")
         return a0
 
-    def exact_div(self, other) -> "CycInt":
-        """Exact quotient in Z[zeta_12]; raises NotDivisible otherwise."""
-        return CycInt._coerce(other).divider()(self)
+    exact_div = _lattice_exact_div
 
     def divider(self):
-        """Exact division by this element, as a function of the dividend.
-
-        The product of the three other Galois conjugates and the integer
-        norm are computed here, once.  A unit (norm 1: z^k, or 2 + sqrt(3))
-        divides by multiplying with that product, its inverse, once the
-        inverse has been checked here to multiply back to 1 (NotDivisible
-        otherwise).  Any other divisor's division multiplies by the product,
-        tests divisibility by the norm and multiplies the quotient back on
-        every call, raising NotDivisible on a non-multiple.  Zero raises
-        ZeroDivisionError."""
+        """Exact division by this element, as a function of the dividend,
+        through ``_lattice_divider`` with the product of the three other
+        Galois conjugates and the norm, computed here once; z^k and
+        2 + sqrt(3) are units.  Zero raises ZeroDivisionError."""
         if not self:
             raise ZeroDivisionError("division by zero in Z[zeta_12]")
-        aux = self.galois(5) * self.galois(7) * self.galois(11)
-        n = (self * aux).coords[0]
-        if n == 1:
-            return _unit_divider(self, aux)
+        aux = self._other_conjugates()
+        return _lattice_divider(self, aux, (self * aux).coords[0])
 
-        def div(a) -> "CycInt":
-            t0, t1, t2, t3 = (a * aux).coords
-            if t0 % n or t1 % n or t2 % n or t3 % n:
-                raise NotDivisible(f"{a!r} not divisible by {self!r}")
-            q = CycInt._of((t0 // n, t1 // n, t2 // n, t3 // n))
-            if q * self != a:
-                raise NotDivisible(f"{a!r} not divisible by {self!r}")
-            return q
-
-        return div
+    def _divide_coords(self, n: int):
+        """self / n coordinate by coordinate, or None unless n divides each."""
+        t0, t1, t2, t3 = self.coords
+        if t0 % n or t1 % n or t2 % n or t3 % n:
+            return None
+        return CycInt._of((t0 // n, t1 // n, t2 // n, t3 // n))
 
     # -- structure ----------------------------------------------------------------
 
@@ -267,15 +283,6 @@ _set_coords = CycInt.coords.__set__
 _GALOIS = {k: tuple(CycInt.zeta(k * i).coords for i in (1, 2, 3)) for k in (1, 5, 7, 11)}
 
 
-def _unit_divider(unit, inverse):
-    """Exact division by ``unit`` as multiplication by ``inverse``, which
-    must multiply back to 1: then every quotient q = a * inverse satisfies
-    q * unit = a, so a wrong inverse can only refuse, never misdivide."""
-    if unit * inverse != 1:
-        raise NotDivisible(f"{inverse!r} is not the inverse of {unit!r}")
-    return partial(operator.mul, inverse)
-
-
 def theta_point(s: int) -> tuple[CycInt, CycInt]:
     """Boundary weights (x, y) = (z^-s, z^s) at the angle theta = s*pi/6."""
     return CycInt.zeta(-s), CycInt.zeta(s)
@@ -300,14 +307,6 @@ class GaussInt:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussInt is immutable")
-
-    @staticmethod
-    def _coerce(v) -> "GaussInt":
-        if isinstance(v, GaussInt):
-            return v
-        if isinstance(v, int):
-            return GaussInt(v)
-        raise TypeError(f"cannot coerce {type(v).__name__} to GaussInt")
 
     def __add__(self, other):
         if isinstance(other, GaussInt):
@@ -367,37 +366,23 @@ class GaussInt:
     def norm(self) -> int:
         return self.re * self.re + self.im * self.im
 
-    def exact_div(self, other) -> "GaussInt":
-        """Exact quotient in Z[i]; raises NotDivisible otherwise."""
-        return GaussInt._coerce(other).divider()(self)
+    exact_div = _lattice_exact_div
 
     def divider(self):
-        """Exact division by this element, as a function of the dividend:
-        the conjugate and the norm are computed once.  A unit (norm 1: ±1,
-        ±i) divides by multiplying with its conjugate, its inverse, once the
-        inverse has been checked here to multiply back to 1 (NotDivisible
-        otherwise).  Any other divisor's division multiplies by the
-        conjugate, tests divisibility by the norm and multiplies the
-        quotient back on every call, raising NotDivisible on a non-multiple.
-        Zero raises ZeroDivisionError."""
+        """Exact division by this element, as a function of the dividend,
+        through ``_lattice_divider`` with the conjugate and the norm,
+        computed here once.  The units are ±1 and ±i.  Zero raises
+        ZeroDivisionError."""
         if not self:
             raise ZeroDivisionError("division by zero in Z[i]")
-        n = self.norm()
-        conj = self.conjugate()
-        if n == 1:
-            return _unit_divider(self, conj)
+        return _lattice_divider(self, self.conjugate(), self.norm())
 
-        def div(a) -> "GaussInt":
-            t = a * conj
-            re, im = t.re, t.im
-            if re % n or im % n:
-                raise NotDivisible(f"{a!r} not divisible by {self!r}")
-            q = GaussInt._of(re // n, im // n)
-            if q * self != a:
-                raise NotDivisible(f"{a!r} not divisible by {self!r}")
-            return q
-
-        return div
+    def _divide_coords(self, n: int):
+        """self / n coordinate by coordinate, or None unless n divides each."""
+        re, im = self.re, self.im
+        if re % n or im % n:
+            return None
+        return GaussInt._of(re // n, im // n)
 
     def to_complex(self) -> complex:
         return complex(self.re, self.im)

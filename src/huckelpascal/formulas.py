@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import factorial
 
 from .cyclotomic import CycInt, GaussInt, RadicalValue
-from .linalg import det, route_guard
+from .linalg import _divider, det, route_guard
 from .matrices import BadRange, build_general_binomial
 
 PREDICTED_CASES = (
@@ -194,17 +194,8 @@ def pi4_magnitude(n: int) -> RadicalValue:
     va = d * (GaussInt(1, -1)) ** (n + 1)
     if va.im != 0:
         raise ArithmeticError(f"phase stripping failed at n={n}: {va}")
-    v = va.re
-    if (n + 1) % 2 == 0:
-        return RadicalValue(_exact_shift(v, (n + 1) // 2), 1)
-    return RadicalValue(_exact_shift(v, (n + 2) // 2), 2)
-
-
-def _exact_shift(v: int, halves: int) -> int:
-    q, r = divmod(v, 2**halves)
-    if r:
-        raise ArithmeticError(f"{v} not divisible by 2^{halves}")
-    return q
+    # va / sqrt(2)^(n+1) is va / 2^(n//2 + 1), times sqrt 2 when n is even
+    return RadicalValue(_divider(1 << (n // 2 + 1), "int")(va.re), 1 if n % 2 else 2)
 
 
 def mitra_ratio(L: int) -> float:

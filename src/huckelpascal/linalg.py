@@ -10,11 +10,12 @@ a dense matrix, and ``matrices._huckel_rows`` and ``_reduced_rows`` write
 those of H_{k,n} and of its reduced matrix straight from their patterns,
 for the private ``_det_rows`` and ``_permanent_rows``.  ``_divider``
 builds the exact division by one divisor once, for every entry divided by
-it.  An integer, CycInt or GaussInt unit (norm 1) divides by multiplying
-with its inverse, checked once to multiply back to 1.  Otherwise integers
-test the remainder of divmod, and CycInt and GaussInt compute the
-divisor's conjugate product and norm once and test norm divisibility and
-multiply back on every entry.
+it.  An integer unit ±1 divides by keeping or negating the sign, and any
+other integer by testing the remainder of divmod.  CycInt and GaussInt
+both divide through the one lattice divider,
+``cyclotomic._lattice_divider``: a unit (norm 1) multiplies by its
+inverse, checked once to multiply back to 1, and any other divisor tests
+norm divisibility and multiplies back on every entry.
 
 Determinant strategies, each taking the matrix alone (all return identical
 values where applicable):
@@ -154,11 +155,10 @@ def _divider(b, kind: str):
     """Exact division by ``b`` as a function of the dividend, built once per
     divisor and applied to every entry divided by it.  A unit divides by
     multiplying with its inverse: an int ±1 is ``operator.pos`` or
-    ``operator.neg``, and a CycInt or GaussInt unit is handled by its
-    ``divider``.  Otherwise integers test the remainder of divmod; CycInt
-    and GaussInt compute their conjugate product and norm here and test norm
-    divisibility and multiply back on every call; MultiPoly divides with
-    remainder check.  A non-multiple raises NotDivisible."""
+    ``operator.neg``.  Otherwise integers test the remainder of divmod;
+    CycInt and GaussInt divide through their ``divider``, the one lattice
+    divider; MultiPoly divides with remainder check.  A non-multiple raises
+    NotDivisible."""
     if kind == "int":
         if b == 1 or b == -1:
             return operator.pos if b > 0 else operator.neg

@@ -583,8 +583,9 @@ def poly_from_text(text: str, varcount: int | None = None) -> MultiPoly:
     """Parse the canonical text format back into a polynomial.
 
     Accepts any +/- separated list of ``coef*var^e*...`` terms; ``^1`` and a
-    unit coefficient may be omitted.  If ``varcount`` is None the smallest
-    ring containing all mentioned variables is used.
+    unit coefficient may be omitted.  Every sign must be followed by a term:
+    a doubled or dangling sign raises ValueError.  If ``varcount`` is None
+    the smallest ring containing all mentioned variables is used.
     """
     text = text.strip()
     if text in ("", "0"):
@@ -595,12 +596,13 @@ def poly_from_text(text: str, varcount: int | None = None) -> MultiPoly:
     if text[0] in "+-":
         sign = -1 if text[0] == "-" else 1
         pos = 1
-    while pos < len(text):
+    while True:
         m = _TOKEN_RE.search(text, pos)
         end = m.start() if m else len(text)
         chunk = text[pos:end].strip()
-        if chunk:
-            pieces.append((sign, chunk))
+        if not chunk:  # a doubled or dangling sign
+            raise ValueError(f"missing term after a sign in {text!r}")
+        pieces.append((sign, chunk))
         if not m:
             break
         sign = -1 if m.group(1) == "-" else 1

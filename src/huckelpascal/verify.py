@@ -5,9 +5,11 @@ routes - different determinant strategies, the condensation pipeline
 against direct elimination, or permanent against determinant - so a bug
 in one algorithm cannot silently confirm itself.  Symbolic comparisons
 are exact polynomial identities; specialized comparisons evaluate both
-sides at seeded random integer points and the report documents the
-random-evaluation (Schwartz-Zippel) failure bound instead of pretending
-to be exact.  Reruns with the same seed are bit-identical.
+sides at seeded random integer points and the report documents an upper
+bound on the random-evaluation (Schwartz-Zippel) false-pass probability
+instead of pretending to be exact: degree d over N - 1 values per point,
+since a pair of weights summing to 0 is redrawn out of N, printed rounded
+up.  Reruns with the same seed are bit-identical.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass, field
+from decimal import ROUND_CEILING, Context
 from fractions import Fraction
 from math import factorial
 
@@ -107,13 +110,26 @@ def _entries(h: tuple[list[dict], str]) -> list:
 
 
 def _sz_bound(degree: int, domain: int, points: int) -> str:
-    single = Fraction(degree, domain)
-    total = single**points
+    """The Schwartz-Zippel bound for ``points`` independent draws of
+    ``_draw_params`` over ``domain`` values.  A pair summing to 0 is redrawn,
+    so given the other weight of its pair each weight is one of domain - 1
+    values, and a point falsely passes with probability at most
+    degree / (domain - 1).  Both printed values are rounded up."""
+    single = Fraction(degree, domain - 1)
     return (
-        f"random-evaluation bound: degree {degree} over {domain} values "
-        f"per variable gives false-pass probability <= {float(single):.3g} "
-        f"per point, <= {float(total):.3g} over {points} independent points"
+        f"random-evaluation bound: degree {degree}, each weight one of "
+        f"{domain - 1} values given the other weight of its pair, gives "
+        f"false-pass probability <= {_round_up(single)} per point, "
+        f"<= {_round_up(single**points)} over {points} independent points"
     )
+
+
+_CEILING_3 = Context(prec=3, rounding=ROUND_CEILING)
+
+
+def _round_up(p: Fraction) -> str:
+    """p rounded up to three significant digits, printed as ``:.3g``."""
+    return f"{float(_CEILING_3.divide(p.numerator, p.denominator)):.3g}"
 
 
 # -- conjectures 1 and 2: triangle / trapezium determinant = its reduction ------

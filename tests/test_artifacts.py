@@ -15,15 +15,15 @@ DIGESTS = {
     ("verify", "conj1"):
         "5aeaf4f3dc6cdc5fdd021ea0c6459bb48d2a3860ec371b19ce7ff7035f0812fb",
     ("verify", "conj1", "--mode", "specialized"):
-        "0fff0a254fe3a7327e1e7711c79c2cd06dcf2176a260ab4ec21889754cb74c52",
+        "83362e197a2ee9d29087a9370a9b06ed3b98976ee0db954c5e45a56a5f331118",
     ("verify", "conj2"):
         "954deecb7258b057178eb33e8bb800d20cd8e113dc4697aa2c310d48ee2864ce",
     ("verify", "conj2", "--mode", "specialized"):
-        "9a563bf8eb7e1888552551f207fc74d4ba3c18146d7fd1f9391c5555033944b6",
+        "7723dd885c0b91a17443018184869725bddd00474df8bfbbabb86e956ea1dbdf",
     ("verify", "conj3"):
         "91ed92f6de4f8ee7a81b4806ef9b35976b789258fa7a1a9bfdda770ffd4fac89",
     ("verify", "conj3", "--mode", "specialized"):
-        "724a03a2f858070f9a34f849331f472ff9a759da6c65cef94d214962bb68399a",
+        "429f8f01d667d793fa2afc955f5b65dc2dad2e5e3f6beaa8cdb45e0bceb26a94",
     ("verify", "props"):
         "dd15ad051e98c8789713919438c5d6bb97cb24fa23d4562f9be8ee1494c72e4a",
     ("tables",):

@@ -299,6 +299,33 @@ def test_gauss_exact_div_roundtrip(a, b):
     assert (a * b).exact_div(b) == a
 
 
+def _embed(g: GaussInt) -> CycInt:
+    """a + b*i as a + b*z^3 in Z[zeta_12]."""
+    return CycInt(g.re, 0, 0, g.im)
+
+
+@given(gauss(-50, 50), gauss(-50, 50), gauss(-50, 50))
+@settings(max_examples=60, deadline=None)
+def test_both_rings_divide_alike_on_gaussian_integers(a, b, r):
+    # the one lattice divider, fed Z[i]'s conjugate and norm or Z[zeta_12]'s
+    # conjugate product and norm, gives the same quotients and refusals
+    if not a or not b:
+        return
+    assert (a * b).exact_div(b) == a
+    assert _embed(a * b).exact_div(_embed(b)) == _embed(a)
+    if b.norm() > 1:  # 1 is a multiple of units only
+        with pytest.raises(NotDivisible):
+            (a * b + 1).exact_div(b)
+    for c in (a * b + r, a * b + 1):
+        try:
+            q = c.exact_div(b)
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                _embed(c).exact_div(_embed(b))
+        else:
+            assert _embed(c).exact_div(_embed(b)) == _embed(q)
+
+
 def test_gauss_basics():
     i = GaussInt(0, 1)
     assert i * i == GaussInt(-1)

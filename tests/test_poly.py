@@ -167,6 +167,12 @@ def test_parse_rejects_garbage():
         poly_from_text("x0 $ y0")
 
 
+@pytest.mark.parametrize("text", ["x0^1 - - y0^1", "x0^1 - -3", "x0^1 +", "--x0", "-", "x0 + + 1"])
+def test_parse_rejects_doubled_or_dangling_signs(text):
+    with pytest.raises(ValueError):
+        poly_from_text(text)
+
+
 # -- evaluation ---------------------------------------------------------------
 
 def test_evaluate_int_and_fraction():

@@ -2,6 +2,8 @@
 
 import json
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from huckelpascal.poly import svar, xvar, yvar
 from huckelpascal.verify import (
     VerifyReport,
     _draw_params,
+    _sz_bound,
     bivariate_row,
     verify_conjecture1,
     verify_conjecture2,
@@ -71,7 +74,7 @@ class TestConjecture1:
         assert r.details["unit_y_corollary"]["pass"]
         assert r.seed == 42
         # the documented failure bound is far below the 1e-20 target
-        assert "5.25e-28" in r.details["probability"]
+        assert "5.26e-28" in r.details["probability"]
 
     def test_specialized_rerun_is_bit_identical(self):
         a = verify_conjecture1(2, "specialized", seed=5)
@@ -442,3 +445,32 @@ class TestReportShape:
     @settings(max_examples=5, deadline=None)
     def test_specialized_verdicts_hold_for_arbitrary_seeds(self, seed):
         assert verify_conjecture2(5, 6, "specialized", seed=seed).passed()
+
+
+def _printed_bound(text: str) -> tuple[Fraction, Fraction]:
+    """The per-point and total values of a random-evaluation bound."""
+    m = re.search(r"<= (\S+) per point, <= (\S+) over", text)
+    return Fraction(m.group(1)), Fraction(m.group(2))
+
+
+class TestFalsePassBound:
+    # each weight is one of N - 1 values given the other weight of its pair
+    @pytest.mark.parametrize("report, degree, values, points", [
+        (lambda: verify_conjecture1(3, "specialized", seed=42), 7, 2 * 10**6, 5),
+        (lambda: verify_conjecture2(2, 4, "specialized", seed=3), 6, 2 * 10**6, 5),
+        (lambda: verify_conjecture3(0, 3, "specialized"), 7, 1998, 3),
+    ], ids=["conj1", "conj2", "conj3"])
+    def test_reports_print_an_upper_bound(self, report, degree, values, points):
+        text = report().details["probability"]
+        assert f"degree {degree}, each weight one of {values} values" in text
+        single, total = _printed_bound(text)
+        assert single >= Fraction(degree, values)
+        assert total >= Fraction(degree, values) ** points
+
+    @given(degree=st.integers(0, 10**4), domain=st.integers(2, 10**7), points=st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_printed_values_are_rounded_up_to_three_digits(self, degree, domain, points):
+        exact = Fraction(degree, domain - 1)
+        single, total = _printed_bound(_sz_bound(degree, domain, points))
+        for printed, value in ((single, exact), (total, exact**points)):
+            assert value <= printed <= value * Fraction(101, 100)
