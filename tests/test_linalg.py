@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from huckelpascal import linalg, verify
 from huckelpascal.cyclotomic import CycInt, GaussInt
+from huckelpascal.formulas import predicted_det, unit_shift_det
 from huckelpascal.linalg import (
     DET_STRATEGIES,
     NotRankOne,
@@ -31,7 +32,9 @@ from huckelpascal.matrices import (
     BadRange,
     PolyMatrix,
     _huckel_rows,
+    _reduced_rows,
     bivariate_params,
+    build_general_binomial,
     build_huckel,
     build_pascal,
     build_reduced,
@@ -286,8 +289,10 @@ class TestHolderSets:
 
 
 def _det_and_order(rows):
-    """det by elimination, and the (rows, columns) orders of its pivots as
-    passed to the sign; None for a matrix refused as singular first."""
+    """det by the sparse elimination loop, and the (rows, columns) orders of
+    its pivots as passed to the sign; None for a matrix refused as singular
+    first.  The loop is called directly, since ``det`` sends a fully dense
+    symmetric matrix to the symmetric branch."""
     seen = []
     original = linalg.permutation_sign
 
@@ -297,7 +302,7 @@ def _det_and_order(rows):
 
     linalg.permutation_sign = recorded
     try:
-        value = det(PolyMatrix(rows))
+        value = linalg._det_bareiss(*_ring_rows(PolyMatrix(rows)))
     finally:
         linalg.permutation_sign = original
     return value, (tuple(seen) if seen else None)
@@ -408,32 +413,131 @@ class TestPivotOrder:
         assert order == (None if expected is None else tuple(expected))
 
     def test_exact_division_count_on_the_144_vertex_triangle(self, monkeypatch):
-        calls = 0
-
-        original = linalg._divider
-
-        def counted_divider(*args):
-            divide = original(*args)
-
-            def counted(a):
-                nonlocal calls
-                calls += 1
-                return divide(a)
-            return counted
-
         point = _draw_params(random.Random(1), 0, 11, -(10**6), 10**6)
         h = build_huckel(0, 11, point)
         expected = det(h)
-        monkeypatch.setattr(linalg, "_divider", counted_divider)
+        calls = _counting_divider(monkeypatch)
         assert det(h) == expected
         # catching up each updated row first made 4 865 exact divisions
         # here, and index-order pivots 12 606
-        assert calls == 3636
+        assert calls == [3636]
 
     def test_400_vertex_triangle_matches_condensation(self, monkeypatch):
         monkeypatch.setenv("HUCKEL_MAX_SIZE", "400")
         point = _draw_params(random.Random(19), 0, 19, -(10**6), 10**6)
         assert det(build_huckel(0, 19, point)) == condensation_det(0, 19, point)
+
+
+def _dense_symmetric(draw, n, ring):
+    """A random n x n symmetric matrix over ``ring`` with no zero entry;
+    entries small, so that a leading minor vanishes now and then."""
+    make = RING_ELEMENTS[ring]
+    pair = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda ab: ab[0])
+    upper = {(i, j): make(*draw(pair)) for i in range(n) for j in range(i, n)}
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def _recording(monkeypatch, name):
+    """Record the row count of each call of ``linalg.<name>``."""
+    calls = []
+    original = getattr(linalg, name)
+
+    def recorded(rows, *args):
+        calls.append(len(rows))
+        return original(rows, *args)
+    monkeypatch.setattr(linalg, name, recorded)
+    return calls
+
+
+def _counting_divider(monkeypatch):
+    """Count the exact divisions run through ``linalg._divider``."""
+    calls = [0]
+    original = linalg._divider
+
+    def counted_divider(*args):
+        divide = original(*args)
+
+        def counted(a):
+            calls[0] += 1
+            return divide(a)
+        return counted
+    monkeypatch.setattr(linalg, "_divider", counted_divider)
+    return calls
+
+
+class TestSymmetricBranch:
+    """Elimination of a matrix with every entry nonzero and A = A^T runs
+    on the upper triangle in natural order, and falls back to the sparse
+    loop when a leading principal minor before the last vanishes."""
+
+    @pytest.mark.parametrize("ring", ELIMINATION_RINGS)
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_sparse_loop_and_brute_force(self, ring, data):
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        m = _dense_symmetric(data.draw, n, ring)
+        rows, kind = _ring_rows(PolyMatrix(m))
+        given_rows = [dict(row) for row in rows]
+        symmetric = linalg._det_symmetric(rows, kind)
+        sparse = linalg._det_bareiss(rows, kind)
+        assert rows == given_rows  # neither loop changes its input
+        assert sparse == _brute_det(m) == det(PolyMatrix(m))
+        assert symmetric is None or symmetric == sparse
+
+    @pytest.mark.parametrize("ring", ELIMINATION_RINGS)
+    def test_vanishing_leading_minor_falls_back(self, monkeypatch, ring):
+        # the leading 2 x 2 minor is 1 * 1 - 1 * 1 = 0: the second pivot
+        m = _lifted([[1, 1, 2], [1, 1, 3], [2, 3, 1]], ring)
+        assert linalg._det_symmetric(*_ring_rows(PolyMatrix(m))) is None
+        sparse = _recording(monkeypatch, "_det_bareiss")
+        assert det(PolyMatrix(m)) == _brute_det(m) == _lifted([[-1]], ring)[0][0]
+        assert sparse == [3]
+
+    def test_exact_division_count_on_q19_plus_i(self, monkeypatch):
+        # one division per upper-triangle entry per step: sum of the
+        # triangular numbers 1..19; the sparse loop updates both halves
+        rows = _ring_rows(build_general_binomial(0, 19, GaussInt(0, 1)))
+        expected = linalg._det_bareiss(*rows)
+        calls = _counting_divider(monkeypatch)
+        sparse = _recording(monkeypatch, "_det_bareiss")
+        assert _det_rows(rows) == expected
+        assert calls == [1330] and sparse == []
+        assert linalg._det_bareiss(*rows) == expected
+        assert calls == [1330 + 2470]
+
+    @pytest.mark.parametrize("build, zeros, symmetric", [
+        (lambda: _ring_rows(build_general_binomial(0, 6, -1)), 1, True),
+        (lambda: _reduced_rows(0, 6, _draw_params(random.Random(2), 0, 6, -99, 99)),
+         0, False),
+    ], ids=["symmetric-one-zero", "dense-reduced-at-a-point"])
+    def test_other_matrices_take_the_sparse_loop(self, monkeypatch, build, zeros, symmetric):
+        rows, kind = build()
+        n = len(rows)
+        assert sum(n - len(row) for row in rows) == zeros
+        assert symmetric == all(rows[j].get(i) == e for i, row in enumerate(rows)
+                                for j, e in row.items())
+        assert linalg._det_symmetric(rows, kind) is None
+        sparse = _recording(monkeypatch, "_det_bareiss")
+        assert _det_rows((rows, kind)) == _brute_det(
+            [[row.get(j, 0) for j in range(n)] for row in rows]
+        )
+        assert sparse == [n]
+
+    def test_pascal_and_its_shifts_take_the_branch(self, monkeypatch):
+        sparse = _recording(monkeypatch, "_det_bareiss")
+        assert det(build_pascal("symmetric", 20)) == 1
+        assert det(build_general_binomial(0, 8, 1)) == unit_shift_det(8)
+        assert det(build_general_binomial(0, 8, CycInt.omega3())) == predicted_det(
+            "ciucuOmega3", 8
+        )
+        assert sparse == []
+
+    @pytest.mark.slow
+    def test_both_loops_agree_at_the_dense_cap(self):
+        # Q_74 + iI, the 75 rows the pi/4 column admits
+        rows = _ring_rows(build_general_binomial(0, 74, GaussInt(0, 1)))
+        symmetric = linalg._det_symmetric(*rows)
+        assert symmetric is not None and symmetric == linalg._det_bareiss(*rows)
 
 
 class TestDivider:
