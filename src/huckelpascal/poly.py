@@ -16,20 +16,23 @@ the canonical graded lexicographic order with variable precedence
     x_{v-1} > ... > x_0 > y_{v-1} > ... > y_0 > z
 
 which is what printing and leading-term division use.  ``_split`` and its
-inverse ``_join`` own that layout: every rearrangement of the fields
-(packing, promotion, hashing, the x-y swap, evaluation) goes through them,
-and only the degree is read by a shift of its own.  The top bit of every
-field stays clear: a total degree, and so every exponent, is at most
-``MAX_DEGREE`` = 2^(FIELD_BITS - 1) - 1.  Since no exponent exceeds the
-total degree, one check per product (the two degrees add up to at most
-``MAX_DEGREE``) keeps every field from overflowing; it runs before any term
-is formed and raises OverflowError.  A product with the constant 1 or -1,
-and a sum or difference with zero, returns the other operand or its
-negation (promoted to the larger varcount) without a term loop; such a
-product skips the check, since a constant factor cannot raise the total
-degree, and every product that can raise it is checked.  The clear top
-bits also let exact division test whether one monomial divides another by
-one subtraction.
+inverse ``_join`` own that layout, and ``_pack`` and ``_unpack`` convert
+exponent tuples through them: every rearrangement of the fields (packing,
+promotion, hashing, the x-y swap) goes through them, evaluation reads each
+term's exponents through ``_unpack``, and only the degree is read by a
+shift of its own.  The top bit of every field stays clear: a total degree,
+and so every exponent, is at most ``MAX_DEGREE`` = 2^(FIELD_BITS - 1) - 1.
+Since no exponent exceeds the total degree, one check per product (the two
+degrees add up to at most ``MAX_DEGREE``) keeps every field from
+overflowing; it runs before any term is formed and raises OverflowError.
+A product with the constant 1 or -1, and a sum or difference with zero,
+returns the other operand or its negation (promoted to the larger
+varcount) without a term loop; such a product skips the check, since a
+constant factor cannot raise the total degree, and every product that can
+raise it is checked.  The clear top bits also let exact division test
+whether one monomial divides another by one subtraction.  Addition and
+subtraction share one term loop, which adds or subtracts each term of the
+right operand into a copy of the left one's terms.
 
 The public surface speaks exponent tuples of length ``2*v + 1``,
 
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache, reduce
-from operator import or_
+from operator import add, or_, sub
 from typing import Iterable, Mapping
 
 FIELD_BITS = 16
@@ -144,24 +147,7 @@ class MultiPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return self
-        elif not isinstance(other, MultiPoly):
-            return NotImplemented
-        elif not other.terms:
-            return self.promoted(other.varcount)
-        elif not self.terms:
-            return other.promoted(self.varcount)
-        a, b = self._pair(other)
-        out = dict(a.terms)
-        for k, c in b.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return MultiPoly._of(out, a.varcount)
+        return self._sum(other, add)
 
     __radd__ = __add__
 
@@ -169,6 +155,14 @@ class MultiPoly:
         return MultiPoly._of({k: -c for k, c in self.terms.items()}, self.varcount)
 
     def __sub__(self, other):
+        return self._sum(other, sub)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _sum(self, other, step):
+        """self + other when ``step`` is operator.add, self - other when it
+        is operator.sub: one step per term of other, into a copy of self's."""
         if isinstance(other, int):
             if not other:
                 return self
@@ -177,19 +171,16 @@ class MultiPoly:
         elif not other.terms:
             return self.promoted(other.varcount)
         elif not self.terms:
-            return (-other).promoted(self.varcount)
+            return (other if step is add else -other).promoted(self.varcount)
         a, b = self._pair(other)
         out = dict(a.terms)
         for k, c in b.terms.items():
-            s = out.get(k, 0) - c
+            s = step(out.get(k, 0), c)
             if s:
                 out[k] = s
             else:
                 del out[k]
         return MultiPoly._of(out, a.varcount)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -304,9 +295,6 @@ class MultiPoly:
             out[_join(k >> top, y, x, z, v)] = c
         return MultiPoly._of(out, v)
 
-    def is_palindromic(self) -> bool:
-        return self.terms == self.swap_xy().terms
-
     def coefficient(self, assignment: Mapping[str, int]) -> int:
         """Coefficient of the monomial given by ``{"x2": 1, "y2": 1, ...}``.
 
@@ -377,21 +365,13 @@ class MultiPoly:
         total = 0
         for key, coef in sorted(self.terms.items(), reverse=True):
             acc = coef
-            # the blocks swapped under z, which takes the degree's place, and
-            # the empty z field shifted out: field i holds slot i
-            x, y, z = _split(key, v)
-            fields = _join(z, y, x, 0, v) >> FIELD_BITS
-            while fields:
-                # the lowest nonzero field, found by the lowest set bit
-                slot = ((fields & -fields).bit_length() - 1) // FIELD_BITS
-                shift = slot * FIELD_BITS
-                e = (fields >> shift) & _FIELD
-                try:
-                    value = assignment[names[slot]]
-                except KeyError:
-                    raise UnboundVariable(names[slot]) from None
-                acc = acc * value**e
-                fields ^= e << shift
+            for name, e in zip(names, _unpack(key, v)):
+                if e:
+                    try:
+                        value = assignment[name]
+                    except KeyError:
+                        raise UnboundVariable(name) from None
+                    acc = acc * value**e
             total = total + acc
         return total
 
@@ -628,37 +608,3 @@ def poly_from_text(text: str, varcount: int | None = None) -> MultiPoly:
         total = total + MultiPoly({tuple(exp): coef}, varcount)
     return total
 
-
-# -- structural property report ----------------------------------------------
-
-
-def poly_properties(p: MultiPoly, degree: int) -> dict:
-    """Report homogeneity, palindromy and monic boundary coefficients.
-
-    ``monic_extremes`` checks that the unique all-x monomial (no y, no z) and
-    its x<->y mirror both carry coefficient 1; in the bivariate case that is
-    the pair x^degree, y^degree.
-    """
-    v = p.varcount
-    terms = p.sorted_terms()
-    pure_x = [
-        (exp, c)
-        for exp, c in terms
-        if all(e == 0 for e in exp[v : 2 * v]) and exp[-1] == 0
-    ]
-    pure_y = [
-        (exp, c)
-        for exp, c in terms
-        if all(e == 0 for e in exp[:v]) and exp[-1] == 0
-    ]
-    monic = (
-        len(pure_x) == 1
-        and len(pure_y) == 1
-        and pure_x[0][1] == 1
-        and pure_y[0][1] == 1
-    )
-    return {
-        "homogeneous": p.is_homogeneous(degree),
-        "palindromic": p.is_palindromic(),
-        "monic_extremes": monic,
-    }

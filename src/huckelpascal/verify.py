@@ -37,7 +37,7 @@ from .matrices import (
     bivariate_params,
     build_pascal,
 )
-from .poly import MultiPoly, poly_properties, svar, xvar, yvar, zvar
+from .poly import MultiPoly, svar, xvar, yvar, zvar
 from .schur import _condensed_det, condensation_det
 
 
@@ -85,6 +85,13 @@ def _draw_params(rng: random.Random, k: int, n: int, lo: int, hi: int) -> dict:
         params[f"x{m}"] = xv
         params[f"y{m}"] = yv
     return params
+
+
+# each specialized report's draws as (points, half-width): every weight of
+# a point is drawn from -half..half, and the printed bound reads the same
+# pair, over 2 * half + 1 values
+_REDUCTION_DRAWS = (5, 10**6)
+_CONJ3_DRAWS = (3, 999)
 
 
 def _degree_bound(*matrices) -> int:
@@ -188,8 +195,9 @@ def _verify_reduction(
         rng = random.Random(seed)
         samples = []
         ok = True
-        for _ in range(5):
-            params = _draw_params(rng, k, n, -(10**6), 10**6)
+        points, half = _REDUCTION_DRAWS
+        for _ in range(points):
+            params = _draw_params(rng, k, n, -half, half)
             # one H_{k,n} per point, read by elimination and by condensation,
             # and one reduced matrix, read by elimination and by Berkowitz
             h = _huckel_rows(k, n, params)
@@ -205,11 +213,7 @@ def _verify_reduction(
         method = "direct elimination + condensation vs reduced matrix (two strategies)"
         details = {
             "samples": samples,
-            "probability": _sz_bound(
-                _degree_bound(*templates),
-                2 * 10**6 + 1,
-                5,
-            ),
+            "probability": _sz_bound(_degree_bound(*templates), 2 * half + 1, points),
         }
         if conjecture == "conj1":
             corr = _unit_y_corollary(rng, n)
@@ -257,7 +261,8 @@ def verify_conjecture3(
     elif mode == "specialized":
         huckel_guard(k, n, "fraction-free-elimination", "numeric", "specialized conj3")
         rng = random.Random(seed)
-        points = [_draw_params(rng, k, n, -999, 999) for _ in range(3)]
+        count, half = _CONJ3_DRAWS
+        points = [_draw_params(rng, k, n, -half, half) for _ in range(count)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     details: dict = {}
@@ -285,7 +290,9 @@ def verify_conjecture3(
             {"point": p, "perm": str(a), "det": str(b)}
             for p, a, b in zip(points, perms, dets)
         ]
-        details["probability"] = _sz_bound(_degree_bound(_entries(symbolic)), 1999, 3)
+        details["probability"] = _sz_bound(
+            _degree_bound(_entries(symbolic)), 2 * half + 1, count
+        )
         lhs, rhs = str([str(a) for a in perms]), str([str(b) for b in dets])
     return _report(t0, ok, conjecture="conj3", instance={"k": k, "n": n}, mode=mode,
                    method=method, lhs=lhs, rhs=rhs, seed=seed, details=details)
@@ -298,7 +305,10 @@ def verify_props(n: int) -> VerifyReport:
     """Shape facts about det H_n plus the trapezium deletion recursion.
 
     Checks: (a) the bivariate determinant is homogeneous, palindromic and
-    monic at both pure powers; (b) multivariate homogeneity and x<->y
+    monic at both pure powers, read from the golden row: homogeneity is
+    what ``bivariate_row`` established before it returned, palindromy is
+    the row equal to its reverse, and the two pure powers are its first
+    and last entries; (b) multivariate homogeneity and x<->y
     symmetry (n <= 4); (c) global rescaling multiplies the determinant by
     t^(n+1), run at a symbolic t; (d) the determinant against the
     characteristic polynomial of the symmetric Pascal matrix; (e) the
@@ -309,9 +319,13 @@ def verify_props(n: int) -> VerifyReport:
     t0 = time.perf_counter()
     checks: dict = {}
 
-    p, row = bivariate_row(n)
-    props = poly_properties(p, n + 1)
-    checks["bivariate_shape"] = props
+    row = bivariate_row(n)[1]
+    shape = {
+        "homogeneous": True,
+        "palindromic": row == row[::-1],
+        "monic_extremes": row[0] == row[-1] == 1,
+    }
+    checks["bivariate_shape"] = shape
 
     cs = coefficient_list(charpoly(build_pascal("symmetric", n)), "z", n + 1)
     checks["charpoly_homogenization"] = {
@@ -339,7 +353,7 @@ def verify_props(n: int) -> VerifyReport:
     checks["deletion_recursion"] = recursion
 
     ok = (
-        all(props.values())
+        all(shape.values())
         and checks["charpoly_homogenization"]["pass"]
         and all(r["pass"] for r in recursion.values())
     )

@@ -1,8 +1,9 @@
 """The package runs on the standard library alone: pyproject.toml lists no
-dependencies, so no module may need numpy (a test extra) or any other
-numeric package, even on a machine where one is installed.  Every name a
-module imports is also used in it, so a deleted helper leaves no import
-behind.  Every route's size cap is stated once, in linalg's route table."""
+dependencies, and its test extra no numeric package, so no module may need
+numpy or any other numeric package, even on a machine where one is
+installed.  Every name a module imports is also used in it, so a deleted
+helper leaves no import behind.  Every route's size cap is stated once, in
+linalg's route table."""
 
 import ast
 import os

@@ -15,7 +15,6 @@ from huckelpascal.poly import (
     NotDivisible,
     UnboundVariable,
     poly_from_text,
-    poly_properties,
     svar,
     xvar,
     yvar,
@@ -197,20 +196,6 @@ def test_evaluate_missing_variable():
 def test_swap_xy_involution():
     p = xvar(0) ** 2 * yvar(1) + 3 * xvar(1)
     assert p.swap_xy().swap_xy() == p
-
-
-def test_palindromic_detection():
-    p = xvar(0) ** 3 + 9 * xvar(0) ** 2 * yvar(0) + 9 * xvar(0) * yvar(0) ** 2 + yvar(0) ** 3
-    assert p.is_palindromic()
-    assert not (p + xvar(0)).is_palindromic()
-
-
-def test_poly_properties_report():
-    p = xvar(0) ** 2 + 3 * xvar(0) * yvar(0) + yvar(0) ** 2
-    rep = poly_properties(p, 2)
-    assert rep == {"homogeneous": True, "palindromic": True, "monic_extremes": True}
-    rep2 = poly_properties(p + 1, 2)
-    assert rep2["homogeneous"] is False
 
 
 def test_homogeneous_detection():

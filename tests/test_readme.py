@@ -14,21 +14,22 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text()
 
 # the body of each ```python block, the fences left out so that the closing
-# one is not read as expected output; keyed by the body's first line
-BLOCKS = {
-    TEXT.count("\n", 0, m.start(1)) + 1: m.group(1)
+# one is not read as expected output, with the README line the body starts
+# on for doctest's failure messages; a block's test is named by its index
+BLOCKS = [
+    (TEXT.count("\n", 0, m.start(1)) + 1, m.group(1))
     for m in re.finditer(r"^```python\n(.*?)^```", TEXT, re.DOTALL | re.MULTILINE)
-}
+]
 
 
 def test_readme_has_python_examples():
     assert len(BLOCKS) >= 2
 
 
-@pytest.mark.parametrize("line", sorted(BLOCKS), ids=lambda line: f"README.md:{line}")
-def test_readme_example_runs(line):
+@pytest.mark.parametrize("line, body", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_example_runs(line, body):
     test = doctest.DocTestParser().get_doctest(
-        BLOCKS[line], {}, f"README.md:{line}", str(README), line - 1
+        body, {}, f"README.md:{line}", str(README), line - 1
     )
     assert test.examples
     report = []
@@ -36,15 +37,16 @@ def test_readme_example_runs(line):
     assert result.failed == 0, "".join(report)
 
 
-def _cli_lines() -> dict:
-    """Each ``huckelpascal ...`` line of a ```sh block, keyed by its line
-    number."""
-    lines, inside = {}, False
-    for number, line in enumerate(TEXT.splitlines(), 1):
+def _cli_lines() -> list[tuple[str, str]]:
+    """Each ``huckelpascal ...`` line of a ```sh block as its command and
+    its comment; a command's test is named by the command."""
+    lines, inside = [], False
+    for line in TEXT.splitlines():
         if line.startswith("```"):
             inside = line == "```sh"
         elif inside and line.startswith("huckelpascal "):
-            lines[number] = line
+            command, _, comment = line.partition("#")
+            lines.append((command.strip(), comment))
     return lines
 
 
@@ -53,12 +55,14 @@ COMMANDS = _cli_lines()
 
 def test_readme_has_cli_examples():
     assert len(COMMANDS) >= 10
+    # the commands name their tests, so no two may be the same
+    commands = [command for command, _ in COMMANDS]
+    assert len(set(commands)) == len(commands)
 
 
-@pytest.mark.parametrize("line", sorted(COMMANDS), ids=lambda line: f"README.md:{line}")
-def test_readme_command_runs(line, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command, comment", COMMANDS, ids=[c for c, _ in COMMANDS])
+def test_readme_command_runs(command, comment, tmp_path, monkeypatch, capsys):
     # a "# -> X" comment gives the whole output; any other comment is prose
-    command, _, comment = COMMANDS[line].partition("#")
     monkeypatch.chdir(tmp_path)  # for the files --json writes
     assert main(shlex.split(command)[1:]) == 0
     out = capsys.readouterr().out

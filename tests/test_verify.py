@@ -408,6 +408,25 @@ class TestProps:
         assert "multivariate_shape" not in r.details
         assert "t_scaling" not in r.details
 
+    @pytest.mark.parametrize("row, palindromic, monic", [
+        ([1, 99, 626, 625, 99, 1], False, True),
+        ([2, 99, 626, 626, 99, 2], True, False),
+        ([1, 99, 626, 626, 99, 2], False, False),
+    ])
+    def test_bivariate_shape_is_read_from_the_row(self, monkeypatch, row, palindromic, monic):
+        # the crafted row stands in for bivariate_row's (the polynomial it
+        # also returns is not read) and for charpoly's, so that check (d)
+        # passes and the verdict rests on check (a)
+        monkeypatch.setattr(verify, "bivariate_row", lambda n: (None, row))
+        monkeypatch.setattr(verify, "coefficient_list", lambda *args: row)
+        r = verify_props(4)
+        assert r.details["bivariate_shape"] == {
+            "homogeneous": True, "palindromic": palindromic, "monic_extremes": monic,
+        }
+        assert r.details["charpoly_homogenization"]["pass"]
+        assert r.verdict == "fail"
+        assert not r.passed()
+
     def test_guard(self):
         # the golden row's 144-vertex guard sets the limit
         assert verify_props(11).passed()
@@ -466,6 +485,22 @@ class TestFalsePassBound:
         single, total = _printed_bound(text)
         assert single >= Fraction(degree, values)
         assert total >= Fraction(degree, values) ** points
+
+    # conj1 and conj2 share one body and one pair
+    @pytest.mark.parametrize("report, draws", [
+        (lambda: verify_conjecture1(3, "specialized", seed=42), "_REDUCTION_DRAWS"),
+        (lambda: verify_conjecture3(0, 3, "specialized"), "_CONJ3_DRAWS"),
+    ], ids=["conj1", "conj3"])
+    def test_one_pair_sets_the_draws_and_the_bound(self, monkeypatch, report, draws):
+        monkeypatch.setattr(verify, draws, (2, 40))
+        r = report()
+        assert r.passed()
+        assert len(r.details["samples"]) == 2
+        for sample in r.details["samples"]:
+            assert all(-40 <= w <= 40 for w in sample["point"].values())
+        text = r.details["probability"]
+        assert "each weight one of 80 values" in text
+        assert text.endswith(" over 2 independent points")
 
     @given(degree=st.integers(0, 10**4), domain=st.integers(2, 10**7), points=st.integers(1, 5))
     @settings(max_examples=200, deadline=None)
