@@ -47,7 +47,8 @@ values where applicable):
 * ``sparse-minor-expansion``: the signed frontier walk (below); thrives on
   the very sparse adjacency matrices.
 * ``division-free``: Berkowitz's algorithm, O(n^4) ring products and no
-  division, which also yields the whole characteristic polynomial; for the
+  division, which also yields the whole characteristic polynomial (a
+  determinant takes only the last coefficient of its last step); for the
   small dense matrices (the reduced matrices, symbolic and written at the
   specialized sample points, the last step of symbolic condensation,
   ``charpoly``).
@@ -88,7 +89,7 @@ from .matrices import (
     _ring_rows,
     permutation_sign,
 )
-from .poly import MultiPoly, NotDivisible
+from .poly import MultiPoly, NotDivisible, _less_products
 
 # each strategy's row caps by the entries it runs on.  "numeric": integer,
 # rational and cyclotomic entries.  "symbolic": MultiPoly entries; the walk
@@ -213,7 +214,7 @@ def _det_rows(ring_rows: tuple[list[dict], str], strategy: str | None = None):
     if strategy == "sparse-minor-expansion":
         return _frontier_walk(rows, kind, signed=True)
     if strategy == "division-free":
-        c = _berkowitz(rows, kind)[-1]
+        c = _berkowitz(rows, kind, det_only=True)
         return c if len(rows) % 2 == 0 else -c
     raise StrategyPrecondition(f"unknown strategy {strategy!r}")
 
@@ -363,22 +364,27 @@ def _det_symmetric(a: list[dict], kind: str):
     return u[n - 1][n - 1]
 
 
-def _berkowitz(a: list[dict], kind: str) -> list:
+def _berkowitz(a: list[dict], kind: str, det_only: bool = False):
     """Coefficients [c_0 = 1, c_1, ..., c_n] of det(zI - A) = sum c_i z^(n-i),
-    by Berkowitz's division-free algorithm.
+    by Berkowitz's division-free algorithm; with ``det_only``, c_n alone.
 
     Split the leading (r+1)-square block as [[A_r, C], [R, a_rr]].  Its
     coefficient vector is the lower-triangular Toeplitz matrix with first
     column [1, -a_rr, -R C, -R A_r C, ..., -R A_r^(r-1) C] times that of
     A_r.  Only ring +, - and * run, never on a zero operand: O(n^4) products
-    for a dense matrix, and no division.
+    for a dense matrix, and no division.  The determinant needs only the
+    last row of the last Toeplitz product, so with ``det_only`` that step
+    forms c_n alone: n products in place of n(n+1)/2.  Over MultiPoly each
+    coefficient's products are subtracted term by term into one copy of
+    its old terms (``poly._less_products``), not by a copy per product.
     """
     n = len(a)
     if kind == "poly":
         entries = [e for row in a for e in row.values()]
         names = set().union(*(e.used_variables() for e in entries))
         symbolic_division_free_guard(n, len(names))
-        one = MultiPoly.const(1, entries[0].varcount)  # the entries' varcount
+        varcount = entries[0].varcount  # every entry's
+        one = MultiPoly.const(1, varcount)
     else:
         route_guard("division-free", n, "numeric", "division-free rows")
         one = _lift(1, kind)
@@ -394,18 +400,23 @@ def _berkowitz(a: list[dict], kind: str) -> list:
             if k + 1 < r:
                 col = {i: v for i in range(r) if (v := _dot(block[i], col)) is not None}
         new = []
-        for i in range(r + 2):
+        # c_i of the (r+1)-block is c_i - s_1 c_(i-1) - ... of A_r; for the
+        # determinant the last block needs c_n alone
+        for i in range(r + 1 if det_only and r == n - 1 else 0, r + 2):
             acc = coeffs[i] if i <= r else None
-            for k in range(max(1, i - r), i + 1):
-                sk, c = s[k - 1], coeffs[i - k]
-                if sk is None or c is None:
-                    continue
-                p = sk if c is one else sk * c
-                acc = -p if acc is None else acc - p
+            pairs = [(sk, c) for k in range(max(1, i - r), i + 1)
+                     if (sk := s[k - 1]) is not None and (c := coeffs[i - k]) is not None]
+            if kind == "poly":
+                acc = _less_products(acc, pairs, varcount)
+            else:
+                for sk, c in pairs:
+                    p = sk if c is one else sk * c
+                    acc = -p if acc is None else acc - p
             new.append(acc if acc is not None and _nz(acc) else None)
         coeffs = new
     zero = one - one
-    return [zero if c is None else c for c in coeffs]
+    coeffs = [zero if c is None else c for c in coeffs]
+    return coeffs[-1] if det_only else coeffs
 
 
 def _dot(entries, vec: dict):

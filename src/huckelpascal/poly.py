@@ -24,15 +24,27 @@ shift of its own.  The top bit of every field stays clear: a total degree,
 and so every exponent, is at most ``MAX_DEGREE`` = 2^(FIELD_BITS - 1) - 1.
 Since no exponent exceeds the total degree, one check per product (the two
 degrees add up to at most ``MAX_DEGREE``) keeps every field from
-overflowing; it runs before any term is formed and raises OverflowError.
-A product with the constant 1 or -1, and a sum or difference with zero,
-returns the other operand or its negation (promoted to the larger
-varcount) without a term loop; such a product skips the check, since a
-constant factor cannot raise the total degree, and every product that can
-raise it is checked.  The clear top bits also let exact division test
-whether one monomial divides another by one subtraction.  Addition and
-subtraction share one term loop, which adds or subtracts each term of the
-right operand into a copy of the left one's terms.
+overflowing.  It lives in ``_products``, the one product loop, and runs
+before any term is formed, raising OverflowError.  ``*`` goes through that
+loop, and so does ``_less_products``, which subtracts products term by term
+into one copy of a polynomial's terms for the division-free determinant.
+The clear top bits also let exact division test whether one monomial
+divides another by one subtraction.  Addition and subtraction share one
+term loop, which adds or subtracts each term of the right operand into a
+copy of the left one's terms.
+
+``*``, ``+``, ``-`` and ``==`` dispatch in one order.  A MultiPoly of the
+same varcount comes first and goes straight to the term loop: every entry
+of a condensation step and of a division-free determinant shares its
+matrix's varcount.  Then an int, then a MultiPoly of another varcount
+(the smaller operand is promoted), and any other type is NotImplemented.
+A product with the constant 1 or -1 returns the other operand or its
+negation, and a product with zero returns zero, without a term loop; a sum
+or difference with zero returns the other operand or its negation.  Such a
+product skips the degree check, since a constant factor cannot raise the
+total degree, and every product that can raise it is checked.  No
+operation writes into an operand's terms, so ``xvar`` and ``yvar`` hand
+out one memoized object per index.
 
 The public surface speaks exponent tuples of length ``2*v + 1``,
 
@@ -163,16 +175,18 @@ class MultiPoly:
     def _sum(self, other, step):
         """self + other when ``step`` is operator.add, self - other when it
         is operator.sub: one step per term of other, into a copy of self's."""
-        if isinstance(other, int):
-            if not other:
-                return self
-        elif not isinstance(other, MultiPoly):
+        if other.__class__ is MultiPoly and other.varcount == self.varcount:
+            a, b = self, other
+        elif isinstance(other, int) and not other:
+            return self
+        elif isinstance(other, (int, MultiPoly)):
+            a, b = self._pair(other)
+        else:
             return NotImplemented
-        elif not other.terms:
-            return self.promoted(other.varcount)
-        elif not self.terms:
-            return (other if step is add else -other).promoted(self.varcount)
-        a, b = self._pair(other)
+        if not b.terms:
+            return a
+        if not a.terms:
+            return b if step is add else -b
         out = dict(a.terms)
         for k, c in b.terms.items():
             s = step(out.get(k, 0), c)
@@ -183,42 +197,14 @@ class MultiPoly:
         return MultiPoly._of(out, a.varcount)
 
     def __mul__(self, other):
+        if other.__class__ is MultiPoly and other.varcount == self.varcount:
+            return _times(self, other)
         if isinstance(other, int):
             if other == 1 or other == -1:
                 return self if other > 0 else -self
         elif not isinstance(other, MultiPoly):
             return NotImplemented
-        elif u := _unit(other):
-            return (self if u > 0 else -self).promoted(other.varcount)
-        elif u := _unit(self):
-            return (other if u > 0 else -other).promoted(self.varcount)
-        a, b = self._pair(other)
-        at, bt = a.terms, b.terms
-        if not at or not bt:
-            return MultiPoly._of({}, a.varcount)
-        if len(at) > len(bt):
-            at, bt = bt, at
-        shift = FIELD_BITS * _exp_len(a.varcount)
-        degree = (max(at) >> shift) + (max(bt) >> shift)
-        if degree > MAX_DEGREE:
-            raise OverflowError(
-                f"product of total degree {degree} exceeds the packed "
-                f"monomial limit {MAX_DEGREE}"
-            )
-        if len(at) == 1:
-            [(ea, ca)] = at.items()
-            return MultiPoly._of({ea + eb: ca * cb for eb, cb in bt.items()}, a.varcount)
-        out: dict = {}
-        get = out.get
-        for ea, ca in at.items():
-            for eb, cb in bt.items():
-                k = ea + eb
-                s = get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return MultiPoly._of(out, a.varcount)
+        return _times(*self._pair(other))
 
     __rmul__ = __mul__
 
@@ -228,6 +214,8 @@ class MultiPoly:
         return _power(self, k, MultiPoly.const(1, self.varcount))
 
     def __eq__(self, other):
+        if other.__class__ is MultiPoly and other.varcount == self.varcount:
+            return self.terms == other.terms
         if isinstance(other, int):
             if not other:
                 return not self.terms
@@ -429,14 +417,72 @@ class MultiPoly:
         return MultiPoly(terms, varcount)
 
 
-def _unit(p: MultiPoly) -> int:
-    """1 or -1 when p is that constant, else 0."""
-    t = p.terms
-    if len(t) == 1:
-        c = t.get(0)
-        if c == 1 or c == -1:
-            return c
-    return 0
+def _times(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """a * b at one varcount: a constant factor 1 or -1 returns the other
+    operand or its negation with no term loop, and a zero factor the zero
+    polynomial; every other product runs the one product loop."""
+    at, bt = a.terms, b.terms
+    if len(at) > len(bt):
+        a, b, at, bt = b, a, bt, at
+    if len(at) == 1:
+        u = at.get(0)
+        if u == 1 or u == -1:
+            return b if u > 0 else -b
+        if len(bt) == 1:
+            u = bt.get(0)
+            if u == 1 or u == -1:
+                return a if u > 0 else -a
+    elif not at:
+        return a
+    return MultiPoly._of(_products(at, bt, a.varcount), a.varcount)
+
+
+def _products(at: dict, bt: dict, varcount: int, out: dict | None = None) -> dict:
+    """The one product loop, on the terms of two nonzero polynomials of one
+    varcount: the terms of a * b as a new dict or, given ``out``, subtracted
+    from ``out`` term by term in place.  The degree check runs first, before
+    any term is formed: the product's total degree is at most MAX_DEGREE,
+    or OverflowError."""
+    if len(at) > len(bt):
+        at, bt = bt, at
+    degree = (max(at) + max(bt)) >> FIELD_BITS * (2 * varcount + 1)
+    if degree > MAX_DEGREE:
+        raise OverflowError(
+            f"product of total degree {degree} exceeds the packed "
+            f"monomial limit {MAX_DEGREE}"
+        )
+    if out is None:
+        if len(at) == 1:
+            [(ea, ca)] = at.items()
+            if len(bt) == 1:
+                [(eb, cb)] = bt.items()
+                return {ea + eb: ca * cb}
+            return {ea + eb: ca * cb for eb, cb in bt.items()}
+        out, sign = {}, 1
+    else:
+        sign = -1
+    get = out.get
+    for ea, ca in at.items():
+        ca *= sign
+        for eb, cb in bt.items():
+            k = ea + eb
+            s = get(k, 0) + ca * cb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _less_products(acc: MultiPoly | None, pairs, varcount: int) -> MultiPoly:
+    """acc - sum(a * b for a, b in pairs), every operand a nonzero
+    polynomial of this varcount and a None acc standing for zero: each
+    product is subtracted term by term, through the one product loop, into
+    one copy of acc's terms, never into an operand's."""
+    out = dict(acc.terms) if acc is not None else {}
+    for a, b in pairs:
+        _products(a.terms, b.terms, varcount, out)
+    return MultiPoly._of(out, varcount)
 
 
 _new = object.__new__
@@ -533,13 +579,15 @@ def _var_poly(name: str, varcount: int) -> MultiPoly:
     return MultiPoly({tuple(exp): 1}, varcount)
 
 
+@lru_cache(maxsize=None)
 def xvar(i: int) -> MultiPoly:
-    """The variable x_i (minimal varcount i+1)."""
+    """The variable x_i (minimal varcount i+1), one object per i."""
     return _var_poly(f"x{i}", i + 1)
 
 
+@lru_cache(maxsize=None)
 def yvar(i: int) -> MultiPoly:
-    """The variable y_i (minimal varcount i+1)."""
+    """The variable y_i (minimal varcount i+1), one object per i."""
     return _var_poly(f"y{i}", i + 1)
 
 

@@ -42,7 +42,8 @@ at most n^2 exact divisions, where the dense formula made one division
 per entry of A: 1 331 in place of 42 779 over the eleven steps of the
 144-vertex triangle H_{0,11}.  Over MultiPoly entries every entry, x_m
 and y_m as the block stores them included, has the matrix's largest
-varcount, so no product pays for a promotion.
+varcount, so every product, sum and comparison takes MultiPoly's
+same-varcount branch and none pays for a promotion.
 """
 
 from __future__ import annotations

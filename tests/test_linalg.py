@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from huckelpascal import linalg, verify
+from huckelpascal import linalg, schur, verify
 from huckelpascal.cyclotomic import CycInt, GaussInt
 from huckelpascal.formulas import predicted_det, unit_shift_det
 from huckelpascal.linalg import (
@@ -39,8 +39,8 @@ from huckelpascal.matrices import (
     build_pascal,
     build_reduced,
 )
-from huckelpascal.poly import MultiPoly, NotDivisible, svar, xvar, yvar, zvar
-from huckelpascal.schur import condensation_det
+from huckelpascal.poly import MAX_DEGREE, MultiPoly, NotDivisible, svar, xvar, yvar, zvar
+from huckelpascal.schur import condensation_det, schur_det_step
 from huckelpascal.verify import _draw_params, bivariate_row
 
 # coefficient rows of det H_n(x, y) in x^(n+1-k) y^k, k = 0..n+1
@@ -609,6 +609,9 @@ class TestDivisionFree:
             st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
         )
         assert det(PolyMatrix(rows), "division-free") == _brute_det(rows)
+        # the determinant-only last step forms the full run's c_n
+        sparse, kind = _ring_rows(PolyMatrix(rows))
+        assert linalg._berkowitz(sparse, kind, det_only=True) == linalg._berkowitz(sparse, kind)[-1]
         if n:
             zero_row = [list(r) for r in rows]
             zero_row[data.draw(st.integers(0, n - 1))] = [0] * n
@@ -631,6 +634,38 @@ class TestDivisionFree:
             det(m, "fraction-free-elimination")
         with pytest.raises(StrategyPrecondition):
             det(PolyMatrix([[xvar(0)]]), "fraction-free-elimination")
+
+    def test_degree_overflow_raises_before_any_term_is_formed(self):
+        # the Toeplitz product c_2 <- -a11 * (-a00) of 3000 x 3000 terms
+        # would take seconds to subtract term by term
+        wide = MultiPoly({(i, 3000 - i, 0): 1 for i in range(3000)}, 1)
+        high = wide * xvar(0) ** (MAX_DEGREE - 4000)
+        m = PolyMatrix([[high, 0], [0, wide]])
+        t0 = time.perf_counter()
+        with pytest.raises(OverflowError, match="exceeds the packed monomial limit"):
+            det(m, "division-free")
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_accumulation_never_writes_into_an_operand(self):
+        # the builders hand out the one memoized x_m and y_m, and a unit
+        # product returns its operand: none of them may take a term
+        huckel, reduced = build_huckel(0, 3), build_reduced(0, 3)
+        assert any(e is xvar(3) for row in huckel.rows for e in row)
+        assert any(e is xvar(3) for row in reduced.rows for e in row)
+        square = PolyMatrix([[xvar(2), yvar(2), 1], [1, xvar(2), yvar(2)], [yvar(2), 1, xvar(2)]])
+        h = _huckel_rows(1, 3)
+        entries = [e for M in (huckel, reduced, square) for row in M.rows for e in row]
+        entries += [e for row in h[0] for e in row.values()]
+        entries += [v(m) for v in (xvar, yvar) for m in range(4)]
+        entries = [e for e in entries if isinstance(e, MultiPoly)]
+        before = [dict(e.terms) for e in entries]
+        for M in (reduced, square):
+            det(M, "division-free")
+        condensation_det(0, 3)
+        schur._condensed_det(h, 1, 3, None)
+        schur_det_step(huckel, 3)
+        assert [dict(e.terms) for e in entries] == before
+        assert xvar(2) is xvar(2) and yvar(2) is yvar(2)
 
     @pytest.mark.parametrize("n", range(9))
     def test_charpoly_matches_the_signed_walk(self, n):

@@ -222,14 +222,19 @@ def test_equal_polynomials_hash_equal_across_varcounts():
 # coefficient, varcount), with the tuple layout of the public surface.
 
 
-def tuple_polys(max_varcount=3, max_terms=5, max_exp=3, max_coef=50):
-    def at(v):
-        exps = st.tuples(*[st.integers(0, max_exp)] * (2 * v + 1))
-        return st.dictionaries(
-            exps, st.integers(-max_coef, max_coef), max_size=max_terms
-        ).map(lambda t: ({e: c for e, c in t.items() if c}, v))
+def tuple_polys_at(v, min_terms=0, max_terms=5, max_exp=3, max_coef=50):
+    """(terms, varcount) references of varcount v; with min_terms=1 and
+    max_terms=1, a single monomial."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * (2 * v + 1))
+    coef = st.integers(-max_coef, max_coef)
+    return st.dictionaries(
+        exps, coef.filter(bool) if min_terms else coef,
+        min_size=min_terms, max_size=max_terms,
+    ).map(lambda t: ({e: c for e, c in t.items() if c}, v))
 
-    return st.integers(0, max_varcount).flatmap(at)
+
+def tuple_polys(max_varcount=3, **kwargs):
+    return st.integers(0, max_varcount).flatmap(lambda v: tuple_polys_at(v, **kwargs))
 
 
 def _ref_promote(ref, v):
@@ -297,46 +302,78 @@ def _ref_exact_div(num, den):
     return quot, v
 
 
-@given(tuple_polys(), tuple_polys(), st.integers(-9, 9))
-@settings(max_examples=100, deadline=None)
-def test_packed_arithmetic_matches_the_tuple_reference(a, b, c):
+def _assert_combinations_match(a, b):
     p, q = MultiPoly(*a), MultiPoly(*b)
     for op, got in (("*", p * q), ("+", p + q), ("-", p - q)):
         want = _ref_combine(a, b, op)
         assert got.varcount == want[1]
         assert got.sorted_terms() == _ref_sorted(want)
+        assert got == MultiPoly(*want) and hash(got) == hash(MultiPoly(*want))
+    # == and hash follow the terms, whatever the varcounts
+    v = max(a[1], b[1])
+    assert (p == q) == (_ref_promote(a, v)[0] == _ref_promote(b, v)[0])
+    assert p == MultiPoly(*a) and hash(p) == hash(MultiPoly(*a))
+
+
+@given(tuple_polys(), tuple_polys(), st.integers(-9, 9), st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_arithmetic_matches_the_tuple_reference(a, b, c, data):
+    _assert_combinations_match(a, b)
+    p = MultiPoly(*a)
     const = ({(0,) * (2 * a[1] + 1): c} if c else {}, a[1])
     assert (p * c).sorted_terms() == _ref_sorted(_ref_combine(a, const, "*"))
     assert (c - p).sorted_terms() == _ref_sorted(_ref_combine(const, a, "-"))
     assert (p + c) == MultiPoly(*_ref_combine(a, const, "+"))
+    # operands at one shared varcount, and one-term operands
+    v = a[1]
+    monomial = tuple_polys_at(v, min_terms=1, max_terms=1)
+    same, mono, other = data.draw(tuple_polys_at(v)), data.draw(monomial), data.draw(monomial)
+    for left, right in [(a, same), (same, a), (a, a), (mono, other), (mono, mono),
+                        (mono, a), (a, mono)]:
+        _assert_combinations_match(left, right)
 
 
-@given(tuple_polys(), st.integers(0, 4), st.sampled_from([1, -1]))
+@given(tuple_polys(), st.integers(0, 4), st.sampled_from([1, -1]), st.data())
 @settings(max_examples=100, deadline=None)
-def test_unit_and_zero_shortcuts_match_the_tuple_reference(a, w, u):
-    # the operand of varcount w is the unit u, or zero, as a MultiPoly
+def test_unit_and_zero_shortcuts_match_the_tuple_reference(a, w, u, data):
+    # the operand of varcount w is the unit u, or zero, as a MultiPoly; then
+    # the same at a's own varcount v, beside a and a one-term polynomial
     p = MultiPoly(*a)
-    unit = ({(0,) * (2 * w + 1): u}, w)
-    zero = ({}, w)
-    cases = [
-        (p * MultiPoly.const(u, w), a, unit, "*"),
-        (MultiPoly.const(u, w) * p, unit, a, "*"),
-        (p * u, a, ({(0,) * (2 * a[1] + 1): u}, a[1]), "*"),
-        (u * p, a, ({(0,) * (2 * a[1] + 1): u}, a[1]), "*"),
-        (p + MultiPoly.zero(w), a, zero, "+"),
-        (MultiPoly.zero(w) + p, zero, a, "+"),
-        (p - MultiPoly.zero(w), a, zero, "-"),
-        (MultiPoly.zero(w) - p, zero, a, "-"),
-        (p + 0, a, ({}, a[1]), "+"),
-        (0 + p, ({}, a[1]), a, "+"),
-        (sum([p]), ({}, a[1]), a, "+"),
-        (p - 0, a, ({}, a[1]), "-"),
-        (0 - p, ({}, a[1]), a, "-"),
-    ]
+    v = a[1]
+    mono = data.draw(tuple_polys_at(v, min_terms=1, max_terms=1))
+    m = MultiPoly(*mono)
+    cases = []
+    for operand, ref, at in [(p, a, w), (p, a, v), (m, mono, v)]:
+        unit = ({(0,) * (2 * at + 1): u}, at)
+        zero = ({}, at)
+        own = ({(0,) * (2 * ref[1] + 1): u}, ref[1])
+        cases += [
+            (operand * MultiPoly.const(u, at), ref, unit, "*"),
+            (MultiPoly.const(u, at) * operand, unit, ref, "*"),
+            (operand * MultiPoly.zero(at), ref, zero, "*"),
+            (MultiPoly.zero(at) * operand, zero, ref, "*"),
+            (operand * u, ref, own, "*"),
+            (u * operand, own, ref, "*"),
+            (operand + MultiPoly.zero(at), ref, zero, "+"),
+            (MultiPoly.zero(at) + operand, zero, ref, "+"),
+            (operand - MultiPoly.zero(at), ref, zero, "-"),
+            (MultiPoly.zero(at) - operand, zero, ref, "-"),
+            (operand + 0, ref, ({}, ref[1]), "+"),
+            (0 + operand, ({}, ref[1]), ref, "+"),
+            (sum([operand]), ({}, ref[1]), ref, "+"),
+            (operand - 0, ref, ({}, ref[1]), "-"),
+            (0 - operand, ({}, ref[1]), ref, "-"),
+        ]
     for got, left, right, op in cases:
         want = _ref_combine(left, right, op)
         assert got.varcount == want[1] == max(left[1], right[1])
         assert got.sorted_terms() == _ref_sorted(want)
+        assert got == MultiPoly(*want) and hash(got) == hash(MultiPoly(*want))
+    # the unit 1 at the same varcount returns a nonconstant operand itself
+    one = MultiPoly.const(1, v)
+    for q in (p, m):
+        if q.total_degree():
+            assert q * one is q and one * q is q
 
 
 @given(tuple_polys())
