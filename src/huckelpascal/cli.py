@@ -233,9 +233,13 @@ def _uniform_params(k: int, n: int, ns: argparse.Namespace):
 
 
 def _det_route(ns: argparse.Namespace) -> str:
-    """The strategy given, or else the fast route for the matrix: the signed
-    walk on the sparse symbolic H_{k,n}, division-free on the small dense
-    symbolic reduced matrix, and elimination on every numeric matrix."""
+    """The strategy given, or else a bounded route for the matrix: the
+    signed walk on the sparse symbolic H_{k,n}, division-free on the small
+    dense symbolic reduced matrix, and elimination on every numeric matrix.
+    On the reduced matrix the walk is faster (0.017 s against 0.85 s at 8
+    rows, single runs on a 2-CPU host), but it has no variable cap and
+    would accept ``--reduced 0 15`` with no bound on the run; division-free
+    refuses that over 16 variables."""
     if ns.strategy is not None:
         return ns.strategy
     if ns.x is not None or ns.pascal is not None:

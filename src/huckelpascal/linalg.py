@@ -21,29 +21,10 @@ Determinant strategies, each taking the matrix alone (all return identical
 values where applicable):
 
 * ``fraction-free-elimination``: one-step Bareiss over sparse rows, every
-  division exact by construction.  Each row keeps only its nonzero entries,
-  and a step updates only the rows holding the pivot column, never forming
-  a product with a zero operand.  Each column keeps the set of live rows
-  holding it, which follows fill, cancellation and the removal of pivot
-  rows, so no step scans the rows.  Each step eliminates the live column
-  held by the fewest live rows (ties to the lowest index), and pivots on
-  the lowest-index row of its set (after Markowitz, 1957);
-  the sign is that of the row order times that of the column order.  A row
-  skipped by a step would only have been scaled by pivot / previous pivot,
-  so that scaling is deferred: a skipped row is caught up only when it
-  pivots, and an update divides by the pivot it was last current at.
-  Every pivot gets one divider, used by its step and by every later update
-  or catch-up of a row last current at it.  On H_{k,n} the sparsest-column
-  order makes less fill than index order, and the deferral saves the
-  catch-up of every updated row: 3 636 exact divisions on the 144-vertex
-  triangle, against 4 865 when each updated row was caught up first and
-  12 606 in index order.  A matrix with every entry nonzero and A = A^T
-  (the symmetric Pascal Q_n, and Q_n + omega I) takes one branch instead:
-  one-step Bareiss in natural order on the upper triangle alone, since
-  diagonal pivots keep every reduced matrix symmetric, with the same guard
-  and one divider per pivot.  It halves the updates (1 330 exact divisions
-  on Q_19 + iI against 2 470) and keeps no holder sets; a vanishing leading
-  principal minor sends the rows given to the sparse loop unchanged.
+  division exact by construction, in a fill-reducing column order with
+  deferred row scaling (``_det_bareiss``); a matrix with every entry
+  nonzero and A = A^T (Q_n, Q_n + omega I) takes the upper-triangle branch
+  (``_det_symmetric``).  Their docstrings give the full account.
 * ``sparse-minor-expansion``: the signed frontier walk (below); thrives on
   the very sparse adjacency matrices.
 * ``division-free``: Berkowitz's algorithm, O(n^4) ring products and no
@@ -84,7 +65,6 @@ from .matrices import (
     PolyMatrix,
     TriangleGraph,
     _lift,
-    _nz,
     _ring_of,
     _ring_rows,
     permutation_sign,
@@ -260,6 +240,11 @@ def _det_bareiss(a: list[dict], kind: str):
     of a row last current at it; a unit pivot's divider multiplies by its
     inverse.  The determinant is the last pivot, signed by the row and
     column orders of the pivots.
+
+    On H_{k,n} the sparsest-column order makes less fill than index order,
+    and the deferral saves the catch-up of every updated row: 3 636 exact
+    divisions on the 144-vertex triangle, against 4 865 when each updated
+    row was caught up first and 12 606 in index order.
     """
     n = len(a)
     a = [dict(row) for row in a]
@@ -342,7 +327,10 @@ def _det_symmetric(a: list[dict], kind: str):
 
     with p_(-1) = 1 and p_s = a_ss through one exact divider per pivot.
     The last pivot is the determinant, and the row and column orders leave
-    no sign.  The rows given never change.
+    no sign.  The rows given never change.  Against the sparse loop this
+    halves the updates (1 330 exact divisions on Q_19 + iI against 2 470)
+    and keeps no holder sets; a None sends the rows given to that loop
+    unchanged.
     """
     n = len(a)
     if not n or any(len(row) != n for row in a):
@@ -412,7 +400,7 @@ def _berkowitz(a: list[dict], kind: str, det_only: bool = False):
                 for sk, c in pairs:
                     p = sk if c is one else sk * c
                     acc = -p if acc is None else acc - p
-            new.append(acc if acc is not None and _nz(acc) else None)
+            new.append(acc or None)
         coeffs = new
     zero = one - one
     coeffs = [zero if c is None else c for c in coeffs]
@@ -427,7 +415,7 @@ def _dot(entries, vec: dict):
         v = vec.get(j)
         if v is not None:
             acc = e * v if acc is None else acc + e * v
-    return acc if acc is not None and _nz(acc) else None
+    return acc or None
 
 
 def permutation_parity_census(M: PolyMatrix) -> tuple[int, int]:
@@ -579,15 +567,15 @@ def rank1_factor(W: PolyMatrix, denominator: MultiPoly | int = 1):
     Raises NotRankOne when the shape does not hold (including W = 0).
     """
     n = W.dim
-    i0 = next((i for i in range(n) if any(_nz(e) for e in W.rows[i])), None)
+    i0 = next((i for i in range(n) if any(W.rows[i])), None)
     if i0 is None:
         raise NotRankOne("zero matrix")
-    j0 = next(j for j in range(n) if _nz(W[i0, j]))
+    j0 = next(j for j in range(n) if W[i0, j])
     scale = W[i0, j0]
     u = []
     for i in range(n):
         e = W[i, j0]
-        if not _nz(e):
+        if not e:
             u.append(0)
         elif e == scale:
             u.append(1)
@@ -602,7 +590,7 @@ def rank1_factor(W: PolyMatrix, denominator: MultiPoly | int = 1):
             s = u[i] * u[j]
             have = W[i, j]
             if s == 0:
-                if _nz(have):
+                if have:
                     raise NotRankOne(f"entry ({i},{j}) should be zero")
             elif have != (numerator if s > 0 else -numerator):
                 raise NotRankOne(f"entry ({i},{j}) breaks the rank-1 shape")

@@ -74,11 +74,7 @@ class PolyMatrix:
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            return False
-        return all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+        return self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)  # equal entries of two rings hash equal, unlike their text
@@ -100,22 +96,22 @@ class PolyMatrix:
         return PolyMatrix([[fn(e) for e in row] for row in self.rows])
 
     def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch")
-            # each right row's nonzero (column, entry) pairs; every entry
-            # sums a[i] * b over ascending i, from 0, as sum() would
-            right = [[(j, b) for j, b in enumerate(r) if _nz(b)] for r in other.rows]
-            out = []
-            for row in self.rows:
-                acc = [0] * other.ncols
-                for i, a in enumerate(row):
-                    if _nz(a):
-                        for j, b in right[i]:
-                            acc[j] = acc[j] + a * b
-                out.append(acc)
-            return PolyMatrix(out)
-        return self.map_entries(lambda e: e * other if _nz(e) else e * 0)
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch")
+        # each right row's nonzero (column, entry) pairs; every entry sums
+        # a[i] * b over ascending i, from 0, as sum() would
+        right = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [0] * other.ncols
+            for i, a in enumerate(row):
+                if a:
+                    for j, b in right[i]:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
+        return PolyMatrix(out)
 
     def submatrix(self, rs: Sequence[int], cs: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix([[self.rows[i][j] for j in cs] for i in rs])
@@ -136,11 +132,11 @@ class PolyMatrix:
         return {
             "nrows": self.nrows,
             "ncols": self.ncols,
-            "entries": [[_entry_text(e) for e in row] for row in self.rows],
+            "entries": [[str(e) for e in row] for row in self.rows],
         }
 
     def to_grid(self) -> str:
-        cells = [[_entry_text(e) for e in row] for row in self.rows]
+        cells = [[str(e) for e in row] for row in self.rows]
         widths = [
             max(len(cells[i][j]) for i in range(self.nrows))
             for j in range(self.ncols)
@@ -148,16 +144,6 @@ class PolyMatrix:
         return "\n".join(
             "  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells
         )
-
-
-def _nz(e) -> bool:
-    return not (e == 0)
-
-
-def _entry_text(e) -> str:
-    if isinstance(e, MultiPoly):
-        return e.to_text()
-    return str(e)
 
 
 def evaluate_matrix(M: PolyMatrix, assignment: Mapping[str, object]) -> PolyMatrix:
@@ -355,9 +341,7 @@ def build_T(m: int, params: Mapping[str, object] | None = None) -> PolyMatrix:
     """Row block: tridiagonal 1s of size 2m+1 with the boundary weights in
     the corners; T_0 degenerates to the 1x1 self-weight x_0 + y_0.  It is
     H_{m,m}, the trapezium of row m alone."""
-    if m < 0:
-        raise BadRange("m must be >= 0")
-    return build_huckel(m, m, params)
+    return build_huckel(m, m, params)  # TriangleGraph(m, m) raises BadRange
 
 
 def build_R(m: int) -> PolyMatrix:
@@ -482,8 +466,7 @@ def _reduced_rows(
     Sign convention: the first superdiagonal is negative, matching
     (0,1) = -C(n,1) y_n.
     """
-    if not 0 <= k <= n:
-        raise BadRange(f"need 0 <= k <= n, got ({k}, {n})")
+    TriangleGraph(k, n)  # raises BadRange
     x, y = _corner_weights(k, n, params)
     # row i, and column i below the diagonal, take the weights of row n - i
     x.reverse()

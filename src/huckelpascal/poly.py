@@ -44,7 +44,9 @@ or difference with zero returns the other operand or its negation.  Such a
 product skips the degree check, since a constant factor cannot raise the
 total degree, and every product that can raise it is checked.  No
 operation writes into an operand's terms, so ``xvar`` and ``yvar`` hand
-out one memoized object per index.
+out one memoized object per index.  A polynomial holds its terms and its
+varcount and nothing else: no hash is cached, ``hash`` reads the terms on
+every call.
 
 The public surface speaks exponent tuples of length ``2*v + 1``,
 
@@ -104,12 +106,11 @@ class MultiPoly:
     exponent tuples and checks each one against ``varcount``.
     """
 
-    __slots__ = ("terms", "varcount", "_hash")
+    __slots__ = ("terms", "varcount")
 
     def __init__(self, terms: Mapping[tuple, int], varcount: int):
         _set_terms(self, {_pack(exp, varcount): c for exp, c in terms.items() if c != 0})
         _set_varcount(self, varcount)
-        _set_hash(self, None)
 
     @staticmethod
     def _of(terms: dict, varcount: int) -> "MultiPoly":
@@ -117,7 +118,6 @@ class MultiPoly:
         p = _new(MultiPoly)
         _set_terms(p, terms)
         _set_varcount(p, varcount)
-        _set_hash(p, None)
         return p
 
     def __setattr__(self, name, value):
@@ -232,16 +232,12 @@ class MultiPoly:
         # Equal polynomials hash equal whatever their varcount: a constant
         # hashes as the integer it equals, and every other monomial is keyed
         # by its x block, y block and z exponent, which promotion leaves as
-        # they are (it only adds zero fields above each block).
-        h = self._hash
-        if h is None:
-            if not any(self.terms):
-                h = hash(sum(self.terms.values()))
-            else:
-                v = self.varcount
-                h = hash(frozenset((*_split(k, v), c) for k, c in self.terms.items()))
-            _set_hash(self, h)
-        return h
+        # they are (it only adds zero fields above each block).  Nothing is
+        # cached: the hash is computed from the terms on every call.
+        if not any(self.terms):
+            return hash(sum(self.terms.values()))
+        v = self.varcount
+        return hash(frozenset((*_split(k, v), c) for k, c in self.terms.items()))
 
     # -- term order --------------------------------------------------------
 
@@ -488,7 +484,6 @@ def _less_products(acc: MultiPoly | None, pairs, varcount: int) -> MultiPoly:
 _new = object.__new__
 _set_terms = MultiPoly.terms.__set__
 _set_varcount = MultiPoly.varcount.__set__
-_set_hash = MultiPoly._hash.__set__
 
 
 # -- packed monomials ---------------------------------------------------------

@@ -91,29 +91,19 @@ def _draw_params(rng: random.Random, k: int, n: int, lo: int, hi: int) -> dict:
 # a point is drawn from -half..half, and the printed bound reads the same
 # pair, over 2 * half + 1 values
 _REDUCTION_DRAWS = (5, 10**6)
-_CONJ3_DRAWS = (3, 999)
+_CONJ3_DRAWS = (3, 10**6)
 
 
-def _degree_bound(*matrices) -> int:
+def _degree_bound(*matrices: tuple[list[dict], str]) -> int:
     """A bound on the total degree of the determinant and the permanent of
-    each symbolic matrix, given as its rows of entries: the sum over rows of
-    the largest total degree of that row's nonzero entries, taken over the
-    matrices compared."""
+    each symbolic matrix, given as its nonzero rows and ring as
+    ``_huckel_rows`` and ``_reduced_rows`` return them, every entry a
+    nonzero MultiPoly: the sum over rows of the largest total degree of that
+    row's entries, taken over the matrices compared."""
     return max(
-        sum(
-            max(
-                (e.total_degree() for e in filter(None, row) if isinstance(e, MultiPoly)),
-                default=0,
-            )
-            for row in M
-        )
-        for M in matrices
+        sum(max(e.total_degree() for e in row.values()) for row in rows)
+        for rows, _ in matrices
     )
-
-
-def _entries(h: tuple[list[dict], str]) -> list:
-    """The rows of entries of a matrix given as its nonzero rows."""
-    return [row.values() for row in h[0]]
 
 
 def _sz_bound(degree: int, domain: int, points: int) -> str:
@@ -175,7 +165,7 @@ def _verify_reduction(
         rng = random.Random(20260815 + 100 * k + n)
         point = _draw_params(rng, k, n, -999, 999)
         spot_direct = _det_rows(_huckel_rows(k, n, point))
-        spot_lhs = lhs.evaluate(point) if isinstance(lhs, MultiPoly) else lhs
+        spot_lhs = lhs.evaluate(point)
         spot_ok = spot_lhs == spot_direct
         ok = lhs == rhs and spot_ok
         lhs, rhs, seed = str(lhs), str(rhs), None
@@ -191,7 +181,7 @@ def _verify_reduction(
     elif mode == "specialized":
         huckel_guard(k, n, "fraction-free-elimination", "numeric", f"specialized {conjecture}")
         # the symbolic matrices, built once, bound the degree
-        templates = _entries(_huckel_rows(k, n)), _entries(_reduced_rows(k, n))
+        templates = _huckel_rows(k, n), _reduced_rows(k, n)
         rng = random.Random(seed)
         samples = []
         ok = True
@@ -290,9 +280,7 @@ def verify_conjecture3(
             {"point": p, "perm": str(a), "det": str(b)}
             for p, a, b in zip(points, perms, dets)
         ]
-        details["probability"] = _sz_bound(
-            _degree_bound(_entries(symbolic)), 2 * half + 1, count
-        )
+        details["probability"] = _sz_bound(_degree_bound(symbolic), 2 * half + 1, count)
         lhs, rhs = str([str(a) for a in perms]), str([str(b) for b in dets])
     return _report(t0, ok, conjecture="conj3", instance={"k": k, "n": n}, mode=mode,
                    method=method, lhs=lhs, rhs=rhs, seed=seed, details=details)

@@ -23,7 +23,7 @@ DIGESTS = {
     ("verify", "conj3"):
         "91ed92f6de4f8ee7a81b4806ef9b35976b789258fa7a1a9bfdda770ffd4fac89",
     ("verify", "conj3", "--mode", "specialized"):
-        "429f8f01d667d793fa2afc955f5b65dc2dad2e5e3f6beaa8cdb45e0bceb26a94",
+        "270c4cc2345edeefddf1f79f73c7e42d4b4ec5e199be931d0ee6a458d8fa9609",
     ("verify", "props"):
         "dd15ad051e98c8789713919438c5d6bb97cb24fa23d4562f9be8ee1494c72e4a",
     ("tables",):

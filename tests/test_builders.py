@@ -534,3 +534,17 @@ def test_product_matches_triple_loop(ring, right, data):
         for i in range(m)
     ]
     assert [list(row) for row in (M(a) * M(b)).rows] == naive
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: PolyMatrix([[1, 2]]) * PolyMatrix([[1, 2]]), ValueError),
+    (lambda: PolyMatrix([[1]]) * 3, TypeError),  # only a matrix multiplies
+    (lambda: build_T(-1), BadRange),
+    (lambda: build_pascal("symmetric", -1), BadRange),
+    (lambda: build_general_binomial(-1, 2, 1), BadRange),
+    (lambda: TriangleGraph(0, 2).position(99), BadRange),
+], ids=["product-shape", "scalar-product", "T-negative", "pascal-negative",
+        "binomial-negative", "position-out-of-range"])
+def test_refusals(call, error):
+    with pytest.raises(error):
+        call()

@@ -308,6 +308,22 @@ class TestUsageErrors:
         assert sum("error:" in line for line in err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["det", "--pascal", "symmetric", "3", "--x", "1", "--y", "1"], 2,
+     "--x/--y only apply to --huckel/--reduced"),
+    # -v prints each report's method line
+    (["-v", "verify", "conj1", "--n", "2"], 0,
+     "  condensation pipeline vs sparse minor expansion ("),
+], ids=["xy-on-pascal", "verbose-verify"])
+def test_exit_code_and_stderr(capsys, argv, code, err):
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert err in capsys.readouterr().err
+
+
 class TestGuards:
     @pytest.mark.parametrize("argv", [
         ["det", "--huckel", "0", "9"],

@@ -379,3 +379,11 @@ def test_poly_evaluate_with_cyc_values():
     # x = z^-2, y = z^2: x^2 + 1 + y^2 = z^-4 + 1 + z^4 = (z^2-1) inverted pair
     assert v == Z(-4) + 1 + Z(4)
     assert v.is_real()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: CycInt(1).exact_div(GaussInt(1)), TypeError),
+], ids=["cycint-by-gaussint"])
+def test_refusals(call, error):
+    with pytest.raises(error):
+        call()

@@ -263,3 +263,12 @@ class TestThetaTable:
     def test_table_spans_requested_rows(self):
         rows = theta_table(6)
         assert [r["n"] for r in rows] == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: formula_macmahon(-1, 1, 1), BadRange),
+    (lambda: mitra_estimate(5), BadParity),
+], ids=["macmahon-negative-side", "mitra-odd"])
+def test_refusals(call, error):
+    with pytest.raises(error):
+        call()

@@ -458,3 +458,14 @@ def test_degree_overflow_raises_before_any_term_is_formed():
     with pytest.raises(OverflowError):
         high * wide
     assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: xvar(0) ** -1, ValueError),
+    (lambda: MultiPoly.zero().leading(), ValueError),
+    (lambda: MultiPoly({(1, 2): 1}, 0), ValueError),  # tuple longer than 2v + 1
+    (lambda: svar(0).coefficient({"q": 1}), KeyError),
+], ids=["negative-power", "zero-leading", "exponent-length", "unknown-variable"])
+def test_refusals(call, error):
+    with pytest.raises(error):
+        call()

@@ -504,3 +504,12 @@ class TestCondensationDet:
             point[f"y{i}"] = 2 * i + 1
         direct = det(build_huckel(5, 9, point))
         assert val.evaluate(point) == direct
+
+
+@pytest.mark.parametrize("call, error", [
+    # a step at m = 0 with rows left beside the block
+    (lambda: schur_det_step(PolyMatrix([[1, 0], [0, svar(0)]]), 0), BadRange),
+], ids=["step-at-m-0"])
+def test_refusals(call, error):
+    with pytest.raises(error):
+        call()

@@ -477,7 +477,7 @@ class TestFalsePassBound:
     @pytest.mark.parametrize("report, degree, values, points", [
         (lambda: verify_conjecture1(3, "specialized", seed=42), 7, 2 * 10**6, 5),
         (lambda: verify_conjecture2(2, 4, "specialized", seed=3), 6, 2 * 10**6, 5),
-        (lambda: verify_conjecture3(0, 3, "specialized"), 7, 1998, 3),
+        (lambda: verify_conjecture3(0, 3, "specialized"), 7, 2 * 10**6, 3),
     ], ids=["conj1", "conj2", "conj3"])
     def test_reports_print_an_upper_bound(self, report, degree, values, points):
         text = report().details["probability"]
@@ -509,3 +509,11 @@ class TestFalsePassBound:
         single, total = _printed_bound(_sz_bound(degree, domain, points))
         for printed, value in ((single, exact), (total, exact**points)):
             assert value <= printed <= value * Fraction(101, 100)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: verify_conjecture3(0, 2, "bogus"), ValueError),
+], ids=["conj3-unknown-mode"])
+def test_refusals(call, error):
+    with pytest.raises(error):
+        call()
