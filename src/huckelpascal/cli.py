@@ -237,9 +237,9 @@ def _det_route(ns: argparse.Namespace) -> str:
     signed walk on the sparse symbolic H_{k,n}, division-free on the small
     dense symbolic reduced matrix, and elimination on every numeric matrix.
     On the reduced matrix the walk is faster (0.017 s against 0.85 s at 8
-    rows, single runs on a 2-CPU host), but it has no variable cap and
-    would accept ``--reduced 0 15`` with no bound on the run; division-free
-    refuses that over 16 variables."""
+    rows, single runs on a 2-CPU host); it shares division-free's fixed
+    cap of 16 distinct variables, so both refuse ``--reduced 0 8`` and
+    up."""
     if ns.strategy is not None:
         return ns.strategy
     if ns.x is not None or ns.pascal is not None:

@@ -41,7 +41,8 @@ HUCKEL_MAX_SIZE raises them all.  ``route_guard`` checks them: each route
 on the rows it is given, and every caller, naming the route and entries it
 feeds, on the size it would build, before building anything
 (``huckel_guard`` on the vertices of H_{k,n}).  A symbolic division-free
-determinant is also refused over 16 distinct variables, a fixed cap.
+determinant or frontier walk is also refused over 16 distinct variables,
+one fixed cap, before any expansion.
 Without a strategy, ``det`` runs division-free over MultiPoly entries and
 elimination over every other ring.
 
@@ -51,7 +52,8 @@ set.  Signed, it is the determinant; unsigned, the permanent, over every
 ring.  Its state guard bounds the number of free-column sets from the
 support pattern and raises TooLarge before any expansion when the bound
 exceeds a fixed budget.  That budget counts states, not polynomial terms,
-so over every entry but an integer the walk takes its symbolic cap.
+so over every entry but an integer the walk takes its symbolic cap, and
+over MultiPoly entries the variable cap as well.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from .matrices import (
     _ring_rows,
     permutation_sign,
 )
-from .poly import MultiPoly, NotDivisible, _less_products
+from .poly import MultiPoly, NotDivisible, _less_products, _variable_count
 
 # each strategy's row caps by the entries it runs on.  "numeric": integer,
 # rational and cyclotomic entries.  "symbolic": MultiPoly entries; the walk
@@ -199,20 +201,26 @@ def _det_rows(ring_rows: tuple[list[dict], str], strategy: str | None = None):
     raise StrategyPrecondition(f"unknown strategy {strategy!r}")
 
 
-# distinct variables a symbolic division-free determinant may carry: 16 at
-# 8 rows takes about 2 s, 18 at 9 rows about 30 s
-_DIVISION_FREE_VARIABLE_LIMIT = 16
+# distinct variables a symbolic division-free determinant or frontier walk
+# may carry: 16 at 8 rows takes about 2 s division-free, 18 at 9 rows about
+# 30 s; the walk on the 16-row reduced matrix of (0, 15), over 32 weights,
+# ran out of memory under a 1.5 GB address-space limit
+_VARIABLE_LIMIT = 16
+
+
+def _variable_guard(variables: int, what: str) -> None:
+    """Refuse a symbolic route over 16 distinct variables (fixed)."""
+    if variables > _VARIABLE_LIMIT:
+        raise TooLarge(
+            f"{what} capped at {_VARIABLE_LIMIT} distinct variables, got {variables}"
+        )
 
 
 def symbolic_division_free_guard(rows: int, variables: int) -> None:
     """Refuse a symbolic division-free determinant over the route's
     symbolic row cap or over 16 distinct variables (fixed)."""
     route_guard("division-free", rows, "symbolic", "symbolic division-free rows")
-    if variables > _DIVISION_FREE_VARIABLE_LIMIT:
-        raise TooLarge(
-            f"symbolic division-free determinant capped at "
-            f"{_DIVISION_FREE_VARIABLE_LIMIT} distinct variables, got {variables}"
-        )
+    _variable_guard(variables, "symbolic division-free determinant")
 
 
 def _det_bareiss(a: list[dict], kind: str):
@@ -369,8 +377,7 @@ def _berkowitz(a: list[dict], kind: str, det_only: bool = False):
     n = len(a)
     if kind == "poly":
         entries = [e for row in a for e in row.values()]
-        names = set().union(*(e.used_variables() for e in entries))
-        symbolic_division_free_guard(n, len(names))
+        symbolic_division_free_guard(n, _variable_count(entries))
         varcount = entries[0].varcount  # every entry's
         one = MultiPoly.const(1, varcount)
     else:
@@ -457,11 +464,15 @@ def _frontier_walk(rows: list[dict], kind: str, signed: bool):
     below row r must be taken by then, so sets that leave one free are
     dropped, as are sets whose partial sum cancels to zero.  The sums start
     from the ring's one.  The walk's row cap is checked first: the
-    numeric one over int entries, the symbolic one over every other ring.
+    numeric one over int entries, the symbolic one over every other ring;
+    over MultiPoly entries so is the fixed cap of 16 distinct variables.
     """
     n = len(rows)
     entries, ring = ("numeric", "integer") if kind == "int" else ("symbolic", "non-integer")
     route_guard("sparse-minor-expansion", n, entries, f"{ring} frontier walk dimension")
+    if kind == "poly":
+        _variable_guard(_variable_count(chain.from_iterable(row.values() for row in rows)),
+                        "symbolic frontier walk")
     zero = _lift(0, kind)
     last = [-1] * n
     for r, row in enumerate(rows):
@@ -522,7 +533,8 @@ def permanent(M: PolyMatrix):
     whose bound exceeds the state budget raises TooLarge before any
     expansion.  That budget is fixed: HUCKEL_MAX_SIZE does not raise it.
     The walk's row caps apply too: 144 over integer entries and 16 over
-    every other ring, which HUCKEL_MAX_SIZE raises; the signed walk shares
+    every other ring, which HUCKEL_MAX_SIZE raises, and over MultiPoly
+    entries the fixed cap of 16 distinct variables; the signed walk shares
     every guard.
     """
     M.dim  # raises on a non-square matrix

@@ -19,15 +19,19 @@ which is what printing and leading-term division use.  ``_split`` and its
 inverse ``_join`` own that layout, and ``_pack`` and ``_unpack`` convert
 exponent tuples through them: every rearrangement of the fields (packing,
 promotion, hashing, the x-y swap) goes through them, evaluation reads each
-term's exponents through ``_unpack``, and only the degree is read by a
-shift of its own.  The top bit of every field stays clear: a total degree,
-and so every exponent, is at most ``MAX_DEGREE`` = 2^(FIELD_BITS - 1) - 1.
+term's exponents through ``_unpack``, the text form reads each field
+through the (shift, name) table ``_text_fields`` takes from ``_join``, and
+only the degree is read by a shift of its own.  The top bit of every field
+stays clear: a total degree, and so every exponent, is at most
+``MAX_DEGREE`` = 2^(FIELD_BITS - 1) - 1.
 Since no exponent exceeds the total degree, one check per product (the two
 degrees add up to at most ``MAX_DEGREE``) keeps every field from
 overflowing.  It lives in ``_products``, the one product loop, and runs
 before any term is formed, raising OverflowError.  ``*`` goes through that
-loop, and so does ``_less_products``, which subtracts products term by term
-into one copy of a polynomial's terms for the division-free determinant.
+loop, and so do ``_less_products``, which subtracts products term by term
+into one copy of a polynomial's terms for the division-free determinant,
+and the Schur step of ``schur``, which sums each numerator of a coupled
+row term by term into one dict.
 The clear top bits also let exact division test whether one monomial
 divides another by one subtraction.  Addition and subtraction share one
 term loop, which adds or subtracts each term of the right operand into a
@@ -362,35 +366,26 @@ class MultiPoly:
     # -- formatting ---------------------------------------------------------
 
     def to_text(self) -> str:
-        """Canonical text form, e.g. ``x1^1*y1^1 - 2*z^1 + 3``."""
+        """Canonical text form, e.g. ``x1^1*y1^1 - 2*z^1 + 3``: terms in
+        descending order, factors x_{v-1}..x_0, y_{v-1}..y_0, z, each field
+        read from the packed key through ``_text_fields``."""
         if not self.terms:
             return "0"
+        fields = _text_fields(self.varcount)
         parts = []
-        for i, (exp, coef) in enumerate(self.sorted_terms()):
-            mono = self._mono_text(exp)
+        for key, coef in sorted(self.terms.items(), reverse=True):
+            mono = "*".join([f"{name}{e}" for shift, name in fields
+                             if (e := key >> shift & _FIELD)])
             mag = abs(coef)
             if mono:
                 body = mono if mag == 1 else f"{mag}*{mono}"
             else:
                 body = str(mag)
-            if i == 0:
-                parts.append(body if coef > 0 else f"-{body}")
-            else:
+            if parts:
                 parts.append(f"+ {body}" if coef > 0 else f"- {body}")
+            else:
+                parts.append(body if coef > 0 else f"-{body}")
         return " ".join(parts)
-
-    def _mono_text(self, exp: tuple) -> str:
-        v = self.varcount
-        factors = []
-        for i in range(v - 1, -1, -1):
-            if exp[i]:
-                factors.append(f"x{i}^{exp[i]}")
-        for i in range(v - 1, -1, -1):
-            if exp[v + i]:
-                factors.append(f"y{i}^{exp[v + i]}")
-        if exp[-1]:
-            factors.append(f"z^{exp[-1]}")
-        return "*".join(factors)
 
     def __str__(self):
         return self.to_text()
@@ -481,6 +476,17 @@ def _less_products(acc: MultiPoly | None, pairs, varcount: int) -> MultiPoly:
     return MultiPoly._of(out, varcount)
 
 
+def _variable_count(polys: Iterable[MultiPoly]) -> int:
+    """How many distinct variables (z included) the polynomials use, every
+    one at one varcount: one OR over all their packed keys, whose field of
+    a variable is nonzero iff some term uses it."""
+    key = varcount = 0
+    for p in polys:
+        key = reduce(or_, p.terms, key)
+        varcount = p.varcount
+    return sum(map(bool, _unpack(key, varcount)))
+
+
 _new = object.__new__
 _set_terms = MultiPoly.terms.__set__
 _set_varcount = MultiPoly.varcount.__set__
@@ -501,6 +507,20 @@ def _join(degree: int, x: int, y: int, z: int, varcount: int) -> int:
     """The packed monomial with these fields, the inverse of ``_split``."""
     block = FIELD_BITS * varcount
     return (((((degree << block) | x) << block) | y) << FIELD_BITS) | z
+
+
+@lru_cache(maxsize=None)
+def _text_fields(varcount: int) -> tuple[tuple[int, str], ...]:
+    """(shift, "name^") for each variable's field in text order, x_{v-1}
+    .. x_0, y_{v-1} .. y_0, z: the field's lowest bit, read off ``_join``."""
+
+    def shift(x=0, y=0, z=0):
+        return _join(0, x, y, z, varcount).bit_length() - 1
+
+    down = range(varcount - 1, -1, -1)
+    return (*((shift(x=1 << FIELD_BITS * i), f"x{i}^") for i in down),
+            *((shift(y=1 << FIELD_BITS * i), f"y{i}^") for i in down),
+            (shift(z=1), "z^"))
 
 
 def _pack(exp: tuple, varcount: int) -> int:

@@ -37,13 +37,20 @@ and columns.  Each coupled row is replaced by an updated copy and every
 other row is left as it is, so the rows a caller passes in never change.
 On H_{k,n} the coupled rows (and columns) are the n - m borders
 of earlier steps and the m vertices of row m-1 bonded to the block, at
-most n in all.  So a step costs O(n m) ring operations for the solves and
-at most n^2 exact divisions, where the dense formula made one division
-per entry of A: 1 331 in place of 42 779 over the eleven steps of the
-144-vertex triangle H_{0,11}.  Over MultiPoly entries every entry, x_m
+most n in all.  So a step costs O(n m) ring operations for the solves,
+and of the at most n^2 numerators of P only the nonzero ones are divided
+and subtracted: a zero one leaves A's entry as it is, and since S_m != 0
+is checked first, skipping it hides no remainder.  Most cancel: on the
+144-vertex triangle H_{0,11} at a seeded integer point the eleven steps
+divide 430 times, where the coupled pairs number 1 287 and the dense
+formula made one division per entry of A, 42 779; on symbolic H_{3,7}
+56 of 212 pairs are divided.  Over MultiPoly entries every entry, x_m
 and y_m as the block stores them included, has the matrix's largest
 varcount, so every product, sum and comparison takes MultiPoly's
-same-varcount branch and none pays for a promotion.
+same-varcount branch and none pays for a promotion; and minus each
+numerator is summed term by term into one dict through the product loop
+``poly._products``, then wrapped and divided once, so no product or
+partial sum of it is built as a polynomial of its own.
 """
 
 from __future__ import annotations
@@ -66,7 +73,7 @@ from .matrices import (
     _ring_rows,
     _weight,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, _products
 
 
 class BlockMismatch(ValueError):
@@ -116,7 +123,12 @@ def _solve(b: dict, m: int, x, y, seeds) -> list:
     z = [sum(e * w0[t] for t, e in b.items()),
          sum(e * w1[t] for t, e in b.items())]
     for u in range(1, n - 1):
-        z.append(sb[u] - z[u - 1] if sb[u] else -z[u - 1])
+        if sb[u]:
+            z.append(sb[u] - z[u - 1])
+        elif u >= 3 and not sb[u - 2]:
+            z.append(z[u - 3])  # z[u+1] = -z[u-1] = z[u-3]
+        else:
+            z.append(-z[u - 1])
     back = [z[1] + z[-1] * x if x else z[1]]
     back += [z[u - 1] + z[u + 1] for u in range(1, n - 1)]
     back.append(z[-2] + z[0] * y if y else z[-2])
@@ -230,6 +242,8 @@ def _condense(rows: dict, pos: list, m: int, params, kind: str) -> None:
     for t, entries in enumerate(outer):
         for j, e in entries:
             w[j] = w[j] + e * left[t] if j in w else e * left[t]
+    w = {j: e for j, e in w.items() if e}
+    varcount = s.varcount if kind == "poly" else None
     v = {}  # nonzero v in position order
     for i in kept:
         if rows[i].keys().isdisjoint(in_block):
@@ -239,20 +253,21 @@ def _condense(rows: dict, pos: list, m: int, params, kind: str) -> None:
         row = rows[i] = {j: e for j, e in rows[i].items() if j not in at}
         z = _solve(b, m, x, y, seeds)
         vi = mu * sum(e * r[t] for t, e in b.items())
-        # numerators of P's row: (b W) C - v_i w; the sign rule below flips
-        # v and w together, so it leaves v_i w_j alone
-        num = {}
-        for zu, entries in zip(z, outer):
-            if zu:
-                for j, c in entries:
-                    p = zu if c == 1 else zu * c
-                    num[j] = num[j] + p if j in num else p
         if vi:
-            for j, wj in w.items():
-                num[j] = num[j] - vi * wj if j in num else -(vi * wj)
             v[i] = vi
-        for j, q in num.items():
-            e = row.get(j, 0) - divide(q)
+        # P's row is (b W) C - v_i w over S_m; the sign rule below flips v
+        # and w together, so it leaves v_i w_j alone.  A zero numerator
+        # leaves A's entry as it is: it is neither divided nor subtracted.
+        # Over MultiPoly the numerators are summed in place, negated; the
+        # other rings keep their direct sums, which a shared list of
+        # factors made slower.
+        if varcount is None:
+            new = ((j, row.get(j, 0) - divide(q))
+                   for j, q in _numerators(z, outer, -vi, w).items() if q)
+        else:
+            new = ((j, row.get(j, 0) + divide(MultiPoly._of(t, varcount)))
+                   for j, t in _less_numerators(z, outer, -vi, w, varcount).items() if t)
+        for j, e in new:
             if e:
                 row[j] = e
             else:
@@ -266,8 +281,43 @@ def _condense(rows: dict, pos: list, m: int, params, kind: str) -> None:
     for label in block:
         del rows[label]
     rows[border] = {border: s}
-    rows[border].update((j, e) for j, e in w.items() if e)
+    rows[border].update(w)
     pos[:] = [border] + kept
+
+
+def _numerators(z: list, outer: list, nvi, w: dict) -> dict:
+    """The numerators of a coupled row of P, (b W) C - v_i w, by column,
+    from z = b W and -v_i: each product summed into the column's value."""
+    num = {}
+    for zu, entries in zip(z, outer):
+        if zu:
+            for j, c in entries:
+                p = zu if c == 1 else zu * c
+                num[j] = num[j] + p if j in num else p
+    if nvi:
+        for j, wj in w.items():
+            p = nvi * wj
+            num[j] = num[j] + p if j in num else p
+    return num
+
+
+def _less_numerators(z: list, outer: list, nvi, w: dict, varcount: int) -> dict:
+    """``_numerators`` negated over MultiPoly, as one dict of terms per
+    column: each product is subtracted into it in place through the one
+    product loop (``poly._products``), so no product or partial sum is
+    built as a polynomial of its own."""
+    factors = [(zu, entries) for zu, entries in zip(z, outer) if zu]
+    if nvi:
+        factors.append((nvi, w.items()))
+    out: dict = {}
+    for a, entries in factors:
+        at = a.terms
+        for j, c in entries:
+            acc = out.get(j)
+            if acc is None:
+                acc = out[j] = {}
+            _products(at, c.terms, varcount, acc)
+    return out
 
 
 # -- iterated condensation ------------------------------------------------------

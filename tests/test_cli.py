@@ -74,6 +74,9 @@ class TestDet:
         (["--reduced", "0", "3", "--x", "2", "--y", "3"], "fraction-free-elimination"),
         (["--pascal", "symmetric", "4"], "fraction-free-elimination"),
         (["--huckel", "1", "2", "--strategy", "division-free"], "division-free"),
+        # 16 variables, at the walk's variable cap
+        (["--reduced", "0", "7", "--strategy", "sparse-minor-expansion"],
+         "sparse-minor-expansion"),
     ])
     def test_json_names_the_route_that_ran(self, capsys, tmp_path, argv, route):
         path = tmp_path / "det.json"
@@ -335,6 +338,8 @@ class TestGuards:
         ["tables", "--max-n", "14"],
         ["formulas", "--table", "--max-n", "150"],
         ["det", "--huckel", "500", "501", "--x", "1", "--y", "1"],
+        ["det", "--reduced", "0", "12", "--strategy", "sparse-minor-expansion"],
+        ["det", "--reduced", "0", "15", "--strategy", "sparse-minor-expansion"],
     ])
     def test_expensive_input_is_refused_before_work(self, capsys, argv):
         t0 = time.perf_counter()

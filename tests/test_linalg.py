@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -800,6 +801,21 @@ class TestPermanent:
         ]
         with pytest.raises(TooLarge):
             permanent(PolyMatrix(rows))
+
+    def test_symbolic_variable_guard(self):
+        # eight rows over 16 variables run; a ninth row with a 17th variable
+        # is refused, signed or not, by the cap division-free takes too
+        def diagonal(entries):
+            return PolyMatrix([[e if i == j else 0 for j in range(len(entries))]
+                               for i, e in enumerate(entries)])
+
+        sums = [svar(i) for i in range(8)]
+        assert permanent(diagonal(sums)) == det(diagonal(sums), "sparse-minor-expansion") == prod(sums)
+        wider = diagonal(sums + [xvar(8)])
+        with pytest.raises(TooLarge, match="16 distinct variables, got 17"):
+            permanent(wider)
+        with pytest.raises(TooLarge, match="16 distinct variables, got 17"):
+            det(wider, "sparse-minor-expansion")
 
     def test_symbolic_guard_env_override(self, monkeypatch):
         monkeypatch.setenv("HUCKEL_MAX_SIZE", "17")

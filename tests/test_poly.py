@@ -391,6 +391,19 @@ def test_packed_order_and_formats_match_the_tuple_reference(a):
         assert p.total_degree() == sum(ordered[0][0])
 
 
+@pytest.mark.parametrize("v", range(13))
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_text_from_packed_keys_matches_the_tuple_reference(v, data):
+    # high powers of z, negative coefficients and constants at every varcount
+    a = data.draw(tuple_polys_at(v, max_terms=6, max_exp=40, max_coef=10**20))
+    p = MultiPoly(*a)
+    for q in (p, p - zvar() ** 37, p * -3 + 1):
+        ref = (dict(q.sorted_terms()), q.varcount)
+        assert str(q) == _ref_text(ref)
+        assert poly_from_text(str(q)) == q
+
+
 @given(tuple_polys(), st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
 def test_packed_promotion_matches_the_tuple_reference(a, extra):

@@ -28,9 +28,10 @@ from huckelpascal.matrices import (
     build_T,
     bivariate_params,
 )
-from huckelpascal.poly import svar, xvar, yvar
+from huckelpascal.poly import poly_from_text, svar, xvar, yvar
 from huckelpascal.schur import (
     BlockMismatch,
+    _condensation,
     _condensed_det,
     _is_negative,
     _null_pair,
@@ -276,8 +277,12 @@ class TestSparseStep:
         monkeypatch.setattr(schur, "_divider", counted_divider)
         params = _seeded_params(6, 0, 11)
         assert condensation_det(0, 11, params) == det(build_huckel(0, 11, params))
-        # the dense step divides on every kept entry: 42 779 times here
-        assert calls <= 2000
+        # only nonzero numerators are divided: the dense step divides on
+        # every kept entry, 42 779 times here, and every coupled pair 1 287
+        assert calls == 430
+        calls = 0
+        _condensation(_huckel_rows(3, 7), 3, 7, None)
+        assert calls == 56  # 212 coupled pairs
 
 
 class TestSparseStepEdges:
@@ -378,6 +383,18 @@ class TestRowsLeftAlone:
                              "division-free"):
                 _det_rows(h, strategy)
                 assert h[0] == before, strategy
+
+    @pytest.mark.parametrize("k,n", [(0, 4), (3, 7), (6, 9)])
+    def test_symbolic_condensation_never_writes_into_its_operands(self, k, n):
+        h = _huckel_rows(k, n)
+        terms = [{j: dict(e.terms) for j, e in row.items()} for row in h[0]]
+        memoized = {f"{name}{i}": (var(i), dict(var(i).terms))
+                    for i in range(n + 1) for name, var in (("x", xvar), ("y", yvar))}
+        _condensation(h, k, n, None)
+        assert h == _huckel_rows(k, n)
+        assert [{j: e.terms for j, e in row.items()} for row in h[0]] == terms
+        for name, (p, before) in memoized.items():
+            assert p.terms == before == poly_from_text(name).terms
 
 
 class TestCondense:
