@@ -25,6 +25,7 @@ from .linalg import (
     DET_STRATEGIES,
     StrategyPrecondition,
     TooLarge,
+    _default_strategy,
     _det_rows,
     _permanent_rows,
     charpoly,
@@ -93,9 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy",
         choices=DET_STRATEGIES,
-        help="default: fraction-free-elimination on numeric matrices, "
-        "division-free on symbolic --reduced, sparse-minor-expansion on "
-        "symbolic --huckel",
+        help="default: sparse-minor-expansion on symbolic matrices, "
+        "fraction-free-elimination on numeric ones",
     )
     add_json(p)
 
@@ -232,28 +232,16 @@ def _uniform_params(k: int, n: int, ns: argparse.Namespace):
     return None
 
 
-def _det_route(ns: argparse.Namespace) -> str:
-    """The strategy given, or else a bounded route for the matrix: the
-    signed walk on the sparse symbolic H_{k,n}, division-free on the small
-    dense symbolic reduced matrix, and elimination on every numeric matrix.
-    On the reduced matrix the walk is faster (0.017 s against 0.85 s at 8
-    rows, single runs on a 2-CPU host); it shares division-free's fixed
-    cap of 16 distinct variables, so both refuse ``--reduced 0 8`` and
-    up."""
-    if ns.strategy is not None:
-        return ns.strategy
-    if ns.x is not None or ns.pascal is not None:
-        return "fraction-free-elimination"
-    return "sparse-minor-expansion" if ns.huckel is not None else "division-free"
-
-
 def _source_rows(ns: argparse.Namespace):
     """The nonzero rows and ring of the matrix ``det`` reads, as the
-    verification routes read them, and its description; the cap of the
-    route is checked on the size first, before anything is built.  The
+    verification routes read them, and its description; without
+    ``--strategy`` the route is ``linalg``'s default for the entries, and
+    its cap is checked on the size first, before anything is built.  The
     reduced matrix at a point is dense, so elimination takes its dense cap
     there."""
     entries = "symbolic" if ns.x is None and ns.pascal is None else "numeric"
+    if ns.strategy is None:
+        ns.strategy = _default_strategy("poly" if entries == "symbolic" else "int")
     if ns.huckel is not None:
         k, n = ns.huckel
         huckel_guard(k, n, ns.strategy, entries, ns.strategy)
@@ -270,7 +258,6 @@ def _source_rows(ns: argparse.Namespace):
 
 
 def _cmd_det(ns: argparse.Namespace):
-    ns.strategy = _det_route(ns)
     rows, (kind, k, n) = _source_rows(ns)
     value = _det_rows(rows, ns.strategy)
     print(value)

@@ -25,14 +25,13 @@ values where applicable):
   deferred row scaling (``_det_bareiss``); a matrix with every entry
   nonzero and A = A^T (Q_n, Q_n + omega I) takes the upper-triangle branch
   (``_det_symmetric``).  Their docstrings give the full account.
-* ``sparse-minor-expansion``: the signed frontier walk (below); thrives on
-  the very sparse adjacency matrices.
+* ``sparse-minor-expansion``: the signed frontier walk (below), over
+  MultiPoly entries the default, on sparse and small dense matrices alike.
 * ``division-free``: Berkowitz's algorithm, O(n^4) ring products and no
-  division, which also yields the whole characteristic polynomial (a
-  determinant takes only the last coefficient of its last step); for the
-  small dense matrices (the reduced matrices, symbolic and written at the
-  specialized sample points, the last step of symbolic condensation,
-  ``charpoly``).
+  division, which also yields the whole characteristic polynomial; for
+  ``charpoly``, the reduced matrix at the specialized sample points, and
+  over MultiPoly entries only condensation's last step (never the walk it
+  is checked against) and an explicit request.
 
 Fraction-free elimination refuses MultiPoly entries (StrategyPrecondition).
 Each strategy's row caps, by the entries it runs on (numeric, symbolic and,
@@ -43,8 +42,8 @@ feeds, on the size it would build, before building anything
 (``huckel_guard`` on the vertices of H_{k,n}).  A symbolic division-free
 determinant or frontier walk is also refused over 16 distinct variables,
 one fixed cap, before any expansion.
-Without a strategy, ``det`` runs division-free over MultiPoly entries and
-elimination over every other ring.
+Without a strategy, ``det`` and the CLI run ``_default_strategy`` of the
+ring: the signed walk over MultiPoly entries, elimination over every other.
 
 The frontier walk expands row by row over the set of still-free columns,
 visiting only each row's nonzero entries and keeping one partial sum per
@@ -169,10 +168,20 @@ def _divider(b, kind: str):
 # -- determinants ----------------------------------------------------------------
 
 
+def _default_strategy(kind: str) -> str:
+    """The strategy for entries of ring ``kind`` when none is given; the
+    walk beat division-free on every symbolic matrix measured."""
+    return "sparse-minor-expansion" if kind == "poly" else "fraction-free-elimination"
+
+
 def det(M: PolyMatrix, strategy: str | None = None):
     """Exact determinant of a square matrix via the chosen strategy; without
-    one, division-free over MultiPoly entries and fraction-free elimination
-    over every other ring."""
+    one, ``_default_strategy`` of its ring.  At the default caps the walk
+    refuses what division-free refuses: both take 16 symbolic rows and 16
+    variables, and on 16 rows the walk's a-priori bound is at most 2^16
+    states, far below its budget of 2 000 000.  Only a HUCKEL_MAX_SIZE over
+    the row caps lets that fixed budget refuse a dense symbolic matrix that
+    ``"division-free"`` would run."""
     M.dim  # raises on a non-square matrix
     return _det_rows(_ring_rows(M), strategy)
 
@@ -182,12 +191,12 @@ def _det_rows(ring_rows: tuple[list[dict], str], strategy: str | None = None):
     ring, as ``_ring_rows`` and ``matrices._huckel_rows`` return them."""
     rows, kind = ring_rows
     if strategy is None:
-        strategy = "division-free" if kind == "poly" else "fraction-free-elimination"
+        strategy = _default_strategy(kind)
     if strategy == "fraction-free-elimination":
         if kind == "poly":
             raise StrategyPrecondition(
                 "fraction-free elimination does not take polynomial entries; "
-                "use division-free"
+                "the default over them is sparse-minor-expansion"
             )
         route_guard("fraction-free-elimination", len(rows), "numeric",
                     "numeric elimination rows")
@@ -202,9 +211,10 @@ def _det_rows(ring_rows: tuple[list[dict], str], strategy: str | None = None):
 
 
 # distinct variables a symbolic division-free determinant or frontier walk
-# may carry: 16 at 8 rows takes about 2 s division-free, 18 at 9 rows about
-# 30 s; the walk on the 16-row reduced matrix of (0, 15), over 32 weights,
-# ran out of memory under a 1.5 GB address-space limit
+# may carry: on the reduced matrix of (0, 7), 16 at 8 rows, division-free
+# takes 1.1 s and the walk 0.02 s, and on that of (0, 8), 18 at 9 rows, 17 s
+# and 0.08 s (2-CPU host); the walk on the 16-row reduced matrix of (0, 15),
+# over 32 weights, ran out of memory under a 1.5 GB address-space limit
 _VARIABLE_LIMIT = 16
 
 
@@ -525,18 +535,12 @@ def _frontier_walk(rows: list[dict], kind: str, signed: bool):
 
 
 def permanent(M: PolyMatrix):
-    """Exact permanent: the unsigned frontier walk, over any ring.
-
-    The walk goes row by row over the set of still-free columns, visiting
-    only each row's nonzero entries.  Its cost is the number of free-column
-    sets it keeps, which is bounded from the support pattern alone; a matrix
-    whose bound exceeds the state budget raises TooLarge before any
-    expansion.  That budget is fixed: HUCKEL_MAX_SIZE does not raise it.
-    The walk's row caps apply too: 144 over integer entries and 16 over
-    every other ring, which HUCKEL_MAX_SIZE raises, and over MultiPoly
-    entries the fixed cap of 16 distinct variables; the signed walk shares
-    every guard.
-    """
+    """Exact permanent: the unsigned frontier walk, over any ring, under
+    every guard of the signed one, checked before any expansion: the row
+    caps, 144 over integer entries and 16 over every other ring, which
+    HUCKEL_MAX_SIZE raises, and the fixed budgets of 2 000 000 states,
+    bounded from the support pattern alone, and over MultiPoly entries of
+    16 distinct variables."""
     M.dim  # raises on a non-square matrix
     return _permanent_rows(_ring_rows(M))
 

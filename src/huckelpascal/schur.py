@@ -354,10 +354,11 @@ def condense(n: int, params=None) -> CondensationTrace:
 def condensation_det(k: int, n: int, params=None):
     """det H_{k,n} through iterated condensation (never through a full
     Laplace/elimination pass on the big matrix).  The final size-(n+1-k)
-    matrix goes to the division-free algorithm over MultiPoly entries and
-    to fraction-free elimination over numbers.  Checked before anything is
-    built: at most 144 vertices, and without params the division-free caps
-    on n + 1 - k rows over 2(n + 1 - k) weights, so at most 8 rows."""
+    matrix goes to fraction-free elimination over numbers and, for
+    independence from the walk, not speed, to division-free over MultiPoly
+    entries.  Checked before anything is built: at most 144 vertices, and
+    without params the division-free caps on n + 1 - k rows over
+    2(n + 1 - k) weights, so at most 8 rows."""
     entries = "symbolic" if params is None else "numeric"
     huckel_guard(k, n, "fraction-free-elimination", entries, "condensation")
     if params is None:
@@ -369,8 +370,10 @@ def _condensed_det(h: tuple[list[dict], str], k: int, n: int, params):
     """``condensation_det`` on the rows of H_{k,n} as ``_huckel_rows``
     built them, with no guard: for a caller that has checked the caps.
     The n + 1 - k rows condensation leaves go straight to the determinant
-    on rows: division-free over MultiPoly entries, fraction-free
-    elimination over numbers."""
+    on rows: fraction-free elimination over numbers, division-free over
+    MultiPoly entries.  That is for independence, not speed: conj1/conj2,
+    conj3 and the deletion recursion check condensation against the
+    faster walk, ``det``'s default there."""
     condensed, _ = _condensation(h, k, n, params)
     return _det_rows(condensed, "division-free") if h[1] == "poly" else _det_rows(condensed)
 

@@ -37,7 +37,7 @@ DIGESTS = {
     ("det", "--huckel", "0", "3"):
         "111dfff9c975198b8e42ea08fb3d90ab25585d06da5563284edd8cb3785cc9a0",
     ("det", "--reduced", "0", "5"):
-        "dd006a80fc8f7b443ee2883d5815be1b5a34710cacade656e92d4634e7b987b9",
+        "655d27884f42321b085a61c32bdf94c4e3355792b0b7663314a226156e613f7a",
     ("det", "--reduced", "2", "6", "--x", "3", "--y", "-2"):
         "3be0f5eac0e67ed717175189e931e77312ef6360c2eafb452e9089209b323f14",
     ("det", "--huckel", "0", "3", "--x", "2", "--y", "5", "--strategy", "division-free"):

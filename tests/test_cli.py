@@ -69,7 +69,7 @@ class TestDet:
 
     @pytest.mark.parametrize("argv, route", [
         (["--huckel", "1", "2"], "sparse-minor-expansion"),
-        (["--reduced", "0", "3"], "division-free"),
+        (["--reduced", "0", "3"], "sparse-minor-expansion"),
         (["--huckel", "1", "2", "--x", "2", "--y", "3"], "fraction-free-elimination"),
         (["--reduced", "0", "3", "--x", "2", "--y", "3"], "fraction-free-elimination"),
         (["--pascal", "symmetric", "4"], "fraction-free-elimination"),
@@ -77,6 +77,8 @@ class TestDet:
         # 16 variables, at the walk's variable cap
         (["--reduced", "0", "7", "--strategy", "sparse-minor-expansion"],
          "sparse-minor-expansion"),
+        # the default over symbolic entries, at that cap too
+        (["--reduced", "0", "7"], "sparse-minor-expansion"),
     ])
     def test_json_names_the_route_that_ran(self, capsys, tmp_path, argv, route):
         path = tmp_path / "det.json"

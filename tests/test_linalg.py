@@ -32,16 +32,19 @@ from huckelpascal.linalg import (
 from huckelpascal.matrices import (
     BadRange,
     PolyMatrix,
+    _dense,
     _huckel_rows,
     _reduced_rows,
     bivariate_params,
+    build_bordered,
     build_general_binomial,
     build_huckel,
     build_pascal,
     build_reduced,
+    build_T,
 )
 from huckelpascal.poly import MAX_DEGREE, MultiPoly, NotDivisible, svar, xvar, yvar, zvar
-from huckelpascal.schur import condensation_det, schur_det_step
+from huckelpascal.schur import _condensation, condensation_det, schur_det_step
 from huckelpascal.verify import _draw_params, bivariate_row
 
 # coefficient rows of det H_n(x, y) in x^(n+1-k) y^k, k = 0..n+1
@@ -443,9 +446,9 @@ def _recording(monkeypatch, name):
     calls = []
     original = getattr(linalg, name)
 
-    def recorded(rows, *args):
+    def recorded(rows, *args, **kwargs):
         calls.append(len(rows))
-        return original(rows, *args)
+        return original(rows, *args, **kwargs)
     monkeypatch.setattr(linalg, name, recorded)
     return calls
 
@@ -628,14 +631,6 @@ class TestDivisionFree:
         assert det(PolyMatrix([[e]]), "division-free") == e
         assert det(PolyMatrix([[0]]), "division-free") == 0
 
-    def test_is_the_default_over_polynomials_only(self):
-        m = build_huckel(1, 2)
-        assert det(m) == det(m, "division-free") == _brute_det(m.rows)
-        with pytest.raises(StrategyPrecondition, match="polynomial"):
-            det(m, "fraction-free-elimination")
-        with pytest.raises(StrategyPrecondition):
-            det(PolyMatrix([[xvar(0)]]), "fraction-free-elimination")
-
     def test_degree_overflow_raises_before_any_term_is_formed(self):
         # the Toeplitz product c_2 <- -a11 * (-a00) of 3000 x 3000 terms
         # would take seconds to subtract term by term
@@ -686,6 +681,79 @@ class TestDivisionFree:
         t0 = time.perf_counter()
         with pytest.raises(TooLarge):
             build()
+        assert time.perf_counter() - t0 < 0.5
+
+
+def _condensed(k: int, n: int) -> PolyMatrix:
+    """The rows condensation leaves from symbolic H_{k,n}, as a matrix."""
+    return _dense(_condensation(_huckel_rows(k, n), k, n, None)[0][0])
+
+
+# symbolic matrices on which the signed walk gave division-free's
+# polynomial sooner; the dense 8 x 8 one takes division-free seconds
+SYMBOLIC_CASES = {
+    **{f"reduced(0,{n})": (lambda n=n: build_reduced(0, n)) for n in range(7)},
+    "reduced(3,7)": lambda: build_reduced(3, 7),
+    "reduced(2,8)": lambda: build_reduced(2, 8),
+    **{f"T{m}": (lambda m=m: build_T(m)) for m in (3, 5, 7)},
+    **{f"bordered({n})": (lambda n=n: build_bordered(n)) for n in (2, 3)},
+    **{f"huckel({k},{n})": (lambda k=k, n=n: build_huckel(k, n))
+       for n in range(8) for k in range(n + 1) if (n + 1) ** 2 - k * k <= 16},
+    "condensed(0,6)": lambda: _condensed(0, 6),
+    "condensed(3,7)": lambda: _condensed(3, 7),
+    "dense(8)": lambda: PolyMatrix([[xvar(i) + yvar(j) for j in range(8)]
+                                    for i in range(8)]),
+}
+
+
+class TestDefaultStrategy:
+    """Without a strategy ``det`` runs the signed walk over MultiPoly
+    entries and fraction-free elimination over every other ring."""
+
+    @pytest.mark.parametrize("build", SYMBOLIC_CASES.values(), ids=SYMBOLIC_CASES)
+    def test_walk_is_the_default_over_polynomials(self, monkeypatch, build):
+        m = build()
+        walks = _recording(monkeypatch, "_frontier_walk")
+        berkowitz = _recording(monkeypatch, "_berkowitz")
+        det(m)
+        assert walks == [m.dim]
+        assert berkowitz == []
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(build, id=name,
+                     marks=[pytest.mark.slow] if name == "dense(8)" else [])
+        for name, build in SYMBOLIC_CASES.items()
+    ])
+    def test_default_matches_division_free(self, build):
+        m = build()
+        assert det(m) == det(m, "division-free")
+
+    @pytest.mark.parametrize("ring", ["int", "fraction", "cyc", "gauss"])
+    def test_elimination_is_the_default_over_other_rings(self, monkeypatch, ring):
+        make = RING_ELEMENTS[ring]
+        rows = [[make(2, 1), make(1, -1), 0],
+                [make(3, 2), 0, make(1, 1)],
+                [0, make(-1, 3), make(5, 0)]]
+        eliminations = _recording(monkeypatch, "_det_bareiss")
+        others = [_recording(monkeypatch, name) for name in ("_frontier_walk", "_berkowitz")]
+        assert det(PolyMatrix(rows)) == _brute_det(rows)
+        assert eliminations == [3]
+        assert others == [[], []]
+
+    def test_elimination_refuses_polynomials_and_names_the_default(self):
+        m = build_huckel(1, 2)
+        assert det(m) == det(m, "division-free") == _brute_det(m.rows)
+        with pytest.raises(StrategyPrecondition, match="default over them is sparse-minor"):
+            det(m, "fraction-free-elimination")
+        with pytest.raises(StrategyPrecondition):
+            det(PolyMatrix([[xvar(0)]]), "fraction-free-elimination")
+
+    @pytest.mark.parametrize("strategy", [None, "division-free"])
+    def test_default_refuses_what_division_free_refuses(self, strategy):
+        # the reduced matrix of (0, 8): 9 rows over 18 variables
+        t0 = time.perf_counter()
+        with pytest.raises(TooLarge, match="16 distinct variables, got 18"):
+            det(build_reduced(0, 8), strategy)
         assert time.perf_counter() - t0 < 0.5
 
 
