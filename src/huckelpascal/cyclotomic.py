@@ -16,11 +16,12 @@ norm)``: each ring's ``divider`` supplies only its own ``aux`` (the product
 of the three other Galois conjugates in Z[zeta_12], the complex conjugate in
 Z[i]) and the integer norm b * aux, once per divisor, and gets the division
 as a function of the dividend; ``exact_div`` is that function applied once.
-A non-unit divides by multiplying with ``aux``, dividing by the norm and
-verifying by multiplying back, so a wrong conjugate can only make a division
-fail, never return a wrong quotient.  A unit (norm 1) divides every element,
-so its division is multiplication by ``aux``, its inverse, checked once to
-multiply back to 1: the quotients then multiply back by construction.
+The divider checks b * aux == norm != 0 once, when it is built, and then
+divides a by multiplying with ``aux`` and dividing coordinate by coordinate
+by the norm: a * aux = norm * q and b * aux = norm give q * b = a, so the
+quotient needs no multiply-back, and a wrong conjugate fails when the
+divider is built, never returning a wrong quotient.  A unit (norm 1) divides
+every element, so its division is multiplication by ``aux``, its inverse.
 
 The public constructors coerce each coordinate with ``int()``; ring
 operations build their results through the unchecked ``_of``, and take a
@@ -40,20 +41,21 @@ _HALF_PI6 = cmath.exp(1j * cmath.pi / 6)
 
 def _lattice_divider(b, aux, norm: int):
     """Exact division by ``b`` as a function of the dividend, where
-    b * aux = norm, an integer.  A unit (norm 1) divides by multiplying with
-    ``aux``, once ``aux`` has been checked here to multiply back to 1
-    (NotDivisible otherwise).  Any other divisor multiplies by ``aux``,
-    divides coordinate by coordinate by the norm and multiplies the quotient
-    back on every call, raising NotDivisible on a non-multiple."""
+    b * aux = norm, a nonzero integer, checked here once (NotDivisible
+    otherwise).  A unit (norm 1) divides by multiplying with ``aux``, its
+    inverse.  Any other divisor multiplies by ``aux`` and divides coordinate
+    by coordinate by the norm, raising NotDivisible on a non-multiple; as
+    a * aux = norm * q and b * aux = norm, the quotient q multiplies back
+    to a by the check made here."""
+    if not norm or b * aux != norm:
+        raise NotDivisible(f"{b!r} * {aux!r} is not the norm {norm}")
     if norm == 1:
-        if b * aux != 1:
-            raise NotDivisible(f"{aux!r} is not the inverse of {b!r}")
         return partial(operator.mul, aux)
     divide_coords = type(b)._divide_coords
 
     def div(a):
         q = divide_coords(a * aux, norm)
-        if q is None or q * b != a:
+        if q is None:
             raise NotDivisible(f"{a!r} not divisible by {b!r}")
         return q
 

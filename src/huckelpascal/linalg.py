@@ -13,9 +13,9 @@ builds the exact division by one divisor once, for every entry divided by
 it.  An integer unit ±1 divides by keeping or negating the sign, and any
 other integer by testing the remainder of divmod.  CycInt and GaussInt
 both divide through the one lattice divider,
-``cyclotomic._lattice_divider``: a unit (norm 1) multiplies by its
-inverse, checked once to multiply back to 1, and any other divisor tests
-norm divisibility and multiplies back on every entry.
+``cyclotomic._lattice_divider``, which checks b * aux == norm != 0 once:
+a unit (norm 1) multiplies by its inverse, and any other divisor tests
+norm divisibility on every entry.
 
 Determinant strategies, each taking the matrix alone (all return identical
 values where applicable):

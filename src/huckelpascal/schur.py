@@ -2,28 +2,36 @@
 
 The cyclic blocks T_m are invertible up to the scalar S_m = x_m + y_m:
 W = S_m * T_m^{-1} has closed-form columns 0 and 1 (period-4 patterns),
-from which one row solve gives any row of W and checks it by multiplying
-back; ``invert_T`` builds W row by row that way.  Since det T_m =
-S_m (the two orientations of an odd cycle), a Schur complement that
-eliminates a trailing T_m block can be re-bordered into a matrix of the
-same determinant with no prefactor at all:
+from which one checked row solve gives the q with q T_m = b whenever
+b W / S_m is polynomial; ``invert_T`` builds W row by row from
+b = S_m e_i.  Since det T_m = S_m (the two orientations of an odd
+cycle), a Schur complement that eliminates a trailing T_m block can be
+re-bordered into a matrix of the same determinant with no prefactor:
 
     det [[A, B], [C, T_m]] = det [[S_m, w^T], [v, A - P]]
 
 where v and w come from the rank-1 residue of B T_m^{-1} C at the pole
-S_m = 0 and P = (B W C - v w^T) / S_m is polynomial (the division is
-performed exactly, entry by entry, and any remainder is a hard error).
-The residue vectors are the null vectors of T_m at y_m = -x_m, written so
-the odd entries of the right one carry y_m and of the left one x_m; with
-that choice the pure matrix part of P vanishes and the next T-block
-survives untouched, so the step iterates.  Iterating down the rows shrinks
-a triangle matrix of size (n+1)^2 to size n+1 and a trapezium of size
-(n+1)^2 - k^2 to size n+1-k, exactly.
+S_m = 0 and P = (B W C - v w^T) / S_m.  The border row is w = l C with
+l = row 2m of W, so l T_m = S_m e_2m^T and B W C - v w^T =
+(B - v e_2m^T) W C.  And v_i = mu (b . r), with r the right null vector
+of T_m at y_m = -x_m (odd entries carrying y_m) and mu = (-1)^m, so
+mu r_2m = 1 and b' = b - v_i e_2m has b' W = 0 at y_m = -x_m.  So P's
+row is q C with q T_m = b', q polynomial: the two seeds of its solve,
+(b' . w0) / S_m and (b' . w1) / S_m with w0, w1 W's columns 0 and 1, are
+the step's only exact divisions (a remainder is a hard error), and no
+numerator of P is formed.  With that choice of r the pure matrix part of
+P vanishes and the next T-block survives untouched, so the step
+iterates, shrinking a triangle matrix of size (n+1)^2 to size n+1 and a
+trapezium of size (n+1)^2 - k^2 to size n+1-k, exactly.
 
-A step never forms W.  For each kept row b of B the same row solve gives
-z = b W from z T_m = S_m b and multiplies z back through T_m by its shape
+A step never forms W.  From the two seeds the tridiagonal recurrence
+gives the interior of q and so makes the interior equations of
+q T_m = b' hold, and the two corner equations are checked by T_m's shape
 (the block was checked against the nonzeros of T_m written from x_m and
-y_m), so the check proves the very product the step goes on to use.
+y_m).  l comes from the same solve with b = S_m e_2m, whose seeds are
+entries 2m of w0 and w1, so no border entry rests on an unchecked vector:
+a wrong v makes a seed division fail, and any v keeps the determinant
+once l is right.
 
 A step works only where T_m couples to the rest.  Between steps the
 matrix is a dict of sparse rows (label -> {label: nonzero entry}) and a
@@ -37,20 +45,15 @@ and columns.  Each coupled row is replaced by an updated copy and every
 other row is left as it is, so the rows a caller passes in never change.
 On H_{k,n} the coupled rows (and columns) are the n - m borders
 of earlier steps and the m vertices of row m-1 bonded to the block, at
-most n in all.  So a step costs O(n m) ring operations for the solves,
-and of the at most n^2 numerators of P only the nonzero ones are divided
-and subtracted: a zero one leaves A's entry as it is, and since S_m != 0
-is checked first, skipping it hides no remainder.  Most cancel: on the
+most n in all, and q C runs over q's nonzero entries only.  On the
 144-vertex triangle H_{0,11} at a seeded integer point the eleven steps
-divide 430 times, where the coupled pairs number 1 287 and the dense
-formula made one division per entry of A, 42 779; on symbolic H_{3,7}
-56 of 212 pairs are divided.  Over MultiPoly entries every entry, x_m
-and y_m as the block stores them included, has the matrix's largest
-varcount, so every product, sum and comparison takes MultiPoly's
-same-varcount branch and none pays for a promotion; and minus each
-numerator is summed term by term into one dict through the product loop
-``poly._products``, then wrapped and divided once, so no product or
-partial sum of it is built as a polynomial of its own.
+divide 117 times, where dividing P's nonzero numerators took 430 of
+1 287 coupled pairs; on symbolic H_{3,7} 32 times (56 of 212 pairs); on
+symbolic H_{0,30} they form 40 455 products (188 850 numerator products).
+Over MultiPoly entries every entry, x_m and y_m as the block stores them
+included, has the matrix's largest varcount, so no operation pays for a
+promotion; and minus each entry of q C is summed term by term into one
+dict through the product loop ``poly._products``, then wrapped once.
 """
 
 from __future__ import annotations
@@ -84,15 +87,16 @@ class BlockMismatch(ValueError):
 
 
 def invert_T(m: int, params=None) -> PolyMatrix:
-    """W = (x_m + y_m) * T_m^{-1}, size 2m+1, row i solved from e_i by
-    ``_solve``: two entries from W's closed-form columns 0 and 1, the rest
-    by the tridiagonal recurrence, each row checked by multiply-back."""
+    """W = (x_m + y_m) * T_m^{-1}, size 2m+1: row i is the q with
+    q T_m = S_m e_i, from the one row solve ``_solve`` seeded by W's
+    closed-form columns 0 and 1, so every row is checked by its two corner
+    equations."""
     if m < 1:
         raise BadRange(f"invert_T needs m >= 1, got {m}")
     x = _weight(f"x{m}", params)
     y = _weight(f"y{m}", params)
-    seeds = _seeds(m, x, y)
-    return PolyMatrix([_solve({i: 1}, m, x, y, seeds) for i in range(2 * m + 1)])
+    s, (w0, w1) = x + y, _seeds(m, x, y)
+    return PolyMatrix([_solve({i: s}, [w0[i], w1[i]], m, x, y) for i in range(2 * m + 1)])
 
 
 def _seeds(m: int, x, y) -> tuple[list, list]:
@@ -106,48 +110,41 @@ def _seeds(m: int, x, y) -> tuple[list, list]:
     return [c0[i % 4] for i in range(n)], [y] + [c1[i % 4] for i in range(n - 1)]
 
 
-def _solve(b: dict, m: int, x, y, seeds) -> list:
-    """z = b W for a sparse row b ({column: entry}), from z T_m = S_m b.
+def _solve(b: dict, q: list, m: int, x, y) -> list:
+    """The q with q T_m = b for a sparse row b ({column: entry}), that is
+    q = b W / S_m, from its first two entries ``q`` (extended in place):
+    (b . w0) / S_m and (b . w1) / S_m with w0, w1 the columns 0 and 1 of W,
+    which a caller divides exactly, or for b = S_m e_i entries i of w0, w1.
 
-    Two entries come from W's columns 0 and 1 (``seeds``), and the
-    tridiagonal interior gives the rest by z[u+1] = S_m b[u] - z[u-1].
-    Then z goes back through T_m, by its shape (ones beside the diagonal,
-    x at (2m, 0) and y at (0, 2m)); unless every column equals S_m b the
-    solve raises, and as z is the unique solution that proves it."""
-    w0, w1 = seeds
+    The tridiagonal interior gives the rest by q[u+1] = b[u] - q[u-1],
+    which makes equations 1..2m-1 of q T_m = b hold.  So the checks are the
+    seed divisions and the two corner equations, by T_m's shape (x at
+    (2m, 0), y at (0, 2m)); unless both hold the solve raises, and as T_m
+    is invertible (S_m != 0) that proves q."""
     n = 2 * m + 1
-    s = x + y
-    sb = [0] * n
+    bl = [0] * n
     for t, e in b.items():
-        sb[t] = s * e
-    z = [sum(e * w0[t] for t, e in b.items()),
-         sum(e * w1[t] for t, e in b.items())]
+        bl[t] = e
     for u in range(1, n - 1):
-        if sb[u]:
-            z.append(sb[u] - z[u - 1])
-        elif u >= 3 and not sb[u - 2]:
-            z.append(z[u - 3])  # z[u+1] = -z[u-1] = z[u-3]
+        if bl[u]:
+            q.append(bl[u] - q[u - 1])
+        elif u >= 3 and not bl[u - 2]:
+            q.append(q[u - 3])  # q[u+1] = -q[u-1] = q[u-3]
         else:
-            z.append(-z[u - 1])
-    back = [z[1] + z[-1] * x if x else z[1]]
-    back += [z[u - 1] + z[u + 1] for u in range(1, n - 1)]
-    back.append(z[-2] + z[0] * y if y else z[-2])
-    if back != sb:
+            q.append(-q[u - 1])
+    if q[1] + q[-1] * x != bl[0] or q[-2] + q[0] * y != bl[-1]:
         raise ArithmeticError(f"row solve failed multiply-back at m={m}")
-    return z
+    return q
 
 
-def _null_pair(m: int, x, y):
-    """Right/left null vectors of T_m at y_m = -x_m, kept polynomial.
-
-    Odd entries of the right vector carry y_m, of the left one x_m; the
-    two agree modulo x_m + y_m but the mixed choice is what cancels the
-    coupling residue exactly.  Each repeats four values with period 4.
-    """
-    c = -((-1) ** m)  # the sign of the entries at t = 1
-    ry, lx = y * c, x * c
-    right, left = (1, ry, -1, -ry), (1, lx, -1, -lx)
-    return [right[t % 4] for t in range(2 * m + 1)], [left[t % 4] for t in range(2 * m + 1)]
+def _null_vector(m: int, y) -> list:
+    """The right null vector r of T_m at y_m = -x_m, kept polynomial: its
+    odd entries carry y_m, and it repeats four values with period 4.  The
+    residue of a coupled row b is v = mu (b . r), with mu = (-1)^m the
+    constant W[0, 0], so that mu r[2m] = 1."""
+    ry = y * -((-1) ** m)  # the entry at t = 1
+    right = (1, ry, -1, -ry)
+    return [right[t % 4] for t in range(2 * m + 1)]
 
 
 def _is_negative(e) -> bool:
@@ -237,7 +234,10 @@ def _condense(rows: dict, pos: list, m: int, params, kind: str) -> None:
     divide = _divider(s, kind)
     seeds = _seeds(m, x, y)
     mu = seeds[0][0]  # constant (-1)^m; the y -> -x residue scale
-    r, left = _null_pair(m, x, y)
+    r = _null_vector(m, y)
+    # the border row w is row 2m of W times C, that row solved and checked
+    # like any other
+    left = _solve({n - 1: s}, [col[-1] for col in seeds], m, x, y)
     w: dict = {}
     for t, entries in enumerate(outer):
         for j, e in entries:
@@ -251,22 +251,22 @@ def _condense(rows: dict, pos: list, m: int, params, kind: str) -> None:
         # the coupled row is replaced by an updated copy, never changed
         b = {at[j]: e for j, e in rows[i].items() if j in at}
         row = rows[i] = {j: e for j, e in rows[i].items() if j not in at}
-        z = _solve(b, m, x, y, seeds)
         vi = mu * sum(e * r[t] for t, e in b.items())
         if vi:
             v[i] = vi
-        # P's row is (b W) C - v_i w over S_m; the sign rule below flips v
-        # and w together, so it leaves v_i w_j alone.  A zero numerator
-        # leaves A's entry as it is: it is neither divided nor subtracted.
-        # Over MultiPoly the numerators are summed in place, negated; the
-        # other rings keep their direct sums, which a shared list of
-        # factors made slower.
+            b[n - 1] = b[n - 1] - vi if n - 1 in b else -vi
+        # P's row is q C with q T_m = b - v_i e_2m, as (B W C - v w^T) / S_m
+        # = (B - v e_2m^T) W C / S_m; the sign rule below flips v and w
+        # together, so it leaves P alone.  A zero entry of q C leaves A's
+        # entry as it is.  Over MultiPoly minus q C is summed in place; the
+        # other rings keep their direct sums.
+        q = [sum(e * col[t] for t, e in b.items()) for col in seeds]
+        q = _solve(b, [divide(e) if e else e for e in q], m, x, y)
         if varcount is None:
-            new = ((j, row.get(j, 0) - divide(q))
-                   for j, q in _numerators(z, outer, -vi, w).items() if q)
+            new = ((j, row.get(j, 0) - p) for j, p in _times_C(q, outer).items() if p)
         else:
-            new = ((j, row.get(j, 0) + divide(MultiPoly._of(t, varcount)))
-                   for j, t in _less_numerators(z, outer, -vi, w, varcount).items() if t)
+            new = ((j, row.get(j, 0) + MultiPoly._of(t, varcount))
+                   for j, t in _less_times_C(q, outer, varcount).items() if t)
         for j, e in new:
             if e:
                 row[j] = e
@@ -285,38 +285,32 @@ def _condense(rows: dict, pos: list, m: int, params, kind: str) -> None:
     pos[:] = [border] + kept
 
 
-def _numerators(z: list, outer: list, nvi, w: dict) -> dict:
-    """The numerators of a coupled row of P, (b W) C - v_i w, by column,
-    from z = b W and -v_i: each product summed into the column's value."""
-    num = {}
-    for zu, entries in zip(z, outer):
-        if zu:
+def _times_C(q: list, outer: list) -> dict:
+    """A coupled row of P, q C, by column, over q's nonzero entries: each
+    product summed into the column's value."""
+    out = {}
+    for qu, entries in zip(q, outer):
+        if qu:
             for j, c in entries:
-                p = zu if c == 1 else zu * c
-                num[j] = num[j] + p if j in num else p
-    if nvi:
-        for j, wj in w.items():
-            p = nvi * wj
-            num[j] = num[j] + p if j in num else p
-    return num
+                p = qu if c == 1 else qu * c
+                out[j] = out[j] + p if j in out else p
+    return out
 
 
-def _less_numerators(z: list, outer: list, nvi, w: dict, varcount: int) -> dict:
-    """``_numerators`` negated over MultiPoly, as one dict of terms per
+def _less_times_C(q: list, outer: list, varcount: int) -> dict:
+    """``_times_C`` negated over MultiPoly, as one dict of terms per
     column: each product is subtracted into it in place through the one
     product loop (``poly._products``), so no product or partial sum is
     built as a polynomial of its own."""
-    factors = [(zu, entries) for zu, entries in zip(z, outer) if zu]
-    if nvi:
-        factors.append((nvi, w.items()))
     out: dict = {}
-    for a, entries in factors:
-        at = a.terms
-        for j, c in entries:
-            acc = out.get(j)
-            if acc is None:
-                acc = out[j] = {}
-            _products(at, c.terms, varcount, acc)
+    for qu, entries in zip(q, outer):
+        if qu:
+            at = qu.terms
+            for j, c in entries:
+                acc = out.get(j)
+                if acc is None:
+                    acc = out[j] = {}
+                _products(at, c.terms, varcount, acc)
     return out
 
 

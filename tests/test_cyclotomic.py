@@ -252,6 +252,18 @@ def test_exact_div_multiplies_back(monkeypatch):
         Z(1).divider()(a * Z(1))
 
 
+def test_wrong_conjugate_fails_when_the_divider_is_built(monkeypatch):
+    # a non-unit divider never multiplies a quotient back: b * aux == norm,
+    # checked once when it is built, is what makes its quotients exact
+    b = Z(1) + 2  # norm 13
+    assert b.divider()(b * CycInt(3, 1, -4, 1)) == CycInt(3, 1, -4, 1)
+    monkeypatch.setitem(cyclotomic._GALOIS, 5, (Z(3).coords,) + cyclotomic._GALOIS[5][1:])
+    with pytest.raises(NotDivisible):
+        b.divider()
+    with pytest.raises(NotDivisible):
+        cyclotomic._lattice_divider(GaussInt(2, 1), GaussInt(2, 1), 5)
+
+
 # -- realness ---------------------------------------------------------------
 
 def test_real_classification():

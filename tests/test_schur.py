@@ -28,13 +28,15 @@ from huckelpascal.matrices import (
     build_T,
     bivariate_params,
 )
-from huckelpascal.poly import poly_from_text, svar, xvar, yvar
+from huckelpascal.poly import MultiPoly, NotDivisible, poly_from_text, svar, xvar, yvar
 from huckelpascal.schur import (
     BlockMismatch,
     _condensation,
     _condensed_det,
     _is_negative,
-    _null_pair,
+    _null_vector,
+    _seeds,
+    _solve,
     condensation_det,
     condense,
     invert_T,
@@ -53,9 +55,9 @@ def _dense_step(M, m, params=None):
         return PolyMatrix([[s]])
     kind = ring_kind(M.submatrix(range(a, d), range(a, d)))
     W = invert_T(m, params)
-    r, left = _null_pair(m, x, y)
+    r = _null_vector(m, y)
     v = [W[0, 0] * sum(M[i, a + t] * r[t] for t in range(n)) for i in range(a)]
-    w = [sum(M[a + t, j] * left[t] for t in range(n)) for j in range(a)]
+    w = [sum(M[a + t, j] * W[n - 1, t] for t in range(n)) for j in range(a)]
     lead = next((e for e in v if e != 0), None)
     if lead is not None and _is_negative(lead):
         v = [-e for e in v]
@@ -86,7 +88,7 @@ def _seeded_params(seed, k, n):
 
 
 def _ring_params(ring, seed, k, n):
-    """Seeded weights in Z, Z[zeta12] or Z[i], every x_m + y_m nonzero."""
+    """Seeded weights in Z, Q, Z[zeta12] or Z[i], every x_m + y_m nonzero."""
     import random
 
     rng = random.Random(seed)
@@ -94,6 +96,8 @@ def _ring_params(ring, seed, k, n):
     def draw():
         if ring == "int":
             return rng.randint(-40, 40)
+        if ring == "fraction":
+            return Fraction(rng.randint(-40, 40), rng.randint(1, 9))
         if ring == "cyc":
             return CycInt(*(rng.randint(-5, 5) for _ in range(4)))
         return GaussInt(rng.randint(-9, 9), rng.randint(-9, 9))
@@ -262,7 +266,7 @@ class TestSparseStep:
             assert reduced == dense and hash(reduced) == hash(dense), f"step m={m}"
             M = reduced
 
-    def test_divisions_only_on_coupled_pairs(self, monkeypatch):
+    def test_divisions_only_in_the_seeds(self, monkeypatch):
         calls = 0
 
         def counted_divider(*args):
@@ -277,12 +281,61 @@ class TestSparseStep:
         monkeypatch.setattr(schur, "_divider", counted_divider)
         params = _seeded_params(6, 0, 11)
         assert condensation_det(0, 11, params) == det(build_huckel(0, 11, params))
-        # only nonzero numerators are divided: the dense step divides on
-        # every kept entry, 42 779 times here, and every coupled pair 1 287
-        assert calls == 430
+        # only the nonzero seeds of the coupled rows' solves are divided, at
+        # most two per row, where the dense step divides once per kept
+        # entry, 42 779 times here, and the coupled pairs are 1 287
+        assert calls == 117
         calls = 0
         _condensation(_huckel_rows(3, 7), 3, 7, None)
-        assert calls == 56  # 212 coupled pairs
+        assert calls == 32  # 212 coupled pairs
+
+
+class TestStepIdentities:
+    """The two facts that make q = (b - v_i e_2m) W / S_m polynomial and
+    P's row equal to q C, and what breaks when the residue is wrong."""
+
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_border_row_and_residue_scale(self, m):
+        x, y = xvar(m), yvar(m)
+        s, n = x + y, 2 * m + 1
+        seeds = _seeds(m, x, y)
+        left = _solve({n - 1: s}, [col[-1] for col in seeds], m, x, y)
+        t = build_T(m)
+        # l^T T_m = S_m e_2m^T: the border row is row 2m of W
+        assert [sum(left[u] * t[u, j] for u in range(n)) for j in range(n)] == \
+            [0] * (n - 1) + [s]
+        r = _null_vector(m, y)
+        mu = seeds[0][0]
+        assert mu * r[n - 1] == 1
+        # so (e_i - mu r_i e_2m) W vanishes at y_m = -x_m for every row i
+        pole = {f"x{m}": x, f"y{m}": -x}
+
+        def at_pole(e):
+            return e.evaluate(pole) if isinstance(e, MultiPoly) else e
+
+        w = invert_T(m)
+        last = [at_pole(w[n - 1, j]) for j in range(n)]
+        for i in range(n):
+            scale = mu * at_pole(r[i])
+            assert [at_pole(w[i, j]) for j in range(n)] == [scale * e for e in last], i
+
+    @pytest.mark.parametrize("k,n,params", [
+        (0, 5, _seeded_params(11, 0, 5)),
+        (1, 3, None),
+    ])
+    def test_wrong_residue_is_refused(self, monkeypatch, k, n, params):
+        # one sign of the right null vector flipped: v is wrong, so the seeds
+        # of a coupled row no longer divide by S_m
+        original = schur._null_vector
+
+        def flipped(m, y):
+            r = original(m, y)
+            r[1] = -r[1]
+            return r
+
+        monkeypatch.setattr(schur, "_null_vector", flipped)
+        with pytest.raises(NotDivisible):
+            condensation_det(k, n, params)
 
 
 class TestSparseStepEdges:
@@ -348,9 +401,9 @@ class TestSparseStepEdges:
         assert reduced[1, 1] == 2  # column 0 is not coupled either
         assert det(reduced) == det(M)
 
-    @pytest.mark.parametrize("ring", ["int", "cyc", "gauss"])
+    @pytest.mark.parametrize("ring", ["int", "fraction", "cyc", "gauss"])
     def test_condensation_equals_elimination(self, ring):
-        for n in range(6):
+        for n in range(8):
             for k in range(n + 1):
                 params = _ring_params(ring, 100 * n + k, k, n)
                 h = build_huckel(k, n, params)
